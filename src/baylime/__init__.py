@@ -30,6 +30,8 @@ from .explainer import (
     LimeRidge,
     elicit_prior,
     explain,
+    explain_from_pset,
+    explain_paired,
     explain_repeated,
 )
 from .kernel import KernelConfig, apply_weights, default_width, kernel_weight
@@ -84,7 +86,8 @@ __all__ = [
     "apply_weights", "bayes_fit_full", "bayes_fit_noninformative",
     "bayes_fit_partial", "build_perturbation_set", "column_statistics",
     "config_from_data", "decompose", "default_width", "elicit_prior",
-    "explain", "explain_repeated", "fit_surrogate", "frequency_table",
+    "explain", "explain_from_pset", "explain_paired", "explain_repeated",
+    "fit_surrogate", "frequency_table",
     "inconsistency", "kendalls_w", "kernel_weight", "normalize_coefficients",
     "pair_ratio", "perturb_matrix", "probe", "rank_features", "ridge_fit",
     "robustness", "robustness_from_pset", "select_class", "width_pairs",

@@ -165,6 +165,11 @@ class SubprocessPredictor:
     The process is spawned once and reused for every chunk of an
     explanation run, which amortizes model-load cost. Not thread-safe: one
     request must complete before the next is sent.
+
+    The transport fails closed. Once a request times out, gets a malformed
+    response, or finds the child gone, the child is killed and every later
+    call raises :class:`ProbeError`: a late answer to an abandoned request
+    would otherwise be read as the answer to the next one.
     """
 
     def __init__(self, command: str | list[str], *, timeout: float = 60.0):
@@ -174,6 +179,7 @@ class SubprocessPredictor:
             raise ConfigError("empty predictor command")
         self.command = list(command)
         self.timeout = float(timeout)
+        self._broken: str | None = None
         try:
             self._proc = subprocess.Popen(
                 self.command,
@@ -205,25 +211,36 @@ class SubprocessPredictor:
             self._stderr_tail.append(line)
             del self._stderr_tail[:-20]
 
+    def _fail(self, message: str, payload=None) -> ProbeError:
+        """Mark the transport broken, kill the child, return the error."""
+        self._broken = message
+        if self._proc.poll() is None:
+            self._proc.kill()
+            self._proc.wait()
+        return ProbeError(message, payload=payload)
+
     def __call__(self, rows: np.ndarray) -> np.ndarray:
+        if self._broken is not None:
+            raise ProbeError(f"predictor transport is unusable after an "
+                             f"earlier failure: {self._broken}")
         request = json.dumps({"inputs": np.asarray(rows, dtype=float).tolist()})
         try:
             assert self._proc.stdin is not None
             self._proc.stdin.write(request + "\n")
             self._proc.stdin.flush()
         except (OSError, ValueError) as exc:
-            raise ProbeError(
+            raise self._fail(
                 f"predictor process rejected request: {exc}",
                 payload="".join(self._stderr_tail),
             ) from exc
         try:
             line = self._lines.get(timeout=self.timeout)
         except queue.Empty:
-            raise ProbeError(
+            raise self._fail(
                 f"predictor response timed out after {self.timeout} s"
             ) from None
         if line is None:
-            raise ProbeError(
+            raise self._fail(
                 f"predictor process exited with code {self._proc.poll()}",
                 payload="".join(self._stderr_tail),
             )
@@ -231,7 +248,7 @@ class SubprocessPredictor:
             message = json.loads(line)
             outputs = message["outputs"]
         except (json.JSONDecodeError, TypeError, KeyError) as exc:
-            raise ProbeError(f"malformed predictor response: {exc}",
+            raise self._fail(f"malformed predictor response: {exc}",
                              payload=line) from exc
         return np.asarray(outputs, dtype=float)
 

@@ -44,7 +44,7 @@ from .explainer import (
     LimeRidge,
     elicit_prior,
     explain,
-    explain_repeated,
+    explain_paired,
 )
 from .kernel import DISTANCES, EUCLIDEAN, KernelConfig
 from .metrics import (
@@ -363,15 +363,8 @@ def _resolve_sweep_explainers(args, instance: Instance,
                       for (name, options), _ in parsed)
     elicited = None
     if need_elicit:
-        base = ExplainConfig(
-            PerturbConfig(
-                n=args.elicit_n, seed=0,
-                numeric_scale=perturb.numeric_scale,
-                categorical_frequencies=perturb.categorical_frequencies,
-                binary_off_values=perturb.binary_off_values,
-            ),
-            kernel, LimeRidge(args.r), args.target_class,
-        )
+        base = ExplainConfig(perturb, kernel, LimeRidge(args.r),
+                             args.target_class).with_n(args.elicit_n)
         runs = [explain(instance, handle,
                         base.with_seed(args.seed + ELICIT_SEED_OFFSET + i))
                 for i in range(args.elicit_runs)]
@@ -503,13 +496,14 @@ def cmd_consistency(args) -> int:
             args, instance, handle, perturb, kernel)
         base = ExplainConfig(perturb, kernel, explainers[0][1],
                              args.target_class)
+        surrogates = [surrogate for _, surrogate in explainers]
         for cell, n in enumerate(n_grid):
-            # Explainers share each cell's seed block for paired comparison.
-            seed_base = args.seed + cell * args.k
-            for label, surrogate in explainers:
-                config = base.with_n(n).with_surrogate(surrogate)
-                ensemble = explain_repeated(instance, handle, config, args.k,
-                                            seed_base=seed_base)
+            # Explainers share each cell's seed block, and each seed's
+            # probed sample set, for an exactly paired comparison.
+            ensembles = explain_paired(instance, handle, base.with_n(n),
+                                       surrogates, args.k,
+                                       seed_base=args.seed + cell * args.k)
+            for (label, _), ensemble in zip(explainers, ensembles):
                 try:
                     inc = inconsistency(ensemble)
                 except UndefinedMetricError:

@@ -6,7 +6,7 @@ into a prior for the next one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -15,8 +15,13 @@ from .blackbox import PredictorHandle, with_class
 from .errors import ConfigError, InvalidInputError, ShapeError
 from .kernel import KernelConfig, apply_weights
 from .perturb import PerturbConfig, build_perturbation_set
-from .regression import PriorSpec, fit_surrogate, ridge_fit
-from .types import Explanation, ExplanationEnsemble, Instance
+from .regression import PriorSpec, SurrogateFit, fit_surrogate, ridge_fit
+from .types import (
+    Explanation,
+    ExplanationEnsemble,
+    Instance,
+    PerturbationSet,
+)
 
 
 @dataclass(frozen=True)
@@ -57,58 +62,48 @@ class ExplainConfig:
             raise ConfigError("target_class must be non-negative")
 
     def with_seed(self, seed: int) -> "ExplainConfig":
-        perturb = PerturbConfig(
-            n=self.perturb.n, seed=seed,
-            numeric_scale=self.perturb.numeric_scale,
-            categorical_frequencies=self.perturb.categorical_frequencies,
-            binary_off_values=self.perturb.binary_off_values,
-        )
-        return ExplainConfig(perturb, self.kernel, self.surrogate,
-                             self.target_class)
+        return replace(self, perturb=replace(self.perturb, seed=seed))
 
     def with_n(self, n: int) -> "ExplainConfig":
-        perturb = PerturbConfig(
-            n=n, seed=self.perturb.seed,
-            numeric_scale=self.perturb.numeric_scale,
-            categorical_frequencies=self.perturb.categorical_frequencies,
-            binary_off_values=self.perturb.binary_off_values,
-        )
-        return ExplainConfig(perturb, self.kernel, self.surrogate,
-                             self.target_class)
+        return replace(self, perturb=replace(self.perturb, n=n))
 
     def with_kernel(self, kernel: KernelConfig) -> "ExplainConfig":
-        return ExplainConfig(self.perturb, kernel, self.surrogate,
-                             self.target_class)
+        return replace(self, kernel=kernel)
 
     def with_surrogate(self, surrogate: LimeRidge | BayLime) -> "ExplainConfig":
-        return ExplainConfig(self.perturb, self.kernel, surrogate,
-                             self.target_class)
+        return replace(self, surrogate=surrogate)
 
 
-def explain(instance: Instance, predictor: PredictorHandle,
-            config: ExplainConfig) -> Explanation:
-    """Explain one instance: sample, probe, weight, fit, rank.
+def fit_weighted(pset: PerturbationSet, instance: Instance,
+                 kernel: KernelConfig, surrogate: LimeRidge | BayLime,
+                 ) -> tuple[np.ndarray, SurrogateFit | None]:
+    """Weight a probed sample set by proximity and fit the surrogate on it.
 
-    The perturbation seed fully determines the run given the config, so
-    repeating the call reproduces the explanation bit for bit.
+    Returns the raw coefficients and, for a BayLime surrogate, the
+    posterior fit they come from (None for ridge).
     """
-    handle = predictor
-    if config.target_class is not None:
-        handle = with_class(predictor, config.target_class)
-    pset = build_perturbation_set(instance, config.perturb, handle)
-    pset = apply_weights(pset, config.kernel, instance)
+    weighted = apply_weights(pset, kernel, instance)
+    if isinstance(surrogate, LimeRidge):
+        return ridge_fit(weighted, surrogate.r), None
+    posterior = fit_surrogate(weighted, surrogate.prior)
+    return posterior.mu_n, posterior
+
+
+def explain_from_pset(pset: PerturbationSet, instance: Instance,
+                      config: ExplainConfig) -> Explanation:
+    """Weight, fit and rank a sample set already drawn and probed.
+
+    ``config`` must be the one the set was drawn with; its seed is
+    recorded on the explanation. The predictor is not touched.
+    """
+    coefficients, posterior = fit_weighted(pset, instance, config.kernel,
+                                           config.surrogate)
     notes: list[str] = []
     if pset.n < pset.m:
         notes.append(
             f"only {pset.n} samples for {pset.m} features; coefficients "
             f"lean on the prior or regularizer"
         )
-    if isinstance(config.surrogate, LimeRidge):
-        coefficients = ridge_fit(pset, config.surrogate.r)
-        posterior = None
-    else:
-        posterior = fit_surrogate(pset, config.surrogate.prior)
-        coefficients = posterior.mu_n
     return Explanation.from_coefficients(
         coefficients,
         kernel_width=config.kernel.resolved_width(pset.m),
@@ -119,18 +114,71 @@ def explain(instance: Instance, predictor: PredictorHandle,
     )
 
 
+def _class_handle(predictor: PredictorHandle,
+                  config: ExplainConfig) -> PredictorHandle:
+    if config.target_class is None:
+        return predictor
+    return with_class(predictor, config.target_class)
+
+
+def explain(instance: Instance, predictor: PredictorHandle,
+            config: ExplainConfig) -> Explanation:
+    """Explain one instance: sample, probe, weight, fit, rank.
+
+    The perturbation seed fully determines the run given the config, so
+    repeating the call reproduces the explanation bit for bit.
+    """
+    pset = build_perturbation_set(instance, config.perturb,
+                                  _class_handle(predictor, config))
+    return explain_from_pset(pset, instance, config)
+
+
+def explain_paired(instance: Instance, predictor: PredictorHandle,
+                   config: ExplainConfig,
+                   surrogates: Sequence[LimeRidge | BayLime], k: int, *,
+                   seed_base: int = 0) -> tuple[ExplanationEnsemble, ...]:
+    """k seeded runs of several surrogates, paired on shared sample sets.
+
+    For each seed (seed_base, seed_base+1, ...) one sample set is drawn and
+    probed, and every surrogate is fitted on it; ``config.surrogate`` is
+    not used. The surrogates therefore see identical labels even from a
+    stochastic predictor, so their comparison is exactly paired, and the
+    predictor sees k * ceil(n / batch_limit) calls whatever the number of
+    surrogates. A sample set is dropped once its seed's fits are done.
+
+    Returns one ensemble per surrogate, in the given order, with runs
+    ordered by seed. For a deterministic predictor each ensemble equals
+    :func:`explain_repeated` with that surrogate alone.
+    """
+    if k < 2:
+        raise ConfigError("repeated explanation needs k >= 2 runs")
+    if not surrogates:
+        raise ConfigError("paired explanation needs at least one surrogate")
+    configs = [config.with_surrogate(surrogate) for surrogate in surrogates]
+    handle = _class_handle(predictor, config)
+    runs: list[list[Explanation]] = [[] for _ in configs]
+    for seed in range(seed_base, seed_base + k):
+        pset = build_perturbation_set(
+            instance, config.with_seed(seed).perturb, handle)
+        for surrogate_runs, surrogate_config in zip(runs, configs):
+            surrogate_runs.append(explain_from_pset(
+                pset, instance, surrogate_config.with_seed(seed)))
+        # Released before the next seed is probed: one set alive at a time.
+        del pset
+    return tuple(ExplanationEnsemble(tuple(r)) for r in runs)
+
+
 def explain_repeated(instance: Instance, predictor: PredictorHandle,
                      config: ExplainConfig, k: int, *,
                      seed_base: int = 0) -> ExplanationEnsemble:
     """k runs differing only in seed (seed_base, seed_base+1, ...).
 
-    Runs are ordered by seed in the returned ensemble.
+    Runs are ordered by seed in the returned ensemble. This is the
+    one-surrogate case of :func:`explain_paired`: the predictor sees
+    k * ceil(n / batch_limit) calls.
     """
-    if k < 2:
-        raise ConfigError("repeated explanation needs k >= 2 runs")
-    runs = [explain(instance, predictor, config.with_seed(seed_base + i))
-            for i in range(k)]
-    return ExplanationEnsemble(tuple(runs))
+    return explain_paired(instance, predictor, config, (config.surrogate,),
+                          k, seed_base=seed_base)[0]
 
 
 def elicit_prior(previous: ExplanationEnsemble | Iterable[Explanation], *,

@@ -23,10 +23,9 @@ import numpy as np
 
 from .blackbox import PredictorHandle, with_class
 from .errors import ConfigError, FitError, UndefinedMetricError
-from .explainer import BayLime, ExplainConfig, LimeRidge
-from .kernel import KernelConfig, apply_weights
+from .explainer import BayLime, ExplainConfig, LimeRidge, fit_weighted
+from .kernel import KernelConfig
 from .perturb import build_perturbation_set
-from .regression import fit_surrogate, ridge_fit
 from .types import (
     ExplanationEnsemble,
     Instance,
@@ -148,11 +147,8 @@ def width_pairs(pairs: int, bounds: tuple[float, float],
 def _importances_at(pset: PerturbationSet, instance: Instance,
                     surrogate: LimeRidge | BayLime,
                     width: float) -> np.ndarray:
-    weighted = apply_weights(pset, KernelConfig(width=width), instance)
-    if isinstance(surrogate, LimeRidge):
-        coefficients = ridge_fit(weighted, surrogate.r)
-    else:
-        coefficients = fit_surrogate(weighted, surrogate.prior).mu_n
+    coefficients, _ = fit_weighted(pset, instance, KernelConfig(width=width),
+                                   surrogate)
     return np.abs(normalize_coefficients(coefficients))
 
 

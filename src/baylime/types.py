@@ -25,6 +25,12 @@ FEATURE_KINDS = (NUMERICAL, CATEGORICAL, BINARY_MASK)
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
+    # An array frozen here before is shared, not copied: a reweighted
+    # perturbation set then holds the same rows and labels as its source,
+    # which stays alive while explainers are fitted on it.
+    if (isinstance(values, np.ndarray) and values.dtype == dtype
+            and values.flags.owndata and not values.flags.writeable):
+        return values
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -149,7 +155,7 @@ class PerturbationSet:
         return self.rows.shape[1]
 
     def with_weights(self, weights: np.ndarray) -> "PerturbationSet":
-        """Copy of this set with new weights; rows and labels untouched."""
+        """This set with new weights; rows and labels are shared."""
         return PerturbationSet(self.rows, self.labels, weights, self.seed)
 
 

@@ -9,6 +9,7 @@ behaviour:
     garbage  answers with non-JSON text
     exit     quits immediately without answering
     sleep    never answers
+    late     answers the first request after about 1 s, later ones at once
 """
 
 import json
@@ -20,11 +21,13 @@ mode = sys.argv[1] if len(sys.argv) > 1 else "sum"
 if mode == "exit":
     sys.exit(3)
 
-for line in sys.stdin:
+for index, line in enumerate(sys.stdin):
     request = json.loads(line)
     rows = request["inputs"]
     if mode == "sleep":
         time.sleep(3600)
+    if mode == "late" and index == 0:
+        time.sleep(1.0)
     if mode == "garbage":
         sys.stdout.write("not json at all\n")
         sys.stdout.flush()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,18 @@ class TestSubprocessPredictor:
                                    timeout=0.5) as handle:
             with pytest.raises(ProbeError, match="timed out"):
                 probe(handle, np.ones((2, 2)))
+
+    def test_late_answer_never_reaches_a_later_probe(self):
+        with PredictorHandle.spawn(fixture_command("late"),
+                                   timeout=0.2) as handle:
+            with pytest.raises(ProbeError, match="timed out"):
+                probe(handle, np.array([[1.0], [2.0]]))
+            # Long enough for the abandoned request's answer to arrive, had
+            # the child been left running.
+            time.sleep(1.2)
+            with pytest.raises(ProbeError, match="unusable"):
+                probe(handle, np.array([[7.0], [8.0]]))
+            assert handle.predict_fn._proc.poll() is not None
 
     def test_unknown_command(self):
         with pytest.raises(ProbeError):

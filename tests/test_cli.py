@@ -185,6 +185,21 @@ class TestConsistencyCommand:
             (tmp_path / "cons.manifest.json").read_text(encoding="utf-8"))
         assert manifest["parameters"]["n_grid"] == [50, 200]
 
+    def test_explainers_in_one_run_match_separate_runs(self, tmp_path):
+        def sweep(name, *specs):
+            argv = ["consistency", "--m", "3", "--predictor", "quadratic",
+                    "--n-grid", "30,60", "--k", "4", "--seed", "9",
+                    "--out", str(tmp_path / name)]
+            for spec in specs:
+                argv += ["--explainer", spec]
+            assert main(argv) == 0
+            return read_csv(tmp_path / name)
+
+        both = sweep("both.csv", "lime:r=1", "full:lambda=20:alpha=1")
+        lime = sweep("lime.csv", "lime:r=1")
+        full = sweep("full.csv", "full:lambda=20:alpha=1")
+        assert both == [lime[0], full[0], lime[1], full[1]]
+
     def test_constant_predictor_flags_undefined(self, tmp_path):
         out = tmp_path / "cons.csv"
         code = main(["consistency", "--m", "2", "--predictor", "constant",

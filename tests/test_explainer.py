@@ -19,6 +19,7 @@ from baylime import (
     ShapeError,
     elicit_prior,
     explain,
+    explain_paired,
     explain_repeated,
 )
 from baylime.types import Instance, NUMERICAL
@@ -132,6 +133,74 @@ class TestExplainRepeated:
         instance, config = numeric_problem(2, 80, 0, LimeRidge(1.0))
         with pytest.raises(ConfigError):
             explain_repeated(instance, quadratic_predictor(), config, k=1)
+
+
+class CountingPredictor:
+    """In-process quadratic black box that counts calls and rows."""
+
+    def __init__(self, noise: float = 0.0):
+        self.calls = 0
+        self.rows = 0
+        self.noise = noise
+        self._rng = np.random.default_rng(0)
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        self.calls += 1
+        self.rows += rows.shape[0]
+        out = rows @ np.array([1.0, -0.5, 0.25]) + 0.5 * (rows**2).sum(axis=1)
+        return out + self.noise * self._rng.normal(size=rows.shape[0])
+
+
+class TestExplainPaired:
+    SURROGATES = (
+        LimeRidge(1.0),
+        BayLime(PriorSpec.non_informative()),
+        BayLime(PriorSpec.full(np.array([1.0, 0.0, 0.0]), 50.0, 1.0)),
+    )
+
+    def test_one_probe_per_seed_whatever_the_surrogate_count(self):
+        instance, config = numeric_problem(3, 150, 0, LimeRidge(1.0))
+        model = CountingPredictor()
+        ensembles = explain_paired(
+            instance, PredictorHandle.in_process(model, batch_limit=64),
+            config, self.SURROGATES, 5, seed_base=20)
+        assert (model.calls, model.rows) == (5 * 3, 5 * 150)
+        assert len(ensembles) == len(self.SURROGATES)
+        for surrogate, paired in zip(self.SURROGATES, ensembles):
+            alone = explain_repeated(
+                instance, PredictorHandle.in_process(CountingPredictor()),
+                config.with_surrogate(surrogate), 5, seed_base=20)
+            for got, want in zip(paired.runs, alone.runs, strict=True):
+                assert got.coefficients.tobytes() == want.coefficients.tobytes()
+                assert got.ranks.tolist() == want.ranks.tolist()
+                assert got.seed == want.seed
+                assert got.kernel_width == want.kernel_width
+                assert (got.posterior is None) == (want.posterior is None)
+
+    def test_stochastic_predictor_gives_every_surrogate_the_same_labels(self):
+        # Ridge at r equals the full posterior with mu0 = 0 at
+        # lambda / alpha = r, but only on identical labels.
+        r = 0.5
+        pair = (LimeRidge(r),
+                BayLime(PriorSpec.full(np.zeros(3), lam=2.0 * r, alpha=2.0)))
+        instance, config = numeric_problem(3, 120, 0, pair[0])
+        lime, bayes = explain_paired(
+            instance, PredictorHandle.in_process(CountingPredictor(noise=1.0)),
+            config, pair, 4)
+        for a, b in zip(lime.runs, bayes.runs):
+            np.testing.assert_allclose(a.coefficients, b.coefficients,
+                                       rtol=1e-8)
+
+    def test_rejects_bad_surrogate_before_probing(self):
+        instance, config = numeric_problem(3, 50, 0, LimeRidge(1.0))
+        model = CountingPredictor()
+        with pytest.raises(ConfigError):
+            explain_paired(instance, PredictorHandle.in_process(model),
+                           config, (LimeRidge(1.0), "ridge"), 3)
+        with pytest.raises(ConfigError):
+            explain_paired(instance, PredictorHandle.in_process(model),
+                           config, (), 3)
+        assert model.calls == 0
 
 
 class TestElicitPrior:

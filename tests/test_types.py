@@ -101,6 +101,18 @@ class TestPerturbationSet:
         reweighted = pset.with_weights([0.25, 0.5])
         assert reweighted.weights.tolist() == [0.25, 0.5]
         assert pset.weights.tolist() == [1.0, 1.0]
+        assert reweighted.rows is pset.rows
+        assert reweighted.labels is pset.labels
+
+    def test_caller_arrays_are_copied(self):
+        rows = np.array([[1.0], [2.0]])
+        view = rows[:, 0]
+        view.setflags(write=False)
+        pset = PerturbationSet(rows=rows, labels=view, weights=[1.0, 1.0],
+                               seed=0)
+        rows[0, 0] = 9.0
+        assert pset.rows.tolist() == [[1.0], [2.0]]
+        assert pset.labels.tolist() == [1.0, 2.0]
 
 
 class TestExplanation:
