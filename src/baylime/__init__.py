@@ -42,6 +42,7 @@ from .metrics import (
     pair_ratio,
     robustness,
     robustness_from_pset,
+    robustness_paired,
     width_pairs,
 )
 from .perturb import (
@@ -90,6 +91,7 @@ __all__ = [
     "fit_surrogate", "frequency_table",
     "inconsistency", "kendalls_w", "kernel_weight", "normalize_coefficients",
     "pair_ratio", "perturb_matrix", "probe", "rank_features", "ridge_fit",
-    "robustness", "robustness_from_pset", "select_class", "width_pairs",
+    "robustness", "robustness_from_pset", "robustness_paired",
+    "select_class", "width_pairs",
     "with_class",
 ]

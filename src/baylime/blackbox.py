@@ -174,7 +174,11 @@ class SubprocessPredictor:
 
     def __init__(self, command: str | list[str], *, timeout: float = 60.0):
         if isinstance(command, str):
-            command = shlex.split(command)
+            try:
+                command = shlex.split(command)
+            except ValueError as exc:
+                raise ConfigError(f"cannot parse predictor command "
+                                  f"{command!r}: {exc}") from exc
         if not command:
             raise ConfigError("empty predictor command")
         self.command = list(command)

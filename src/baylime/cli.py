@@ -42,6 +42,7 @@ from .explainer import (
     BayLime,
     ExplainConfig,
     LimeRidge,
+    _class_handle,
     elicit_prior,
     explain,
     explain_paired,
@@ -50,7 +51,7 @@ from .kernel import DISTANCES, EUCLIDEAN, KernelConfig
 from .metrics import (
     inconsistency,
     kendalls_w,
-    robustness_from_pset,
+    robustness_paired,
     width_pairs,
 )
 from .perturb import PerturbConfig, build_perturbation_set, config_from_data
@@ -540,13 +541,15 @@ def cmd_robustness(args) -> int:
     with handle:
         explainers, records = _resolve_sweep_explainers(
             args, instance, handle, perturb, kernel)
-        # One perturbation set serves every pair and every explainer; only
-        # the kernel weighting changes between fits.
-        pset = build_perturbation_set(instance, perturb, handle)
+        # One perturbation set serves every pair and every explainer, and
+        # each width is weighted once for all explainers.
+        pset = build_perturbation_set(
+            instance, perturb, _class_handle(handle, args.target_class))
         pair_list = width_pairs(args.pairs, (args.l_lo, args.l_up), args.seed)
-        for label, surrogate in explainers:
-            report = robustness_from_pset(pset, instance, surrogate,
-                                          pair_list)
+        reports = robustness_paired(
+            pset, instance, [surrogate for _, surrogate in explainers],
+            pair_list, distance=kernel.distance)
+        for (label, _), report in zip(explainers, reports):
             for l1, l2, ratio in report.robustness_samples:
                 rows.append((label, "sample", repr(l1), repr(l2), repr(ratio)))
             rows.append((label, "median", "", "",

@@ -74,18 +74,17 @@ class ExplainConfig:
         return replace(self, surrogate=surrogate)
 
 
-def fit_weighted(pset: PerturbationSet, instance: Instance,
-                 kernel: KernelConfig, surrogate: LimeRidge | BayLime,
-                 ) -> tuple[np.ndarray, SurrogateFit | None]:
-    """Weight a probed sample set by proximity and fit the surrogate on it.
+def fit(pset: PerturbationSet, surrogate: LimeRidge | BayLime,
+        ) -> tuple[np.ndarray, SurrogateFit | None]:
+    """Fit the surrogate on a weighted sample set.
 
     Returns the raw coefficients and, for a BayLime surrogate, the
-    posterior fit they come from (None for ridge).
+    posterior fit they come from (None for ridge). Every fit on one set
+    shares its X'WX and X'WY.
     """
-    weighted = apply_weights(pset, kernel, instance)
     if isinstance(surrogate, LimeRidge):
-        return ridge_fit(weighted, surrogate.r), None
-    posterior = fit_surrogate(weighted, surrogate.prior)
+        return ridge_fit(pset, surrogate.r), None
+    posterior = fit_surrogate(pset, surrogate.prior)
     return posterior.mu_n, posterior
 
 
@@ -96,8 +95,8 @@ def explain_from_pset(pset: PerturbationSet, instance: Instance,
     ``config`` must be the one the set was drawn with; its seed is
     recorded on the explanation. The predictor is not touched.
     """
-    coefficients, posterior = fit_weighted(pset, instance, config.kernel,
-                                           config.surrogate)
+    weighted = apply_weights(pset, config.kernel, instance)
+    coefficients, posterior = fit(weighted, config.surrogate)
     notes: list[str] = []
     if pset.n < pset.m:
         notes.append(
@@ -115,10 +114,11 @@ def explain_from_pset(pset: PerturbationSet, instance: Instance,
 
 
 def _class_handle(predictor: PredictorHandle,
-                  config: ExplainConfig) -> PredictorHandle:
-    if config.target_class is None:
+                  target_class: int | None) -> PredictorHandle:
+    """The handle an explanation probes: one class's output, if chosen."""
+    if target_class is None:
         return predictor
-    return with_class(predictor, config.target_class)
+    return with_class(predictor, target_class)
 
 
 def explain(instance: Instance, predictor: PredictorHandle,
@@ -129,7 +129,8 @@ def explain(instance: Instance, predictor: PredictorHandle,
     repeating the call reproduces the explanation bit for bit.
     """
     pset = build_perturbation_set(instance, config.perturb,
-                                  _class_handle(predictor, config))
+                                  _class_handle(predictor,
+                                                config.target_class))
     return explain_from_pset(pset, instance, config)
 
 
@@ -155,7 +156,7 @@ def explain_paired(instance: Instance, predictor: PredictorHandle,
     if not surrogates:
         raise ConfigError("paired explanation needs at least one surrogate")
     configs = [config.with_surrogate(surrogate) for surrogate in surrogates]
-    handle = _class_handle(predictor, config)
+    handle = _class_handle(predictor, config.target_class)
     runs: list[list[Explanation]] = [[] for _ in configs]
     for seed in range(seed_base, seed_base + k):
         pset = build_perturbation_set(

@@ -90,6 +90,26 @@ def kernel_weight(distance: np.ndarray | float, width: float) -> np.ndarray:
     return np.exp(-(d * d) / (width * width))
 
 
+def proximity_distances(pset: PerturbationSet, instance: Instance,
+                        distance: str = EUCLIDEAN) -> np.ndarray:
+    """Distance of each sample from the explained instance.
+
+    The distances do not depend on the kernel width, so a width sweep
+    computes them once and weights at every width from them.
+    """
+    if instance.m != pset.m:
+        raise ConfigError(
+            f"instance has {instance.m} features but the perturbation set "
+            f"has {pset.m}"
+        )
+    return distances(pset.rows, interpretable_reference(instance), distance)
+
+
+def floored_weights(d: np.ndarray, width: float) -> np.ndarray:
+    """Kernel weights at ``width``, floored so none underflows to zero."""
+    return np.maximum(kernel_weight(d, width), _WEIGHT_FLOOR)
+
+
 def apply_weights(pset: PerturbationSet, config: KernelConfig,
                   instance: Instance) -> PerturbationSet:
     """Replace the set's weights with kernel weights around the instance.
@@ -97,12 +117,5 @@ def apply_weights(pset: PerturbationSet, config: KernelConfig,
     Weights are overwritten, not multiplied in, so reapplying with a new
     width is safe.
     """
-    if instance.m != pset.m:
-        raise ConfigError(
-            f"instance has {instance.m} features but the perturbation set "
-            f"has {pset.m}"
-        )
-    ref = interpretable_reference(instance)
-    d = distances(pset.rows, ref, config.distance)
-    w = kernel_weight(d, config.resolved_width(pset.m))
-    return pset.with_weights(np.maximum(w, _WEIGHT_FLOOR))
+    d = proximity_distances(pset, instance, config.distance)
+    return pset.with_weights(floored_weights(d, config.resolved_width(pset.m)))

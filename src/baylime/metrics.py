@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .blackbox import PredictorHandle, with_class
+from .blackbox import PredictorHandle
 from .errors import ConfigError, FitError, UndefinedMetricError
-from .explainer import BayLime, ExplainConfig, LimeRidge, fit_weighted
-from .kernel import KernelConfig
+from .explainer import BayLime, ExplainConfig, LimeRidge, _class_handle, fit
+from .kernel import EUCLIDEAN, floored_weights, proximity_distances
 from .perturb import build_perturbation_set
 from .types import (
     ExplanationEnsemble,
@@ -144,45 +145,86 @@ def width_pairs(pairs: int, bounds: tuple[float, float],
     return out
 
 
-def _importances_at(pset: PerturbationSet, instance: Instance,
-                    surrogate: LimeRidge | BayLime,
-                    width: float) -> np.ndarray:
-    coefficients, _ = fit_weighted(pset, instance, KernelConfig(width=width),
-                                   surrogate)
+def _importances(pset: PerturbationSet,
+                 surrogate: LimeRidge | BayLime) -> np.ndarray:
+    coefficients, _ = fit(pset, surrogate)
     return np.abs(normalize_coefficients(coefficients))
 
 
+def robustness_paired(pset: PerturbationSet, instance: Instance,
+                      surrogates: Sequence[LimeRidge | BayLime],
+                      pair_list: list[tuple[float, float]], *,
+                      distance: str = EUCLIDEAN,
+                      ) -> tuple[MetricReport, ...]:
+    """Robustness of several surrogates over one sample set and width pairs.
+
+    The samples' distances from the instance are computed once, each
+    width of each pair is weighted once, and every surrogate is fitted on
+    that weighted set, so the fits also share its X'WX and X'WY. Each
+    report equals :func:`robustness_from_pset` with its surrogate alone,
+    bit for bit.
+
+    A fit failure ends that surrogate's sweep. The error raised is the one
+    the surrogates would raise swept one after another: that of the first
+    failing surrogate in the given order, with its completed samples on
+    ``partial_samples``.
+    """
+    if not surrogates:
+        raise ConfigError("robustness needs at least one surrogate")
+    d = proximity_distances(pset, instance, distance)
+    samples: list[list[tuple[float, float, float]]] = [[] for _ in surrogates]
+    failure: FitError | None = None
+    # Only surrogates before the first failing one can change the outcome.
+    live = len(surrogates)
+    for l1, l2 in pair_list:
+        if live == 0:
+            break
+        at_l1 = pset.with_weights(floored_weights(d, l1))
+        at_l2 = pset.with_weights(floored_weights(d, l2))
+        for index in range(live):
+            try:
+                h1 = _importances(at_l1, surrogates[index])
+                h2 = _importances(at_l2, surrogates[index])
+            except FitError as exc:
+                exc.partial_samples = tuple(samples[index])
+                failure, live = exc, index
+                break
+            ratio = float(np.linalg.norm(h1 - h2) / abs(l1 - l2))
+            samples[index].append((l1, l2, ratio))
+    if failure is not None:
+        raise failure
+    return tuple(
+        MetricReport(robustness_samples=tuple(runs),
+                     robustness_r=statistics.median_low(
+                         [s[2] for s in runs]))
+        for runs in samples)
+
+
+def robustness_from_pset(pset: PerturbationSet, instance: Instance,
+                         surrogate: LimeRidge | BayLime,
+                         pair_list: list[tuple[float, float]], *,
+                         distance: str = EUCLIDEAN) -> MetricReport:
+    """Robustness over pre-sampled width pairs and a pre-built sample set.
+
+    A fit failure at any pair aborts the sweep; the raised error carries
+    the completed samples on its ``partial_samples`` attribute. This is
+    the one-surrogate case of :func:`robustness_paired`.
+    """
+    return robustness_paired(pset, instance, (surrogate,), pair_list,
+                             distance=distance)[0]
+
+
 def pair_ratio(pset: PerturbationSet, instance: Instance,
-               surrogate: LimeRidge | BayLime, l1: float,
-               l2: float) -> float:
+               surrogate: LimeRidge | BayLime, l1: float, l2: float, *,
+               distance: str = EUCLIDEAN) -> float:
     """Explanation change per unit of kernel-width change for one pair.
 
     Both widths reuse the same perturbation set, so only the weighting
     differs between the two fits.
     """
-    h1 = _importances_at(pset, instance, surrogate, l1)
-    h2 = _importances_at(pset, instance, surrogate, l2)
-    return float(np.linalg.norm(h1 - h2) / abs(l1 - l2))
-
-
-def robustness_from_pset(pset: PerturbationSet, instance: Instance,
-                         surrogate: LimeRidge | BayLime,
-                         pair_list: list[tuple[float, float]]) -> MetricReport:
-    """Robustness over pre-sampled width pairs and a pre-built sample set.
-
-    A fit failure at any pair aborts the sweep; the raised error carries
-    the completed samples on its ``partial_samples`` attribute.
-    """
-    samples: list[tuple[float, float, float]] = []
-    for l1, l2 in pair_list:
-        try:
-            ratio = pair_ratio(pset, instance, surrogate, l1, l2)
-        except FitError as exc:
-            exc.partial_samples = tuple(samples)
-            raise
-        samples.append((l1, l2, ratio))
-    r = statistics.median_low([s[2] for s in samples])
-    return MetricReport(robustness_samples=tuple(samples), robustness_r=r)
+    report = robustness_from_pset(pset, instance, surrogate, [(l1, l2)],
+                                  distance=distance)
+    return report.robustness_samples[0][2]
 
 
 def robustness(instance: Instance, predictor: PredictorHandle,
@@ -192,13 +234,14 @@ def robustness(instance: Instance, predictor: PredictorHandle,
     """Median sensitivity of the explanation to the kernel width.
 
     One perturbation set is drawn and probed (with the seed in
-    ``config.perturb``), then refit at both widths of every sampled pair;
-    the configured kernel width plays no role. ``seed`` drives only the
-    width sampling.
+    ``config.perturb``, through the class ``config.target_class`` picks),
+    then refit at both widths of every sampled pair with the configured
+    distance; the configured kernel width plays no role. ``seed`` drives
+    only the width sampling.
     """
-    handle = predictor
-    if config.target_class is not None:
-        handle = with_class(predictor, config.target_class)
-    pset = build_perturbation_set(instance, config.perturb, handle)
+    pset = build_perturbation_set(
+        instance, config.perturb,
+        _class_handle(predictor, config.target_class))
     pair_list = width_pairs(pairs, bounds, seed)
-    return robustness_from_pset(pset, instance, config.surrogate, pair_list)
+    return robustness_from_pset(pset, instance, config.surrogate, pair_list,
+                                distance=config.kernel.distance)

@@ -39,7 +39,8 @@ is recomputed at the converged values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
@@ -123,33 +124,39 @@ class PriorSpec:
 class SurrogateFit:
     """A fitted Bayesian surrogate.
 
-    ``mu_n`` is the posterior mean (the explanation's raw coefficients),
-    ``s_n_inv`` the posterior precision matrix. ``beta_mle`` is None when
-    the unregularized system is rank deficient. ``n_effective_prior`` and
-    ``n_effective_data`` compare how much pull the prior and the weighted
-    samples exert on the posterior (lambda versus alpha * trace(X'WX)).
+    ``mu_n`` is the posterior mean (the explanation's raw coefficients).
+    ``n_effective_prior`` and ``n_effective_data`` compare how much pull
+    the prior and the weighted samples exert on the posterior (lambda
+    versus alpha * trace(X'WX)). ``moments`` holds the X'WX and X'WY the
+    fit was made from.
+
+    Two matrices are computed from ``moments`` on first access, so a fit
+    that never reads them neither pays for nor keeps them: ``s_n_inv``,
+    the posterior precision lambda I + alpha X'WX, and ``beta_mle``, the
+    unregularized solution, which is None when the unregularized system
+    is rank deficient.
     """
 
     mu_n: np.ndarray
-    s_n_inv: np.ndarray
     alpha_used: float
     lambda_used: float
-    beta_mle: np.ndarray | None
     n_effective_prior: float
     n_effective_data: float
+    moments: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
     iterations: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "mu_n", _frozen_array(self.mu_n))
-        object.__setattr__(self, "s_n_inv", _frozen_array(self.s_n_inv))
-        if self.beta_mle is not None:
-            object.__setattr__(self, "beta_mle", _frozen_array(self.beta_mle))
 
+    @cached_property
+    def s_n_inv(self) -> np.ndarray:
+        return _frozen_array(_precision(self.moments[0], self.lambda_used,
+                                        self.alpha_used))
 
-def _moments(pset: PerturbationSet) -> tuple[np.ndarray, np.ndarray]:
-    """X'WX and X'WY for the weighted design."""
-    weighted = pset.rows * pset.weights[:, None]
-    return pset.rows.T @ weighted, pset.rows.T @ (pset.weights * pset.labels)
+    @cached_property
+    def beta_mle(self) -> np.ndarray | None:
+        beta = _beta_mle(*self.moments)
+        return None if beta is None else _frozen_array(beta)
 
 
 def _spd_solve(matrix: np.ndarray, rhs: np.ndarray,
@@ -171,7 +178,7 @@ def ridge_fit(pset: PerturbationSet, r: float = 0.0) -> np.ndarray:
     """Weighted ridge coefficients (X'WX + rI)^-1 X'WY."""
     if not (np.isfinite(r) and r >= 0):
         raise ConfigError("ridge regularizer must be finite and >= 0")
-    g, b = _moments(pset)
+    g, b = pset.moments
     if r == 0.0 and not _full_rank(g):
         raise SingularityError("unregularized fit: normal-equations matrix "
                                "is rank deficient")
@@ -187,19 +194,22 @@ def _beta_mle(g: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         return None
 
 
+def _precision(g: np.ndarray, lam: float, alpha: float) -> np.ndarray:
+    """Posterior precision lambda I + alpha X'WX."""
+    return lam * np.eye(g.shape[0]) + alpha * g
+
+
 def _posterior(g: np.ndarray, b: np.ndarray, mu0: np.ndarray, lam: float,
                alpha: float, iterations: int = 0) -> SurrogateFit:
-    m = g.shape[0]
-    precision = lam * np.eye(m) + alpha * g
+    precision = _precision(g, lam, alpha)
     mu_n = _spd_solve(precision, lam * mu0 + alpha * b, "posterior")
     return SurrogateFit(
         mu_n=mu_n,
-        s_n_inv=precision,
         alpha_used=float(alpha),
         lambda_used=float(lam),
-        beta_mle=_beta_mle(g, b),
         n_effective_prior=float(lam),
         n_effective_data=float(alpha * np.trace(g)),
+        moments=(g, b),
         iterations=iterations,
     )
 
@@ -220,7 +230,7 @@ def bayes_fit_full(pset: PerturbationSet, mu0: np.ndarray, lam: float,
     if not (np.isfinite(alpha) and alpha > 0):
         raise ConfigError("alpha must be finite and positive")
     mu0 = _check_mu0(pset, mu0)
-    g, b = _moments(pset)
+    g, b = pset.moments
     return _posterior(g, b, mu0, lam, alpha)
 
 
@@ -235,11 +245,14 @@ def _clamp(value: float) -> float:
     return max(value, HYPER_MIN)
 
 
-def _evidence_loop(pset: PerturbationSet, mu0: np.ndarray, *,
-                   lam: float, alpha: float, fit_lambda: bool,
-                   max_iter: int, tol: float) -> tuple[float, float, int]:
-    """Iterate the evidence updates; returns converged (lam, alpha, iters)."""
-    g, b = _moments(pset)
+def _evidence_loop(pset: PerturbationSet, g: np.ndarray, b: np.ndarray,
+                   mu0: np.ndarray, *, lam: float, alpha: float,
+                   fit_lambda: bool, max_iter: int,
+                   tol: float) -> tuple[float, float, int]:
+    """Iterate the evidence updates; returns converged (lam, alpha, iters).
+
+    ``g`` and ``b`` are the set's X'WX and X'WY.
+    """
     eig, vectors = eigh(g)
     eig = np.clip(eig, 0.0, None)
     b_rot = vectors.T @ b
@@ -276,11 +289,11 @@ def bayes_fit_partial(pset: PerturbationSet, mu0: np.ndarray, lam: float, *,
     if not (np.isfinite(lam) and lam > 0):
         raise ConfigError("lam must be finite and positive")
     mu0 = _check_mu0(pset, mu0)
+    g, b = pset.moments
     lam, alpha, iterations = _evidence_loop(
-        pset, mu0, lam=lam, alpha=_initial_alpha(pset), fit_lambda=False,
-        max_iter=max_iter, tol=tol,
+        pset, g, b, mu0, lam=lam, alpha=_initial_alpha(pset),
+        fit_lambda=False, max_iter=max_iter, tol=tol,
     )
-    g, b = _moments(pset)
     return _posterior(g, b, mu0, lam, alpha, iterations=iterations)
 
 
@@ -289,11 +302,11 @@ def bayes_fit_noninformative(pset: PerturbationSet, *,
                              tol: float = TOL) -> SurrogateFit:
     """Posterior around mu0 = 0 with lam and alpha both fitted."""
     mu0 = np.zeros(pset.m)
+    g, b = pset.moments
     lam, alpha, iterations = _evidence_loop(
-        pset, mu0, lam=1.0, alpha=_initial_alpha(pset), fit_lambda=True,
-        max_iter=max_iter, tol=tol,
+        pset, g, b, mu0, lam=1.0, alpha=_initial_alpha(pset),
+        fit_lambda=True, max_iter=max_iter, tol=tol,
     )
-    g, b = _moments(pset)
     return _posterior(g, b, mu0, lam, alpha, iterations=iterations)
 
 
@@ -312,9 +325,9 @@ def decompose(fit: SurrogateFit,
 
     A carries the prior's share of the posterior mean, B the data's.
     """
-    g, _ = _moments(pset)
+    g, _ = pset.moments
     m = pset.m
-    precision = fit.lambda_used * np.eye(m) + fit.alpha_used * g
+    precision = _precision(g, fit.lambda_used, fit.alpha_used)
     try:
         factor = cho_factor(precision, lower=True)
     except LinAlgError as exc:

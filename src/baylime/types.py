@@ -9,6 +9,7 @@ coefficient normalization, which every other module depends on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -34,6 +35,16 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _weighted_moments(rows: np.ndarray, labels: np.ndarray,
+                     weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X'WX and X'WY for design X, labels Y and diagonal weights W."""
+    gram = rows.T @ (rows * weights[:, None])
+    moment = rows.T @ (weights * labels)
+    gram.setflags(write=False)
+    moment.setflags(write=False)
+    return gram, moment
 
 
 def rank_features(coefficients: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -157,6 +168,15 @@ class PerturbationSet:
     def with_weights(self, weights: np.ndarray) -> "PerturbationSet":
         """This set with new weights; rows and labels are shared."""
         return PerturbationSet(self.rows, self.labels, weights, self.seed)
+
+    @cached_property
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """X'WX and X'WY, computed on first use and shared by every fit.
+
+        The arrays are frozen, so the pair is computed at most once per
+        set; a reweighted set is a new set with its own moments.
+        """
+        return _weighted_moments(self.rows, self.labels, self.weights)
 
 
 @dataclass(frozen=True)

@@ -165,3 +165,7 @@ class TestSubprocessPredictor:
     def test_unknown_command(self):
         with pytest.raises(ProbeError):
             PredictorHandle.spawn(["/no/such/binary/anywhere"])
+
+    def test_unparsable_command_is_config_error(self):
+        with pytest.raises(ConfigError, match="No closing quotation"):
+            PredictorHandle.spawn('python3 "x')

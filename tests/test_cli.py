@@ -10,8 +10,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from baylime import (
+    Instance,
+    KernelConfig,
+    PerturbConfig,
+    PredictorHandle,
+    apply_weights,
+    build_perturbation_set,
+    normalize_coefficients,
+    ridge_fit,
+    width_pairs,
+)
 from baylime.cli import ingest_csv, main
 from baylime.errors import ConfigError
+from baylime.kernel import BINARY_HAMMING
+from baylime.types import NUMERICAL
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "jsonl_predictor.py")
 
@@ -108,6 +121,11 @@ class TestExplainCommand:
 
     def test_missing_predictor_is_config_error(self, capsys):
         assert main(["explain", "--m", "2"]) == 2
+
+    def test_unbalanced_quote_in_predictor_cmd_is_config_error(self, capsys):
+        code = main(["explain", "--m", "2", "--predictor-cmd", 'python3 "x'])
+        assert code == 2
+        assert "predictor command" in capsys.readouterr().err
 
     def test_subprocess_predictor_exit_maps_to_probe_error(self, capsys):
         code = main(["explain", "--m", "2", "--predictor-cmd",
@@ -273,6 +291,48 @@ class TestRobustnessCommand:
         code = main(["robustness", "--m", "2", "--predictor", "linear",
                      "--l-lo", "3.0", "--l-up", "1.0", "--out", str(out)])
         assert code == 2
+
+    def test_refits_use_the_configured_distance(self, tmp_path):
+        def sweep(name, *extra):
+            out = tmp_path / name
+            assert main(["robustness", "--m", "4", "--predictor", "quadratic",
+                         "--n", "200", "--pairs", "5", "--seed", "3", *extra,
+                         "--out", str(out)]) == 0
+            return [(r["l1"], r["l2"], r["value"]) for r in read_csv(out)
+                    if r["record"] == "sample"]
+
+        euclidean = sweep("euclidean.csv")
+        hamming = sweep("hamming.csv", "--distance", BINARY_HAMMING)
+        assert hamming != euclidean
+        # The same sweep by hand: the CLI's synthetic problem and quadratic
+        # fixture, lime r=1 refit through apply_weights at every width.
+        m = 4
+        instance = Instance(np.zeros(m), (NUMERICAL,) * m,
+                            tuple(f"f{j}" for j in range(m)))
+        perturb = PerturbConfig(
+            n=200, seed=3, numeric_scale={j: (0.0, 1.0) for j in range(m)})
+        c = np.array([(m - j) / m for j in range(m)])
+        q = np.full(m, 0.5)
+        handle = PredictorHandle.in_process(
+            lambda rows: rows @ c + (rows * rows) @ q)
+        pset = build_perturbation_set(instance, perturb, handle)
+        expected = []
+        for l1, l2 in width_pairs(5, (0.2, 5.0), 3):
+            h1, h2 = (np.abs(normalize_coefficients(ridge_fit(
+                apply_weights(pset, KernelConfig(width, BINARY_HAMMING),
+                              instance), 1.0))) for width in (l1, l2))
+            ratio = float(np.linalg.norm(h1 - h2) / abs(l1 - l2))
+            expected.append((repr(l1), repr(l2), repr(ratio)))
+        assert hamming == expected
+
+    def test_target_class_applies_to_the_sweep(self, tmp_path, capsys):
+        # The quadratic fixture returns one output per row, so selecting a
+        # class is a contract violation, as it is for consistency.
+        code = main(["robustness", "--m", "3", "--predictor", "quadratic",
+                     "--n", "100", "--pairs", "3", "--target-class", "1",
+                     "--out", str(tmp_path / "rob.csv")])
+        assert code == 3
+        assert "class selection" in capsys.readouterr().err
 
 
 class TestParsing:

@@ -17,7 +17,9 @@ from baylime import (
 from baylime.kernel import (
     BINARY_HAMMING,
     distances,
+    floored_weights,
     interpretable_reference,
+    proximity_distances,
 )
 from baylime.types import BINARY_MASK, CATEGORICAL, NUMERICAL
 
@@ -112,6 +114,21 @@ class TestApplyWeights:
         other = Instance([0.0], (NUMERICAL,), ("a",))
         with pytest.raises(ConfigError):
             apply_weights(pset, KernelConfig(), other)
+
+    def test_is_distances_then_floored_weights(self):
+        pset, inst = self._pset_and_instance()
+        for distance in (KernelConfig().distance, BINARY_HAMMING):
+            d = proximity_distances(pset, inst, distance)
+            for width in (0.1, 0.7, 3.0):
+                out = apply_weights(pset, KernelConfig(width, distance), inst)
+                assert np.array_equal(out.weights, floored_weights(d, width))
+                assert out.rows is pset.rows
+
+    def test_proximity_rejects_mismatched_instance(self):
+        pset, _ = self._pset_and_instance()
+        other = Instance([0.0], (NUMERICAL,), ("a",))
+        with pytest.raises(ConfigError):
+            proximity_distances(pset, other)
 
     def test_rejects_unknown_distance(self):
         with pytest.raises(ConfigError):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import statistics
+
 import numpy as np
 import pytest
 
+from baylime import metrics
 from baylime import (
     BayLime,
     ConfigError,
@@ -19,14 +22,22 @@ from baylime import (
     PerturbationSet,
     PredictorHandle,
     PriorSpec,
+    SingularityError,
     UndefinedMetricError,
+    apply_weights,
+    build_perturbation_set,
+    fit_surrogate,
     inconsistency,
     kendalls_w,
+    normalize_coefficients,
     pair_ratio,
+    ridge_fit,
     robustness,
     robustness_from_pset,
+    robustness_paired,
     width_pairs,
 )
+from baylime.kernel import BINARY_HAMMING, EUCLIDEAN
 from baylime.types import Instance, NUMERICAL
 
 
@@ -212,6 +223,124 @@ class TestRobustness:
             robustness_from_pset(degenerate, instance, LimeRidge(0.0), pairs)
         assert hasattr(excinfo.value, "partial_samples")
         assert excinfo.value.partial_samples == ()
+
+
+def reference_robustness(pset, instance, surrogate, pair_list,
+                         distance=EUCLIDEAN):
+    """Robustness the plain way: weight and fit anew at every width."""
+    samples = []
+    for l1, l2 in pair_list:
+        h = []
+        for width in (l1, l2):
+            weighted = apply_weights(pset, KernelConfig(width, distance),
+                                     instance)
+            if isinstance(surrogate, LimeRidge):
+                coefficients = ridge_fit(weighted, surrogate.r)
+            else:
+                coefficients = fit_surrogate(weighted, surrogate.prior).mu_n
+            h.append(np.abs(normalize_coefficients(coefficients)))
+        samples.append(
+            (l1, l2, float(np.linalg.norm(h[0] - h[1]) / abs(l1 - l2))))
+    return tuple(samples), statistics.median_low([s[2] for s in samples])
+
+
+def quadratic_pset(m: int, n: int, seed: int):
+    instance, perturb = numeric_setup(m, n, seed)
+    handle = PredictorHandle.in_process(
+        lambda rows: rows @ np.arange(1.0, m + 1) + 0.5 * (rows**2).sum(axis=1))
+    return instance, build_perturbation_set(instance, perturb, handle)
+
+
+class TestRobustnessPaired:
+    SURROGATES = (
+        LimeRidge(1.0),
+        LimeRidge(0.0),
+        BayLime(PriorSpec.non_informative()),
+        BayLime(PriorSpec.partial(np.array([1.0, 2.0, 3.0]), 50.0)),
+        BayLime(PriorSpec.full(np.array([1.0, 2.0, 3.0]), 200.0, 2.0)),
+    )
+
+    @pytest.mark.parametrize("distance", [EUCLIDEAN, BINARY_HAMMING])
+    def test_bitwise_equal_to_reference_loop(self, distance):
+        instance, pset = quadratic_pset(3, 300, 21)
+        pairs = width_pairs(12, (0.5, 5.0), seed=4)
+        reports = robustness_paired(pset, instance, self.SURROGATES, pairs,
+                                    distance=distance)
+        assert len(reports) == len(self.SURROGATES)
+        for surrogate, report in zip(self.SURROGATES, reports):
+            samples, median = reference_robustness(pset, instance,
+                                                   surrogate, pairs, distance)
+            assert report.robustness_samples == samples
+            assert report.robustness_r == median
+
+    def test_first_failing_surrogate_in_order_is_raised(self, monkeypatch):
+        instance, pset = quadratic_pset(3, 200, 23)
+        pairs = width_pairs(6, (0.5, 5.0), seed=6)
+        first, second = LimeRidge(1.0), LimeRidge(2.0)
+        clean = robustness_from_pset(pset, instance, first, pairs)
+        # The second surrogate fails on its first fit (pair 0), the first
+        # on its seventh (the first width of pair 3).
+        fail_at = {first: 7, second: 1}
+        calls = dict.fromkeys(fail_at, 0)
+        real_fit = metrics.fit
+
+        def failing_fit(weighted, surrogate):
+            calls[surrogate] += 1
+            if calls[surrogate] == fail_at[surrogate]:
+                raise SingularityError(f"{surrogate} fails")
+            return real_fit(weighted, surrogate)
+
+        monkeypatch.setattr(metrics, "fit", failing_fit)
+        with pytest.raises(FitError) as paired:
+            robustness_paired(pset, instance, (first, second), pairs)
+        calls.update(dict.fromkeys(calls, 0))
+        with pytest.raises(FitError) as alone:
+            robustness_from_pset(pset, instance, first, pairs)
+        assert str(paired.value) == str(alone.value) == f"{first} fails"
+        assert paired.value.partial_samples == alone.value.partial_samples
+        assert alone.value.partial_samples == clean.robustness_samples[:3]
+
+    def test_needs_a_surrogate(self):
+        instance, pset = quadratic_pset(3, 50, 24)
+        with pytest.raises(ConfigError):
+            robustness_paired(pset, instance, (), [(0.5, 1.0)])
+
+
+class TestRobustnessConfig:
+    def test_configured_distance_is_used(self):
+        instance, perturb = numeric_setup(3, 200, 25)
+        handle = PredictorHandle.in_process(
+            lambda rows: rows[:, 0] + (rows**2).sum(axis=1))
+        pset = build_perturbation_set(instance, perturb, handle)
+        pairs = width_pairs(5, (0.2, 5.0), seed=7)
+        reports = {}
+        for distance in (EUCLIDEAN, BINARY_HAMMING):
+            config = ExplainConfig(perturb, KernelConfig(distance=distance),
+                                   LimeRidge(1.0))
+            reports[distance] = robustness(instance, handle, config,
+                                           pairs=5, seed=7)
+            samples, _ = reference_robustness(pset, instance, LimeRidge(1.0),
+                                              pairs, distance)
+            assert reports[distance].robustness_samples == samples
+        assert reports[EUCLIDEAN] != reports[BINARY_HAMMING]
+
+    def test_target_class_selects_the_output(self):
+        instance, perturb = numeric_setup(2, 200, 26)
+
+        def score(rows):
+            return rows[:, 0] + 0.5 * rows[:, 1] ** 2
+
+        two_class = PredictorHandle.in_process(
+            lambda rows: np.column_stack([np.zeros(rows.shape[0]),
+                                          score(rows)]))
+        config = ExplainConfig(perturb, KernelConfig(), LimeRidge(1.0),
+                               target_class=1)
+        selected = robustness(instance, two_class, config, pairs=4, seed=8)
+        direct = robustness(instance, PredictorHandle.in_process(score),
+                            ExplainConfig(perturb, KernelConfig(),
+                                          LimeRidge(1.0)),
+                            pairs=4, seed=8)
+        assert selected == direct
 
 
 class TestMetricReport:

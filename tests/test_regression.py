@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
+from baylime import regression, types
 from baylime import (
     ConfigError,
     ConvergenceError,
@@ -138,6 +140,72 @@ class TestFullPosterior:
         pset = random_problem(np.random.default_rng(4), m=3, n=30)
         with pytest.raises(ShapeError):
             bayes_fit_full(pset, np.zeros(2), lam=1.0, alpha=1.0)
+
+
+class TestSharedMoments:
+    def test_fits_on_one_set_compute_moments_once(self, monkeypatch):
+        calls = []
+        real = types._weighted_moments
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(types, "_weighted_moments", counting)
+        pset = random_problem(np.random.default_rng(41), m=4, n=200)
+        ridge_fit(pset, 1.0)
+        fit = fit_surrogate(pset, PriorSpec.non_informative())
+        fit_surrogate(pset, PriorSpec.partial(np.ones(4), 10.0))
+        fit_surrogate(pset, PriorSpec.full(np.ones(4), 10.0, 1.0))
+        decompose(fit, pset)
+        assert fit.beta_mle is not None
+        assert len(calls) == 1
+
+    def test_moments_are_frozen_and_exact(self):
+        pset = random_problem(np.random.default_rng(42), m=3, n=50)
+        g, b = pset.moments
+        x, w = pset.rows, pset.weights
+        assert np.array_equal(g, x.T @ (x * w[:, None]))
+        assert np.array_equal(b, x.T @ (w * pset.labels))
+        assert not g.flags.writeable and not b.flags.writeable
+        assert pset.with_weights(w / 2).moments is not pset.moments
+
+
+class TestLazyDerivedMatrices:
+    def test_computed_on_first_access_only(self, monkeypatch):
+        pset = random_problem(np.random.default_rng(43), m=5, n=300)
+        g, b = pset.moments
+        eager = cho_solve(cho_factor(g, lower=True), b)
+        calls = []
+        real = regression._beta_mle
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(regression, "_beta_mle", counting)
+        fit = bayes_fit_full(pset, np.zeros(5), lam=2.0, alpha=1.0)
+        assert calls == []
+        assert np.array_equal(fit.beta_mle, eager)
+        assert fit.beta_mle is fit.beta_mle
+        assert len(calls) == 1
+        assert not fit.beta_mle.flags.writeable
+
+    def test_precision_is_computed_on_first_access(self):
+        pset = random_problem(np.random.default_rng(45), m=4, n=200)
+        fit = bayes_fit_full(pset, np.zeros(4), lam=3.0, alpha=0.5)
+        assert "s_n_inv" not in vars(fit)
+        g, _ = pset.moments
+        assert np.array_equal(fit.s_n_inv, 3.0 * np.eye(4) + 0.5 * g)
+        assert not fit.s_n_inv.flags.writeable
+
+    def test_none_for_rank_deficient_design(self):
+        rng = np.random.default_rng(44)
+        rows = np.tile(rng.normal(size=(50, 1)), (1, 3))
+        pset = PerturbationSet(rows=rows, labels=rng.normal(size=50),
+                               weights=np.ones(50), seed=0)
+        fit = bayes_fit_full(pset, np.zeros(3), lam=1.0, alpha=1.0)
+        assert fit.beta_mle is None
 
 
 class TestDecomposition:
