@@ -23,7 +23,12 @@ from typing import Sequence
 import numpy as np
 
 from .blackbox import PredictorHandle
-from .errors import ConfigError, FitError, UndefinedMetricError
+from .errors import (
+    ConfigError,
+    FitError,
+    ShapeError,
+    UndefinedMetricError,
+)
 from .explainer import BayLime, ExplainConfig, LimeRidge, _class_handle, fit
 from .kernel import EUCLIDEAN, floored_weights, proximity_distances
 from .perturb import build_perturbation_set
@@ -164,13 +169,19 @@ def robustness_paired(pset: PerturbationSet, instance: Instance,
     report equals :func:`robustness_from_pset` with its surrogate alone,
     bit for bit.
 
-    A fit failure ends that surrogate's sweep. The error raised is the one
-    the surrogates would raise swept one after another: that of the first
-    failing surrogate in the given order, with its completed samples on
-    ``partial_samples``.
+    A prior mean whose length is not the set's feature count raises
+    ShapeError before any fit. A fit failure ends that surrogate's sweep;
+    the FitError raised is the one the surrogates would raise swept one
+    after another: that of the first failing surrogate in the given
+    order, with its completed samples on ``partial_samples``.
     """
     if not surrogates:
         raise ConfigError("robustness needs at least one surrogate")
+    for surrogate in surrogates:
+        mu0 = surrogate.prior.mu0 if isinstance(surrogate, BayLime) else None
+        if mu0 is not None and mu0.shape != (pset.m,):
+            raise ShapeError(f"mu0 has shape {mu0.shape}; the design has "
+                             f"{pset.m} features")
     d = proximity_distances(pset, instance, distance)
     samples: list[list[tuple[float, float, float]]] = [[] for _ in surrogates]
     failure: FitError | None = None
@@ -215,15 +226,14 @@ def robustness_from_pset(pset: PerturbationSet, instance: Instance,
 
 
 def pair_ratio(pset: PerturbationSet, instance: Instance,
-               surrogate: LimeRidge | BayLime, l1: float, l2: float, *,
-               distance: str = EUCLIDEAN) -> float:
+               surrogate: LimeRidge | BayLime, l1: float,
+               l2: float) -> float:
     """Explanation change per unit of kernel-width change for one pair.
 
     Both widths reuse the same perturbation set, so only the weighting
     differs between the two fits.
     """
-    report = robustness_from_pset(pset, instance, surrogate, [(l1, l2)],
-                                  distance=distance)
+    report = robustness_from_pset(pset, instance, surrogate, [(l1, l2)])
     return report.robustness_samples[0][2]
 
 

@@ -245,14 +245,11 @@ def _clamp(value: float) -> float:
     return max(value, HYPER_MIN)
 
 
-def _evidence_loop(pset: PerturbationSet, g: np.ndarray, b: np.ndarray,
-                   mu0: np.ndarray, *, lam: float, alpha: float,
-                   fit_lambda: bool, max_iter: int,
-                   tol: float) -> tuple[float, float, int]:
-    """Iterate the evidence updates; returns converged (lam, alpha, iters).
-
-    ``g`` and ``b`` are the set's X'WX and X'WY.
-    """
+def _evidence_loop(pset: PerturbationSet, mu0: np.ndarray, *,
+                   lam: float, alpha: float, fit_lambda: bool,
+                   max_iter: int, tol: float) -> tuple[float, float, int]:
+    """Iterate the evidence updates; returns converged (lam, alpha, iters)."""
+    g, b = pset.moments
     eig, vectors = eigh(g)
     eig = np.clip(eig, 0.0, None)
     b_rot = vectors.T @ b
@@ -289,11 +286,11 @@ def bayes_fit_partial(pset: PerturbationSet, mu0: np.ndarray, lam: float, *,
     if not (np.isfinite(lam) and lam > 0):
         raise ConfigError("lam must be finite and positive")
     mu0 = _check_mu0(pset, mu0)
-    g, b = pset.moments
     lam, alpha, iterations = _evidence_loop(
-        pset, g, b, mu0, lam=lam, alpha=_initial_alpha(pset),
-        fit_lambda=False, max_iter=max_iter, tol=tol,
+        pset, mu0, lam=lam, alpha=_initial_alpha(pset), fit_lambda=False,
+        max_iter=max_iter, tol=tol,
     )
+    g, b = pset.moments
     return _posterior(g, b, mu0, lam, alpha, iterations=iterations)
 
 
@@ -302,11 +299,11 @@ def bayes_fit_noninformative(pset: PerturbationSet, *,
                              tol: float = TOL) -> SurrogateFit:
     """Posterior around mu0 = 0 with lam and alpha both fitted."""
     mu0 = np.zeros(pset.m)
-    g, b = pset.moments
     lam, alpha, iterations = _evidence_loop(
-        pset, g, b, mu0, lam=1.0, alpha=_initial_alpha(pset),
-        fit_lambda=True, max_iter=max_iter, tol=tol,
+        pset, mu0, lam=1.0, alpha=_initial_alpha(pset), fit_lambda=True,
+        max_iter=max_iter, tol=tol,
     )
+    g, b = pset.moments
     return _posterior(g, b, mu0, lam, alpha, iterations=iterations)
 
 

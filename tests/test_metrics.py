@@ -22,6 +22,7 @@ from baylime import (
     PerturbationSet,
     PredictorHandle,
     PriorSpec,
+    ShapeError,
     SingularityError,
     UndefinedMetricError,
     apply_weights,
@@ -299,6 +300,22 @@ class TestRobustnessPaired:
         assert str(paired.value) == str(alone.value) == f"{first} fails"
         assert paired.value.partial_samples == alone.value.partial_samples
         assert alone.value.partial_samples == clean.robustness_samples[:3]
+
+    def test_mismatched_prior_is_rejected_before_any_fit(self, monkeypatch):
+        instance, pset = quadratic_pset(3, 50, 25)
+        fits = []
+        real_fit = metrics.fit
+
+        def counting_fit(weighted, surrogate):
+            fits.append(surrogate)
+            return real_fit(weighted, surrogate)
+
+        monkeypatch.setattr(metrics, "fit", counting_fit)
+        wrong = BayLime(PriorSpec.partial(np.array([1.0, 2.0]), 50.0))
+        with pytest.raises(ShapeError):
+            robustness_paired(pset, instance, (LimeRidge(1.0), wrong),
+                              [(0.5, 1.0)])
+        assert fits == []
 
     def test_needs_a_surrogate(self):
         instance, pset = quadratic_pset(3, 50, 24)
