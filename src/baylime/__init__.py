@@ -39,7 +39,6 @@ from .metrics import (
     MetricReport,
     inconsistency,
     kendalls_w,
-    pair_ratio,
     robustness,
     robustness_from_pset,
     robustness_paired,
@@ -90,7 +89,7 @@ __all__ = [
     "explain", "explain_from_pset", "explain_paired", "explain_repeated",
     "fit_surrogate", "frequency_table",
     "inconsistency", "kendalls_w", "kernel_weight", "normalize_coefficients",
-    "pair_ratio", "perturb_matrix", "probe", "rank_features", "ridge_fit",
+    "perturb_matrix", "probe", "rank_features", "ridge_fit",
     "robustness", "robustness_from_pset", "robustness_paired",
     "select_class", "width_pairs",
     "with_class",

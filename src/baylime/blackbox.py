@@ -23,7 +23,7 @@ import queue
 import shlex
 import subprocess
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,8 +32,10 @@ from .errors import ConfigError, ContractViolationError, ProbeError
 
 PREDICTOR_CMD_ENV = "BAYLIME_PREDICTOR_CMD"
 
-IN_PROCESS = "in_process"
-SUBPROCESS = "subprocess"
+
+def _check_batch_limit(batch_limit: int) -> None:
+    if batch_limit < 1:
+        raise ConfigError("batch_limit must be at least 1")
 
 
 @dataclass
@@ -46,30 +48,26 @@ class PredictorHandle:
     """
 
     predict_fn: Callable[[np.ndarray], np.ndarray]
-    kind: str = IN_PROCESS
     batch_limit: int = 1024
-    timeout: float = 60.0
 
     def __post_init__(self):
-        if self.batch_limit < 1:
-            raise ConfigError("batch_limit must be at least 1")
-        if not self.timeout > 0:
-            raise ConfigError("timeout must be positive")
-        if self.kind not in (IN_PROCESS, SUBPROCESS):
-            raise ConfigError(f"unknown predictor kind {self.kind!r}")
+        _check_batch_limit(self.batch_limit)
 
     @classmethod
     def in_process(cls, fn: Callable[[np.ndarray], np.ndarray], *,
-                   batch_limit: int = 1024, timeout: float = 60.0) -> "PredictorHandle":
-        return cls(fn, kind=IN_PROCESS, batch_limit=batch_limit, timeout=timeout)
+                   batch_limit: int = 1024) -> "PredictorHandle":
+        return cls(fn, batch_limit=batch_limit)
 
     @classmethod
     def spawn(cls, command: str | list[str], *, batch_limit: int = 1024,
               timeout: float = 60.0) -> "PredictorHandle":
-        """Start a JSON-lines predictor subprocess and wrap it in a handle."""
+        """Start a JSON-lines predictor subprocess and wrap it in a handle.
+
+        Both settings are checked before the child starts.
+        """
+        _check_batch_limit(batch_limit)
         transport = SubprocessPredictor(command, timeout=timeout)
-        return cls(transport, kind=SUBPROCESS, batch_limit=batch_limit,
-                   timeout=timeout)
+        return cls(transport, batch_limit=batch_limit)
 
     def close(self) -> None:
         closer = getattr(self.predict_fn, "close", None)
@@ -155,8 +153,7 @@ def select_class(fn: Callable[[np.ndarray], np.ndarray],
 def with_class(handle: PredictorHandle, class_index: int) -> PredictorHandle:
     """Derive a handle that extracts one class column from each prediction."""
     return PredictorHandle(select_class(handle.predict_fn, class_index),
-                           kind=handle.kind, batch_limit=handle.batch_limit,
-                           timeout=handle.timeout)
+                           batch_limit=handle.batch_limit)
 
 
 class SubprocessPredictor:
@@ -181,6 +178,8 @@ class SubprocessPredictor:
                                   f"{command!r}: {exc}") from exc
         if not command:
             raise ConfigError("empty predictor command")
+        if not timeout > 0:
+            raise ConfigError("timeout must be positive")
         self.command = list(command)
         self.timeout = float(timeout)
         self._broken: str | None = None

@@ -58,8 +58,12 @@ from .perturb import PerturbConfig, build_perturbation_set, config_from_data
 from .regression import PriorSpec
 from .types import CATEGORICAL, Instance, NUMERICAL
 
-EXPLAINER_NAMES = ("lime", "non_informative", "partial", "full")
+# Explainer spec names and the keys each accepts.
+EXPLAINER_KEYS = {"lime": ("r",), "non_informative": (),
+                  "partial": ("lambda", "mu0"),
+                  "full": ("lambda", "alpha", "mu0")}
 DEFAULT_N_GRID = (50, 100, 200, 400, 800, 1600)
+DEFAULT_R = 1.0
 
 # Elicitation runs must not share seeds with the sweep cells.
 ELICIT_SEED_OFFSET = 1_000_000
@@ -195,24 +199,16 @@ def _split_names(text: str | None) -> list[str]:
 # predictors
 
 
-def _fixture_coefficients(args, m: int) -> np.ndarray:
-    if args.predictor_coefficients is not None:
-        c = np.asarray(_parse_floats(args.predictor_coefficients))
-        if c.size != m:
-            raise ConfigError(f"--predictor-coefficients has {c.size} "
-                              f"entries for {m} features")
-        return c
-    return np.array([(m - j) / m for j in range(m)])
-
-
-def _fixture_quadratic_terms(args, m: int) -> np.ndarray:
-    if args.predictor_quad is not None:
-        q = np.asarray(_parse_floats(args.predictor_quad))
-        if q.size != m:
-            raise ConfigError(f"--predictor-quad has {q.size} entries for "
-                              f"{m} features")
-        return q
-    return np.full(m, 0.5)
+def _fixture_terms(text: str | None, flag: str,
+                   default: np.ndarray) -> np.ndarray:
+    """A fixture's per-feature terms: the flag's values, else the default."""
+    if text is None:
+        return default
+    values = np.asarray(_parse_floats(text))
+    if values.size != default.size:
+        raise ConfigError(f"{flag} has {values.size} entries for "
+                          f"{default.size} features")
+    return values
 
 
 def _resolve_predictor(args, m: int) -> tuple[PredictorHandle, dict]:
@@ -228,26 +224,27 @@ def _resolve_predictor(args, m: int) -> tuple[PredictorHandle, dict]:
         handle = PredictorHandle.spawn(command, batch_limit=args.batch_limit,
                                        timeout=args.timeout)
         return handle, {"predictor": "subprocess", "command": command}
+    if args.predictor == "constant":
+        value = args.predictor_constant
+        handle = PredictorHandle.in_process(
+            lambda rows: np.full(rows.shape[0], value),
+            batch_limit=args.batch_limit,
+        )
+        return handle, {"predictor": "constant", "value": value}
+    c = _fixture_terms(args.predictor_coefficients, "--predictor-coefficients",
+                       np.array([(m - j) / m for j in range(m)]))
     if args.predictor == "linear":
-        c = _fixture_coefficients(args, m)
         handle = PredictorHandle.in_process(lambda rows: rows @ c,
                                             batch_limit=args.batch_limit)
         return handle, {"predictor": "linear", "coefficients": c.tolist()}
-    if args.predictor == "quadratic":
-        c = _fixture_coefficients(args, m)
-        q = _fixture_quadratic_terms(args, m)
-        handle = PredictorHandle.in_process(
-            lambda rows: rows @ c + (rows * rows) @ q,
-            batch_limit=args.batch_limit,
-        )
-        return handle, {"predictor": "quadratic", "coefficients": c.tolist(),
-                        "quadratic_terms": q.tolist()}
-    value = args.predictor_constant
+    q = _fixture_terms(args.predictor_quad, "--predictor-quad",
+                       np.full(m, 0.5))
     handle = PredictorHandle.in_process(
-        lambda rows: np.full(rows.shape[0], value),
+        lambda rows: rows @ c + (rows * rows) @ q,
         batch_limit=args.batch_limit,
     )
-    return handle, {"predictor": "constant", "value": value}
+    return handle, {"predictor": "quadratic", "coefficients": c.tolist(),
+                    "quadratic_terms": q.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -255,157 +252,114 @@ def _resolve_predictor(args, m: int) -> tuple[PredictorHandle, dict]:
 
 
 def _load_prior_file(path: str) -> dict:
+    """Read ``--prior-file``: a bare JSON array (mu0) or an object with
+    ``mu0`` and optional ``lambda`` and ``alpha``."""
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read prior file {path}: {exc}") from exc
-    if not isinstance(payload, dict) or "mu0" not in payload:
-        raise ConfigError(f'{path}: prior file must be an object with "mu0"')
-    return payload
-
-
-def _load_mu0_file(path: str) -> list[float]:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read mu0 file {path}: {exc}") from exc
-    if isinstance(payload, dict):
-        payload = payload.get("mu0")
-    if not isinstance(payload, list):
+    if isinstance(payload, list):
+        payload = {"mu0": payload}
+    if not isinstance(payload, dict) or not isinstance(payload.get("mu0"),
+                                                       list):
         raise ConfigError(f'{path}: expected a JSON array or an object with '
                           f'"mu0"')
-    return [float(v) for v in payload]
+    try:
+        prior = {"mu0": [float(v) for v in payload["mu0"]]}
+        prior.update((key, float(payload[key]))
+                     for key in ("lambda", "alpha") if key in payload)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: non-numeric prior value: {exc}") from exc
+    return prior
 
 
-def _single_surrogate(args, m: int) -> tuple[LimeRidge | BayLime, dict]:
-    """Resolve the ``explain`` subcommand's mode flags into a surrogate."""
-    mode = args.mode
-    info: dict = {"mode": mode}
-    if mode == "lime":
-        if (args.lam is not None or args.alpha is not None
-                or args.mu0 is not None or args.mu0_file is not None
-                or args.prior_file is not None):
-            raise ConfigError("lime mode takes no prior flags")
-        info["r"] = args.r
-        return LimeRidge(args.r), info
-    mu0 = None
-    lam = args.lam
-    alpha = args.alpha
-    if args.prior_file is not None:
-        payload = _load_prior_file(args.prior_file)
-        mu0 = [float(v) for v in payload["mu0"]]
-        if lam is None and "lambda" in payload:
-            lam = float(payload["lambda"])
-        if alpha is None and "alpha" in payload:
-            alpha = float(payload["alpha"])
-    if args.mu0 is not None:
-        mu0 = _parse_floats(args.mu0)
-    if args.mu0_file is not None:
-        mu0 = _load_mu0_file(args.mu0_file)
-    if mu0 is not None and len(mu0) != m:
-        raise ConfigError(f"mu0 has {len(mu0)} entries for {m} features")
-    if mode == "non_informative":
-        if mu0 is not None or lam is not None or alpha is not None:
-            raise ConfigError("non_informative mode takes no prior values")
-        return BayLime(PriorSpec.non_informative()), info
-    if mu0 is None:
-        raise ConfigError(f"{mode} mode needs --mu0, --mu0-file or "
-                          f"--prior-file")
-    if lam is None:
-        raise ConfigError(f"{mode} mode needs --lambda")
-    info.update(mu0=list(mu0), **{"lambda": lam})
-    if mode == "partial":
-        if alpha is not None:
-            raise ConfigError("partial mode fits alpha; do not supply it")
-        return BayLime(PriorSpec.partial(np.asarray(mu0), lam)), info
-    if alpha is None:
-        raise ConfigError("full mode needs --alpha")
-    info["alpha"] = alpha
-    return BayLime(PriorSpec.full(np.asarray(mu0), lam, alpha)), info
-
-
-def _parse_explainer_spec(spec: str) -> tuple[str, dict[str, str]]:
+def _parse_explainer_spec(spec: str) -> tuple[str, dict]:
+    """Split ``name[:key=value]*`` into the name and its typed values:
+    ``mu0`` a list of floats, ``r``, ``lambda`` and ``alpha`` floats."""
     parts = spec.split(":")
     name = parts[0]
-    if name not in EXPLAINER_NAMES:
+    if name not in EXPLAINER_KEYS:
         raise ConfigError(f"unknown explainer {name!r} in {spec!r}; expected "
-                          f"one of {EXPLAINER_NAMES}")
-    allowed = {"lime": {"r"}, "non_informative": set(),
-               "partial": {"lambda", "mu0"},
-               "full": {"lambda", "alpha", "mu0"}}[name]
-    options: dict[str, str] = {}
+                          f"one of {tuple(EXPLAINER_KEYS)}")
+    allowed = EXPLAINER_KEYS[name]
+    options: dict = {}
     for part in parts[1:]:
         key, sep, value = part.partition("=")
         if not sep or not value or key not in allowed:
             raise ConfigError(f"bad option {part!r} in explainer spec "
                               f"{spec!r}; {name} accepts "
                               f"{sorted(allowed) or 'no options'}")
-        options[key] = value
+        try:
+            options[key] = (_parse_floats(value) if key == "mu0"
+                            else float(value))
+        except ValueError:
+            raise ConfigError(f"bad number in option {part!r} of explainer "
+                              f"spec {spec!r}") from None
     return name, options
+
+
+def _build_surrogate(spec: str, name: str, options: dict, m: int,
+                     default_r: float, fallback: dict,
+                     ) -> tuple[LimeRidge | BayLime, dict]:
+    """Turn a parsed explainer spec into a surrogate and its manifest record.
+
+    ``fallback`` supplies the ``mu0``, ``lambda`` and ``alpha`` a partial
+    or full spec leaves out; keys in the spec override it.
+    """
+    record: dict = {"spec": spec, "name": name}
+    if name == "lime":
+        record["r"] = options.get("r", default_r)
+        return LimeRidge(record["r"]), record
+    if name == "non_informative":
+        return BayLime(PriorSpec.non_informative()), record
+    values = {**fallback, **options}
+    if name == "partial" and "alpha" in values:
+        raise ConfigError(f"explainer {spec!r} fits alpha; do not supply it")
+    if "mu0" not in values:
+        raise ConfigError(f"explainer {spec!r} needs mu0=")
+    mu0 = np.asarray(values["mu0"], dtype=float)
+    if mu0.size != m:
+        raise ConfigError(f"explainer {spec!r}: mu0 has {mu0.size} "
+                          f"entries for {m} features")
+    if "lambda" not in values:
+        raise ConfigError(f"explainer {spec!r} needs lambda=")
+    lam = values["lambda"]
+    record.update(mu0=mu0.tolist(), **{"lambda": lam})
+    if name == "partial":
+        return BayLime(PriorSpec.partial(mu0, lam)), record
+    if "alpha" not in values:
+        raise ConfigError(f"explainer {spec!r} needs alpha=")
+    record["alpha"] = values["alpha"]
+    return BayLime(PriorSpec.full(mu0, lam, record["alpha"])), record
 
 
 def _resolve_sweep_explainers(args, instance: Instance,
                               handle: PredictorHandle,
                               perturb: PerturbConfig,
                               kernel: KernelConfig,
-                              ) -> tuple[list[tuple[str, LimeRidge | BayLime]],
-                                         list[dict]]:
-    """Build the sweep's explainer list, eliciting a prior mean on demand.
+                              ) -> list[tuple[LimeRidge | BayLime, dict]]:
+    """Build the sweep's surrogates and records, eliciting a prior on demand.
 
-    Informative explainers without an explicit mu0 share one prior mean,
-    elicited from a few baseline runs on the same instance (with dedicated
-    seeds, so sweep cells are unaffected).
+    Informative explainers without an explicit mu0 share one prior mean
+    and lambda, elicited from a few baseline runs on the same instance
+    (with dedicated seeds, so sweep cells are unaffected).
     """
-    specs = args.explainer or ["lime"]
-    parsed = [(_parse_explainer_spec(spec), spec) for spec in specs]
-    need_elicit = any(name in ("partial", "full") and "mu0" not in options
-                      for (name, options), _ in parsed)
-    elicited = None
-    if need_elicit:
+    parsed = [(spec, *_parse_explainer_spec(spec))
+              for spec in args.explainer or ["lime"]]
+    fallback: dict = {}
+    if any(name in ("partial", "full") and "mu0" not in options
+           for _, name, options in parsed):
         base = ExplainConfig(perturb, kernel, LimeRidge(args.r),
                              args.target_class).with_n(args.elicit_n)
         runs = [explain(instance, handle,
                         base.with_seed(args.seed + ELICIT_SEED_OFFSET + i))
                 for i in range(args.elicit_runs)]
         elicited = elicit_prior(runs)
-    explainers: list[tuple[str, LimeRidge | BayLime]] = []
-    records: list[dict] = []
-    for (name, options), spec in parsed:
-        record: dict = {"spec": spec, "name": name}
-        if name == "lime":
-            r = float(options.get("r", args.r))
-            explainers.append((spec, LimeRidge(r)))
-            record["r"] = r
-        elif name == "non_informative":
-            explainers.append((spec, BayLime(PriorSpec.non_informative())))
-        else:
-            if "mu0" in options:
-                mu0 = np.asarray(_parse_floats(options["mu0"]))
-            else:
-                mu0 = np.asarray(elicited.mu0)
-            if mu0.size != instance.m:
-                raise ConfigError(f"explainer {spec!r}: mu0 has {mu0.size} "
-                                  f"entries for {instance.m} features")
-            if "lambda" in options:
-                lam = float(options["lambda"])
-            else:
-                lam = float(elicited.lam) if elicited is not None else None
-            if lam is None:
-                raise ConfigError(f"explainer {spec!r} needs lambda=")
-            record.update(mu0=mu0.tolist(), **{"lambda": lam})
-            if name == "partial":
-                explainers.append((spec, BayLime(PriorSpec.partial(mu0, lam))))
-            else:
-                if "alpha" not in options:
-                    raise ConfigError(f"explainer {spec!r} needs alpha=")
-                alpha = float(options["alpha"])
-                record["alpha"] = alpha
-                explainers.append(
-                    (spec, BayLime(PriorSpec.full(mu0, lam, alpha))))
-        records.append(record)
-    return explainers, records
+        fallback = {"mu0": elicited.mu0, "lambda": elicited.lam}
+    return [_build_surrogate(spec, name, options, instance.m, args.r,
+                             fallback)
+            for spec, name, options in parsed]
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +396,13 @@ def _metric_cell(value: float | None) -> str:
 def cmd_explain(args) -> int:
     instance, perturb, source = _load_problem(args)
     kernel = KernelConfig(width=args.kernel_width, distance=args.distance)
-    surrogate, surrogate_info = _single_surrogate(args, instance.m)
+    name, options = _parse_explainer_spec(args.explainer)
+    if args.prior_file is not None and name in ("lime", "non_informative"):
+        raise ConfigError(f"explainer {args.explainer!r} takes no prior file")
+    fallback = (_load_prior_file(args.prior_file)
+                if args.prior_file is not None else {})
+    surrogate, surrogate_info = _build_surrogate(
+        args.explainer, name, options, instance.m, DEFAULT_R, fallback)
     handle, predictor_info = _resolve_predictor(args, instance.m)
     with handle:
         result = explain(instance, handle,
@@ -455,10 +415,10 @@ def cmd_explain(args) -> int:
         "importances": result.importances.tolist(),
         "ranks": result.ranks.tolist(),
         "feature_names": list(instance.feature_names),
-        "mode": args.mode,
+        "mode": name,
         "alpha": None if posterior is None else posterior.alpha_used,
         "lambda": None if posterior is None else posterior.lambda_used,
-        "r": surrogate.r if isinstance(surrogate, LimeRidge) else None,
+        "r": surrogate_info.get("r"),
         "kernel_width": result.kernel_width,
         "n": result.n_samples,
         "seed": result.seed,
@@ -493,18 +453,17 @@ def cmd_consistency(args) -> int:
         raise ConfigError("--k must be at least 2")
     rows: list[tuple] = []
     with handle:
-        explainers, records = _resolve_sweep_explainers(
-            args, instance, handle, perturb, kernel)
-        base = ExplainConfig(perturb, kernel, explainers[0][1],
+        surrogates, records = zip(*_resolve_sweep_explainers(
+            args, instance, handle, perturb, kernel))
+        base = ExplainConfig(perturb, kernel, surrogates[0],
                              args.target_class)
-        surrogates = [surrogate for _, surrogate in explainers]
         for cell, n in enumerate(n_grid):
             # Explainers share each cell's seed block, and each seed's
             # probed sample set, for an exactly paired comparison.
             ensembles = explain_paired(instance, handle, base.with_n(n),
                                        surrogates, args.k,
                                        seed_base=args.seed + cell * args.k)
-            for (label, _), ensemble in zip(explainers, ensembles):
+            for record, ensemble in zip(records, ensembles):
                 try:
                     inc = inconsistency(ensemble)
                 except UndefinedMetricError:
@@ -513,7 +472,7 @@ def cmd_consistency(args) -> int:
                     w = kendalls_w(ensemble)
                 except UndefinedMetricError:
                     w = None
-                rows.append((n, label, inc, w))
+                rows.append((n, record["spec"], inc, w))
     with open(args.out, "w", newline="", encoding="utf-8") as out:
         writer = csv.writer(out)
         writer.writerow(["n", "explainer", "inconsistency", "kendalls_w"])
@@ -539,17 +498,17 @@ def cmd_robustness(args) -> int:
         raise ConfigError("--l-lo must be below --l-up")
     rows: list[tuple] = []
     with handle:
-        explainers, records = _resolve_sweep_explainers(
-            args, instance, handle, perturb, kernel)
+        surrogates, records = zip(*_resolve_sweep_explainers(
+            args, instance, handle, perturb, kernel))
         # One perturbation set serves every pair and every explainer, and
         # each width is weighted once for all explainers.
         pset = build_perturbation_set(
             instance, perturb, _class_handle(handle, args.target_class))
         pair_list = width_pairs(args.pairs, (args.l_lo, args.l_up), args.seed)
-        reports = robustness_paired(
-            pset, instance, [surrogate for _, surrogate in explainers],
-            pair_list, distance=kernel.distance)
-        for (label, _), report in zip(explainers, reports):
+        reports = robustness_paired(pset, instance, surrogates, pair_list,
+                                    distance=kernel.distance)
+        for record, report in zip(records, reports):
+            label = record["spec"]
             for l1, l2, ratio in report.robustness_samples:
                 rows.append((label, "sample", repr(l1), repr(l2), repr(ratio)))
             rows.append((label, "median", "", "",
@@ -593,7 +552,12 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--kernel-width", type=float, default=None,
                         help="kernel width (default 0.75*sqrt(m))")
-    parser.add_argument("--distance", choices=DISTANCES, default=EUCLIDEAN)
+    parser.add_argument("--distance", choices=DISTANCES, default=EUCLIDEAN,
+                        help="sample-to-instance distance; "
+                             "binary_hamming_fraction counts every nonzero "
+                             "numerical offset as a mismatch, so on an "
+                             "all-numerical problem every sample gets the "
+                             "same weight")
     parser.add_argument("--target-class", type=int, default=None,
                         help="class column for probability predictors")
 
@@ -624,7 +588,7 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
                              "with name in lime|non_informative|partial|full "
                              "and keys r=, lambda=, alpha=, mu0= (default "
                              "lime)")
-    parser.add_argument("--r", type=float, default=1.0,
+    parser.add_argument("--r", type=float, default=DEFAULT_R,
                         help="ridge regularizer for lime explainers")
     parser.add_argument("--elicit-runs", type=int, default=5,
                         help="baseline runs used to elicit a prior mean "
@@ -648,21 +612,14 @@ def build_parser() -> argparse.ArgumentParser:
         "explain", help="explain one instance, JSON to stdout")
     _add_problem_flags(explain_cmd)
     _add_predictor_flags(explain_cmd)
-    explain_cmd.add_argument("--mode", default="lime",
-                             choices=("lime", "non_informative", "partial",
-                                      "full"))
-    explain_cmd.add_argument("--r", type=float, default=1.0,
-                             help="ridge regularizer for lime mode")
-    explain_cmd.add_argument("--lambda", dest="lam", type=float, default=None,
-                             help="prior precision (partial/full)")
-    explain_cmd.add_argument("--alpha", type=float, default=None,
-                             help="noise precision (full)")
-    explain_cmd.add_argument("--mu0", help="comma-separated prior mean")
-    explain_cmd.add_argument("--mu0-file",
-                             help='JSON array or {"mu0": [...]} file')
+    explain_cmd.add_argument("--explainer", default="lime",
+                             help="explainer spec, as for the sweeps "
+                                  "(default lime, with r=1)")
     explain_cmd.add_argument("--prior-file",
-                             help='JSON {"mu0": [...], "lambda": x, '
-                                  '"alpha": x?}')
+                             help="prior values for a partial or full spec: "
+                                  'a JSON mu0 array or {"mu0": [...], '
+                                  '"lambda": x?, "alpha": x?}; spec keys '
+                                  "override file fields")
     explain_cmd.add_argument("--out", help="also write the JSON here "
                                            "(with a manifest)")
     explain_cmd.set_defaults(func=cmd_explain)

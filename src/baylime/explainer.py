@@ -67,9 +67,6 @@ class ExplainConfig:
     def with_n(self, n: int) -> "ExplainConfig":
         return replace(self, perturb=replace(self.perturb, n=n))
 
-    def with_kernel(self, kernel: KernelConfig) -> "ExplainConfig":
-        return replace(self, kernel=kernel)
-
     def with_surrogate(self, surrogate: LimeRidge | BayLime) -> "ExplainConfig":
         return replace(self, surrogate=surrogate)
 

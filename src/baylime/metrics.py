@@ -225,18 +225,6 @@ def robustness_from_pset(pset: PerturbationSet, instance: Instance,
                              distance=distance)[0]
 
 
-def pair_ratio(pset: PerturbationSet, instance: Instance,
-               surrogate: LimeRidge | BayLime, l1: float,
-               l2: float) -> float:
-    """Explanation change per unit of kernel-width change for one pair.
-
-    Both widths reuse the same perturbation set, so only the weighting
-    differs between the two fits.
-    """
-    report = robustness_from_pset(pset, instance, surrogate, [(l1, l2)])
-    return report.robustness_samples[0][2]
-
-
 def robustness(instance: Instance, predictor: PredictorHandle,
                config: ExplainConfig, *, pairs: int = 100,
                bounds: tuple[float, float] = (0.2, 5.0),

@@ -271,7 +271,3 @@ class ExplanationEnsemble:
     def rank_matrix(self) -> np.ndarray:
         """k-by-m matrix of ranks, one row per run."""
         return np.stack([run.ranks for run in self.runs])
-
-    def coefficient_matrix(self) -> np.ndarray:
-        """k-by-m matrix of raw signed coefficients."""
-        return np.stack([run.coefficients for run in self.runs])

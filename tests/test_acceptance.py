@@ -280,7 +280,7 @@ def test_criterion_10_explain_is_byte_deterministic(verdict, tmp_path,
                                                     capsys):
     out = tmp_path / "explanation.json"
     args = ["explain", "--m", "3", "--predictor", "quadratic",
-            "--mode", "non_informative", "--n", "500", "--seed", "11",
+            "--explainer", "non_informative", "--n", "500", "--seed", "11",
             "--out", str(out)]
     assert main(args) == 0
     first_stdout = capsys.readouterr().out

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from baylime import blackbox
 from baylime import (
     ConfigError,
     ContractViolationError,
@@ -87,8 +88,6 @@ class TestProbeInProcess:
     def test_handle_validation(self):
         with pytest.raises(ConfigError):
             PredictorHandle.in_process(lambda rows: rows, batch_limit=0)
-        with pytest.raises(ConfigError):
-            PredictorHandle.in_process(lambda rows: rows, timeout=0.0)
 
 
 class TestClassSelection:
@@ -118,6 +117,20 @@ class TestClassSelection:
 
 
 class TestSubprocessPredictor:
+    def test_bad_spawn_settings_start_no_child(self, monkeypatch):
+        calls = []
+
+        def popen(*args, **kwargs):
+            calls.append(args)
+            raise OSError("no child in this test")
+
+        monkeypatch.setattr(blackbox.subprocess, "Popen", popen)
+        with pytest.raises(ConfigError, match="batch_limit"):
+            PredictorHandle.spawn(fixture_command("sum"), batch_limit=0)
+        with pytest.raises(ConfigError, match="timeout"):
+            PredictorHandle.spawn(fixture_command("sum"), timeout=0.0)
+        assert calls == []
+
     def test_round_trip(self):
         with PredictorHandle.spawn(fixture_command("sum")) as handle:
             out = probe(handle, np.array([[1.0, 2.0], [3.0, 4.0]]))

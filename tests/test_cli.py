@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -11,27 +13,46 @@ import numpy as np
 import pytest
 
 from baylime import (
+    BayLime,
+    ExplainConfig,
     Instance,
     KernelConfig,
+    LimeRidge,
     PerturbConfig,
     PredictorHandle,
+    PriorSpec,
     apply_weights,
     build_perturbation_set,
+    explain,
     normalize_coefficients,
     ridge_fit,
     width_pairs,
 )
-from baylime.cli import ingest_csv, main
+from baylime.cli import _parse_explainer_spec, build_parser, ingest_csv, main
 from baylime.errors import ConfigError
 from baylime.kernel import BINARY_HAMMING
 from baylime.types import NUMERICAL
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "jsonl_predictor.py")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_csv(path: Path) -> list[dict]:
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
+
+
+def quadratic_problem(m: int, n: int, seed: int):
+    """The CLI's synthetic ``--m`` problem and its quadratic fixture."""
+    instance = Instance(np.zeros(m), (NUMERICAL,) * m,
+                        tuple(f"f{j}" for j in range(m)))
+    perturb = PerturbConfig(
+        n=n, seed=seed, numeric_scale={j: (0.0, 1.0) for j in range(m)})
+    c = np.array([(m - j) / m for j in range(m)])
+    q = np.full(m, 0.5)
+    handle = PredictorHandle.in_process(
+        lambda rows: rows @ c + (rows * rows) @ q)
+    return instance, perturb, handle
 
 
 class TestIngestCsv:
@@ -81,7 +102,7 @@ class TestIngestCsv:
 class TestExplainCommand:
     def test_linear_fixture_ranks_follow_coefficients(self, tmp_path, capsys):
         code = main(["explain", "--m", "3", "--predictor", "linear",
-                     "--mode", "lime", "--r", "1e-6", "--n", "400",
+                     "--explainer", "lime:r=1e-6", "--n", "400",
                      "--seed", "1"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
@@ -95,8 +116,8 @@ class TestExplainCommand:
         priors.write_text(json.dumps({"mu0": [0.0, 5.0, 0.0],
                                       "lambda": 1e9}), encoding="utf-8")
         code = main(["explain", "--m", "3", "--predictor", "quadratic",
-                     "--mode", "full", "--prior-file", str(priors),
-                     "--alpha", "1.0", "--n", "200", "--seed", "2"])
+                     "--explainer", "full:alpha=1.0", "--prior-file",
+                     str(priors), "--n", "200", "--seed", "2"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ranks"][1] == 1
@@ -106,8 +127,8 @@ class TestExplainCommand:
         mu0 = tmp_path / "mu0.json"
         mu0.write_text("[1.0, 0.0]", encoding="utf-8")
         code = main(["explain", "--m", "2", "--predictor", "quadratic",
-                     "--mode", "partial", "--mu0-file", str(mu0),
-                     "--lambda", "5", "--n", "100"])
+                     "--explainer", "partial:lambda=5", "--prior-file",
+                     str(mu0), "--n", "100"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["lambda"] == 5.0
@@ -115,7 +136,7 @@ class TestExplainCommand:
 
     def test_partial_without_lambda_is_config_error(self, capsys):
         code = main(["explain", "--m", "2", "--predictor", "linear",
-                     "--mode", "partial", "--mu0", "1,0"])
+                     "--explainer", "partial:mu0=1,0"])
         assert code == 2
         assert "lambda" in capsys.readouterr().err
 
@@ -135,7 +156,7 @@ class TestExplainCommand:
     def test_env_var_supplies_predictor(self, capsys, monkeypatch):
         monkeypatch.setenv("BAYLIME_PREDICTOR_CMD",
                            f"{sys.executable} {FIXTURE} sum")
-        code = main(["explain", "--m", "2", "--mode", "lime", "--r", "1e-6",
+        code = main(["explain", "--m", "2", "--explainer", "lime:r=1e-6",
                      "--n", "200", "--seed", "3"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
@@ -145,7 +166,7 @@ class TestExplainCommand:
 
     def test_underdetermined_fit_maps_to_fit_error(self, capsys):
         code = main(["explain", "--m", "2", "--predictor", "linear",
-                     "--mode", "lime", "--r", "0", "--n", "1"])
+                     "--explainer", "lime:r=0", "--n", "1"])
         assert code == 4
 
     def test_out_file_and_manifest(self, tmp_path, capsys):
@@ -181,6 +202,99 @@ class TestExplainCommand:
         code = main(["explain", "--data", str(data), "--instance", "5",
                      "--predictor", "linear"])
         assert code == 2
+
+
+class TestExplainerSpec:
+    """``explain --explainer SPEC [--prior-file F]``."""
+
+    @staticmethod
+    def _explain(capsys, *flags, m=3):
+        code = main(["explain", "--m", str(m), "--predictor", "quadratic",
+                     "--n", "300", "--seed", "4", *flags])
+        assert code == 0
+        return json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("spec, surrogate", [
+        ("lime:r=0.5", LimeRidge(0.5)),
+        ("non_informative", BayLime(PriorSpec.non_informative())),
+        ("partial:mu0=1,0.5,0:lambda=20",
+         BayLime(PriorSpec.partial(np.array([1.0, 0.5, 0.0]), 20.0))),
+        ("full:mu0=1,0.5,0:lambda=20:alpha=2",
+         BayLime(PriorSpec.full(np.array([1.0, 0.5, 0.0]), 20.0, 2.0))),
+    ])
+    def test_bitwise_equal_to_library(self, capsys, spec, surrogate):
+        payload = self._explain(capsys, "--explainer", spec)
+        instance, perturb, handle = quadratic_problem(3, 300, 4)
+        result = explain(instance, handle,
+                         ExplainConfig(perturb, KernelConfig(), surrogate))
+        assert payload["coefficients"] == result.coefficients.tolist()
+        assert payload["mode"] == spec.split(":")[0]
+
+    def test_prior_file_shapes(self, tmp_path, capsys):
+        bare = tmp_path / "bare.json"
+        bare.write_text("[1.0, 0.5, 0.0]", encoding="utf-8")
+        full = tmp_path / "object.json"
+        full.write_text(json.dumps({"mu0": [1.0, 0.5, 0.0], "lambda": 20.0}),
+                        encoding="utf-8")
+        inline = self._explain(capsys, "--explainer",
+                               "partial:mu0=1,0.5,0:lambda=20")
+        assert self._explain(capsys, "--explainer", "partial:lambda=20",
+                             "--prior-file", str(bare)) == inline
+        assert self._explain(capsys, "--explainer", "partial",
+                             "--prior-file", str(full)) == inline
+
+    def test_spec_key_overrides_file_field(self, tmp_path, capsys):
+        prior = tmp_path / "prior.json"
+        prior.write_text(json.dumps({"mu0": [0.0, 5.0, 0.0],
+                                     "lambda": 1e9}), encoding="utf-8")
+        payload = self._explain(capsys, "--explainer", "full:lambda=3:alpha=1",
+                                "--prior-file", str(prior))
+        assert payload["lambda"] == 3.0
+
+    @pytest.mark.parametrize("flags, prior, message", [
+        (["--explainer", "lime"], [1.0, 0.0], "takes no prior file"),
+        (["--explainer", "non_informative"], [1.0, 0.0],
+         "takes no prior file"),
+        (["--explainer", "partial:lambda=5:alpha=1"], None,
+         "bad option 'alpha=1'"),
+        (["--explainer", "partial:lambda=5"],
+         {"mu0": [1.0, 0.0], "alpha": 1.0}, "fits alpha"),
+        (["--explainer", "partial:lambda=5"], None, "needs mu0="),
+        (["--explainer", "partial:mu0=1,0"], None, "needs lambda="),
+        (["--explainer", "full:mu0=1,0:lambda=5"], None, "needs alpha="),
+        (["--explainer", "partial:mu0=1,0,0:lambda=5"], None,
+         "mu0 has 3 entries for 2 features"),
+        (["--explainer", "full:alpha=1"], [1.0],
+         "mu0 has 1 entries for 2 features"),
+        (["--explainer", "lime:r=x"], None, "bad number"),
+        (["--mode", "lime"], None, "unrecognized arguments: --mode"),
+    ])
+    def test_bad_input_exits_two(self, tmp_path, capsys, flags, prior,
+                                 message):
+        if prior is not None:
+            path = tmp_path / "prior.json"
+            path.write_text(json.dumps(prior), encoding="utf-8")
+            flags = [*flags, "--prior-file", str(path)]
+        code = main(["explain", "--m", "2", "--predictor", "linear",
+                     "--n", "50", *flags])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["lime:r=0.5", "non_informative",
+                                      "partial:mu0=1,0:lambda=20",
+                                      "full:mu0=1,0:lambda=20:alpha=2"])
+    def test_manifest_record_matches_sweep(self, tmp_path, capsys, spec):
+        assert main(["explain", "--m", "2", "--predictor", "linear",
+                     "--n", "100", "--explainer", spec,
+                     "--out", str(tmp_path / "e.json")]) == 0
+        assert main(["robustness", "--m", "2", "--predictor", "linear",
+                     "--n", "100", "--pairs", "1", "--explainer", spec,
+                     "--out", str(tmp_path / "r.csv")]) == 0
+        explained, swept = (
+            json.loads((tmp_path / name).read_text(encoding="utf-8"))
+            for name in ("e.manifest.json", "r.manifest.json"))
+        assert (explained["parameters"]["surrogate"]
+                == swept["parameters"]["explainers"][0])
 
 
 class TestConsistencyCommand:
@@ -306,15 +420,7 @@ class TestRobustnessCommand:
         assert hamming != euclidean
         # The same sweep by hand: the CLI's synthetic problem and quadratic
         # fixture, lime r=1 refit through apply_weights at every width.
-        m = 4
-        instance = Instance(np.zeros(m), (NUMERICAL,) * m,
-                            tuple(f"f{j}" for j in range(m)))
-        perturb = PerturbConfig(
-            n=200, seed=3, numeric_scale={j: (0.0, 1.0) for j in range(m)})
-        c = np.array([(m - j) / m for j in range(m)])
-        q = np.full(m, 0.5)
-        handle = PredictorHandle.in_process(
-            lambda rows: rows @ c + (rows * rows) @ q)
+        instance, perturb, handle = quadratic_problem(4, 200, 3)
         pset = build_perturbation_set(instance, perturb, handle)
         expected = []
         for l1, l2 in width_pairs(5, (0.2, 5.0), 3):
@@ -345,3 +451,22 @@ class TestParsing:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert "0.1.0" in capsys.readouterr().out
+
+    def test_readme_commands_parse(self):
+        text = README.read_text(encoding="utf-8")
+        commands = [
+            shlex.split(line)[1:]
+            for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("baylime ")
+        ]
+        assert len(commands) >= 3
+        parser = build_parser()
+        for argv in commands:
+            try:
+                args = parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {argv}")
+            specs = args.explainer or []
+            for spec in [specs] if isinstance(specs, str) else specs:
+                _parse_explainer_spec(spec)

@@ -31,7 +31,6 @@ from baylime import (
     inconsistency,
     kendalls_w,
     normalize_coefficients,
-    pair_ratio,
     ridge_fit,
     robustness,
     robustness_from_pset,
@@ -159,8 +158,14 @@ class TestPairRatio:
             lambda rows: rows[:, 0] + 0.5 * rows[:, 1] ** 2)
         from baylime import build_perturbation_set
         pset = build_perturbation_set(instance, perturb, handle)
-        forward = pair_ratio(pset, instance, LimeRidge(1.0), 0.5, 2.0)
-        backward = pair_ratio(pset, instance, LimeRidge(1.0), 2.0, 0.5)
+
+        def ratio(pair):
+            report = robustness_from_pset(pset, instance, LimeRidge(1.0),
+                                          [pair])
+            return report.robustness_samples[0][2]
+
+        forward = ratio((0.5, 2.0))
+        backward = ratio((2.0, 0.5))
         assert forward == backward
         assert forward > 0.0
 
