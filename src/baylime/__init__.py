@@ -55,9 +55,6 @@ from .perturb import (
 from .regression import (
     PriorSpec,
     SurrogateFit,
-    bayes_fit_full,
-    bayes_fit_noninformative,
-    bayes_fit_partial,
     decompose,
     fit_surrogate,
     ridge_fit,
@@ -83,8 +80,7 @@ __all__ = [
     "KernelConfig", "LimeRidge", "MetricReport", "PerturbConfig",
     "PerturbationSet", "PredictorHandle", "PriorSpec", "ProbeError",
     "ShapeError", "SingularityError", "SurrogateFit", "UndefinedMetricError",
-    "apply_weights", "bayes_fit_full", "bayes_fit_noninformative",
-    "bayes_fit_partial", "build_perturbation_set", "column_statistics",
+    "apply_weights", "build_perturbation_set", "column_statistics",
     "config_from_data", "decompose", "default_width", "elicit_prior",
     "explain", "explain_from_pset", "explain_paired", "explain_repeated",
     "fit_surrogate", "frequency_table",

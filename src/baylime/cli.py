@@ -71,7 +71,7 @@ ELICIT_SEED_OFFSET = 1_000_000
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        return [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated numbers, got "
                           f"{text!r}") from exc
@@ -79,7 +79,7 @@ def _parse_floats(text: str) -> list[float]:
 
 def _parse_ints(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated integers, got "
                           f"{text!r}") from exc

@@ -9,15 +9,24 @@ The ridge surrogate solves (X'WX + rI) beta = X'WY.
 
 The Bayesian surrogate places a Gaussian prior N(mu0, lambda^-1 I) on the
 coefficients and a Gaussian observation model with noise precision alpha.
-Its posterior is Gaussian with
+Its posterior has precision S_n^-1 = lambda I + alpha X'WX and mean
+mu_n = S_n (lambda mu0 + alpha X'WY). The mean is a matrix-weighted
+compromise between the prior mean and the maximum-likelihood solution:
+mu_n = A mu0 + B beta_mle with A + B = I (:func:`decompose`).
 
-    precision  S_n^-1 = lambda I + alpha X'WX
-    mean       mu_n   = S_n (lambda mu0 + alpha X'WY)
+Every fit is a diagonal solve in the eigenbasis X'WX = V diag(eig) V',
+which a perturbation set computes once for all its fits
+(:attr:`~baylime.types.PerturbationSet.spectrum`). With b = V'X'WY and
+s = alpha eig:
 
-The mean is a matrix-weighted compromise between the prior mean and the
-maximum-likelihood solution: mu_n = A mu0 + B beta_mle with
-A = lambda M^-1, B = alpha M^-1 X'WX and A + B = I, where
-M = S_n^-1. :func:`decompose` exposes A and B.
+    ridge      V (b / (r + eig))
+    mu_n       V c,  c = (lambda V'mu0 + alpha b) / (lambda + s)
+    beta_mle   V (b / eig)
+    A, B       V diag(d) V', V diag(1 - d) V'  for d = lambda / (lambda + s)
+
+X'WX is rank deficient when eig_min <= eig_max * m * eps, the default
+tolerance of ``numpy.linalg.matrix_rank``; then an unregularized ridge fit
+(r = 0) is refused and ``beta_mle`` is None.
 
 Three prior-knowledge modes differ in which hyperparameters are fixed:
 
@@ -25,13 +34,17 @@ Three prior-knowledge modes differ in which hyperparameters are fixed:
 * partial: mu0 and lambda supplied, alpha fitted by evidence maximization;
 * non-informative: mu0 = 0, both lambda and alpha fitted.
 
-Evidence maximization iterates, with s_i = alpha * eig_i(X'WX):
+Evidence maximization iterates
 
     gamma  = sum_i s_i / (lambda + s_i)
     lambda <- gamma / (mu_n' mu_n)
-    alpha  <- (n - gamma) / sum_i w_i (y_i - x_i' mu_n)^2
+    alpha  <- (n - gamma) / wsse,  wsse = sum_i w_i (y_i - x_i' mu_n)^2
 
 where each step evaluates gamma and mu_n at the previous (lambda, alpha).
+Each step costs O(m): wsse = rss_ls + sum_i eig_i (c_i - c_ls_i)^2, where
+c_ls = b / eig is the least-squares solution with directions under the
+rank tolerance set to 0, and rss_ls its weighted residual, computed once
+per fit. Both terms are non-negative, so the sum does not cancel.
 Estimates are clamped to [1e-10, 1e10]; the loop stops when the relative
 change of every fitted hyperparameter drops to 1e-6, and the returned fit
 is recomputed at the converged values.
@@ -43,7 +56,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
 from .errors import (
     ConfigError,
@@ -128,13 +140,13 @@ class SurrogateFit:
     ``n_effective_prior`` and ``n_effective_data`` compare how much pull
     the prior and the weighted samples exert on the posterior (lambda
     versus alpha * trace(X'WX)). ``moments`` holds the X'WX and X'WY the
-    fit was made from.
+    fit was made from and ``spectrum`` their eigendecomposition
+    (:attr:`PerturbationSet.spectrum`), shared with the set.
 
-    Two matrices are computed from ``moments`` on first access, so a fit
-    that never reads them neither pays for nor keeps them: ``s_n_inv``,
-    the posterior precision lambda I + alpha X'WX, and ``beta_mle``, the
-    unregularized solution, which is None when the unregularized system
-    is rank deficient.
+    Two matrices are computed on first access, so a fit that never reads
+    them neither pays for nor keeps them: ``s_n_inv``, the posterior
+    precision lambda I + alpha X'WX, and ``beta_mle``, the unregularized
+    solution, which is None when X'WX is rank deficient.
     """
 
     mu_n: np.ndarray
@@ -143,6 +155,7 @@ class SurrogateFit:
     n_effective_prior: float
     n_effective_data: float
     moments: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    spectrum: tuple[np.ndarray, ...] = field(repr=False, compare=False)
     iterations: int = 0
 
     def __post_init__(self):
@@ -150,88 +163,32 @@ class SurrogateFit:
 
     @cached_property
     def s_n_inv(self) -> np.ndarray:
-        return _frozen_array(_precision(self.moments[0], self.lambda_used,
-                                        self.alpha_used))
+        g, _ = self.moments
+        return _frozen_array(self.lambda_used * np.eye(g.shape[0])
+                             + self.alpha_used * g)
 
     @cached_property
     def beta_mle(self) -> np.ndarray | None:
-        beta = _beta_mle(*self.moments)
-        return None if beta is None else _frozen_array(beta)
+        eig, vectors, b = self.spectrum
+        if eig[0] <= _rank_tol(eig):
+            return None
+        return _frozen_array(vectors @ (b / eig))
 
 
-def _spd_solve(matrix: np.ndarray, rhs: np.ndarray,
-               context: str) -> np.ndarray:
-    try:
-        return cho_solve(cho_factor(matrix, lower=True), rhs)
-    except LinAlgError as exc:
-        raise SingularityError(f"{context}: normal-equations matrix is "
-                               f"rank deficient") from exc
-
-
-def _full_rank(g: np.ndarray) -> bool:
-    # Cholesky can slip past borderline rank deficiency on rounding noise,
-    # so unregularized solves check the rank explicitly.
-    return np.linalg.matrix_rank(g, hermitian=True) == g.shape[0]
+def _rank_tol(eig: np.ndarray) -> float:
+    """The rank tolerance eig_max * m * eps for ascending eigenvalues."""
+    return float(eig[-1] * eig.size * np.finfo(float).eps)
 
 
 def ridge_fit(pset: PerturbationSet, r: float = 0.0) -> np.ndarray:
     """Weighted ridge coefficients (X'WX + rI)^-1 X'WY."""
     if not (np.isfinite(r) and r >= 0):
         raise ConfigError("ridge regularizer must be finite and >= 0")
-    g, b = pset.moments
-    if r == 0.0 and not _full_rank(g):
+    eig, vectors, b = pset.spectrum
+    if r == 0.0 and eig[0] <= _rank_tol(eig):
         raise SingularityError("unregularized fit: normal-equations matrix "
                                "is rank deficient")
-    return _spd_solve(g + r * np.eye(pset.m), b, "ridge fit")
-
-
-def _beta_mle(g: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    if not _full_rank(g):
-        return None
-    try:
-        return cho_solve(cho_factor(g, lower=True), b)
-    except LinAlgError:
-        return None
-
-
-def _precision(g: np.ndarray, lam: float, alpha: float) -> np.ndarray:
-    """Posterior precision lambda I + alpha X'WX."""
-    return lam * np.eye(g.shape[0]) + alpha * g
-
-
-def _posterior(g: np.ndarray, b: np.ndarray, mu0: np.ndarray, lam: float,
-               alpha: float, iterations: int = 0) -> SurrogateFit:
-    precision = _precision(g, lam, alpha)
-    mu_n = _spd_solve(precision, lam * mu0 + alpha * b, "posterior")
-    return SurrogateFit(
-        mu_n=mu_n,
-        alpha_used=float(alpha),
-        lambda_used=float(lam),
-        n_effective_prior=float(lam),
-        n_effective_data=float(alpha * np.trace(g)),
-        moments=(g, b),
-        iterations=iterations,
-    )
-
-
-def _check_mu0(pset: PerturbationSet, mu0: np.ndarray) -> np.ndarray:
-    mu0 = np.asarray(mu0, dtype=float)
-    if mu0.shape != (pset.m,):
-        raise ShapeError(f"mu0 has shape {mu0.shape}; the design has "
-                         f"{pset.m} features")
-    return mu0
-
-
-def bayes_fit_full(pset: PerturbationSet, mu0: np.ndarray, lam: float,
-                   alpha: float) -> SurrogateFit:
-    """Posterior with every hyperparameter supplied by the caller."""
-    if not (np.isfinite(lam) and lam > 0):
-        raise ConfigError("lam must be finite and positive")
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise ConfigError("alpha must be finite and positive")
-    mu0 = _check_mu0(pset, mu0)
-    g, b = pset.moments
-    return _posterior(g, b, mu0, lam, alpha)
+    return vectors @ (b / (r + eig))
 
 
 def _initial_alpha(pset: PerturbationSet) -> float:
@@ -245,31 +202,33 @@ def _clamp(value: float) -> float:
     return max(value, HYPER_MIN)
 
 
-def _evidence_loop(pset: PerturbationSet, mu0: np.ndarray, *,
+def _weighted_sse(pset: PerturbationSet):
+    """sum_i w_i (y_i - x_i' V c)^2 as an O(m) function of c = V' mu."""
+    eig, vectors, b = pset.spectrum
+    c_ls = np.divide(b, eig, out=np.zeros_like(b), where=eig > _rank_tol(eig))
+    residual = pset.labels - pset.rows @ (vectors @ c_ls)
+    rss_ls = float(np.sum(pset.weights * residual * residual))
+    return lambda c: rss_ls + float(np.sum(eig * (c - c_ls) ** 2))
+
+
+def _evidence_loop(pset: PerturbationSet, mu0_rot: np.ndarray, *,
                    lam: float, alpha: float, fit_lambda: bool,
                    max_iter: int, tol: float) -> tuple[float, float, int]:
     """Iterate the evidence updates; returns converged (lam, alpha, iters)."""
-    g, b = pset.moments
-    eig, vectors = eigh(g)
-    eig = np.clip(eig, 0.0, None)
-    b_rot = vectors.T @ b
-    mu0_rot = vectors.T @ mu0
-    n = pset.n
+    eig, _, b = pset.spectrum
+    weighted_sse = _weighted_sse(pset)
     for iteration in range(1, max_iter + 1):
         scaled = alpha * eig
         gamma = float(np.sum(scaled / (lam + scaled)))
-        mu = vectors @ ((lam * mu0_rot + alpha * b_rot) / (lam + scaled))
-        residual = pset.labels - pset.rows @ mu
-        wsse = float(np.sum(pset.weights * residual * residual))
-        new_alpha = _clamp((n - gamma) / wsse) if wsse > 0 else HYPER_MAX
+        c = (lam * mu0_rot + alpha * b) / (lam + scaled)
+        wsse = weighted_sse(c)
+        new_alpha = _clamp((pset.n - gamma) / wsse) if wsse > 0 else HYPER_MAX
+        new_lam = lam
         if fit_lambda:
-            norm = float(mu @ mu)
+            norm = float(c @ c)
             new_lam = _clamp(gamma / norm) if norm > 0 else HYPER_MAX
-        else:
-            new_lam = lam
-        settled = abs(new_alpha - alpha) <= tol * abs(alpha)
-        if fit_lambda:
-            settled = settled and abs(new_lam - lam) <= tol * abs(lam)
+        settled = (abs(new_alpha - alpha) <= tol * alpha
+                   and abs(new_lam - lam) <= tol * lam)
         lam, alpha = new_lam, new_alpha
         if settled:
             return lam, alpha, iteration
@@ -279,41 +238,38 @@ def _evidence_loop(pset: PerturbationSet, mu0: np.ndarray, *,
     )
 
 
-def bayes_fit_partial(pset: PerturbationSet, mu0: np.ndarray, lam: float, *,
-                      max_iter: int = MAX_ITER,
-                      tol: float = TOL) -> SurrogateFit:
-    """Posterior with lam and mu0 given; alpha fitted from the samples."""
-    if not (np.isfinite(lam) and lam > 0):
-        raise ConfigError("lam must be finite and positive")
-    mu0 = _check_mu0(pset, mu0)
-    lam, alpha, iterations = _evidence_loop(
-        pset, mu0, lam=lam, alpha=_initial_alpha(pset), fit_lambda=False,
-        max_iter=max_iter, tol=tol,
+def fit_surrogate(pset: PerturbationSet, prior: PriorSpec, *,
+                  max_iter: int = MAX_ITER,
+                  tol: float = TOL) -> SurrogateFit:
+    """The posterior under the prior's knowledge mode.
+
+    full takes mu0, lambda and alpha as given; partial fits alpha and
+    non-informative fits lambda and alpha (around mu0 = 0) by evidence
+    maximization.
+    """
+    mu0 = np.zeros(pset.m) if prior.mu0 is None else prior.mu0
+    if mu0.shape != (pset.m,):
+        raise ShapeError(f"mu0 has shape {mu0.shape}; the design has "
+                         f"{pset.m} features")
+    eig, vectors, b = pset.spectrum
+    mu0_rot = vectors.T @ mu0
+    lam, alpha, iterations = prior.lam, prior.alpha, 0
+    if prior.mode != FULL:
+        lam, alpha, iterations = _evidence_loop(
+            pset, mu0_rot, lam=prior.lam or 1.0, alpha=_initial_alpha(pset),
+            fit_lambda=prior.mode == NON_INFORMATIVE, max_iter=max_iter,
+            tol=tol,
+        )
+    return SurrogateFit(
+        mu_n=vectors @ ((lam * mu0_rot + alpha * b) / (lam + alpha * eig)),
+        alpha_used=float(alpha),
+        lambda_used=float(lam),
+        n_effective_prior=float(lam),
+        n_effective_data=float(alpha * np.trace(pset.moments[0])),
+        moments=pset.moments,
+        spectrum=pset.spectrum,
+        iterations=iterations,
     )
-    g, b = pset.moments
-    return _posterior(g, b, mu0, lam, alpha, iterations=iterations)
-
-
-def bayes_fit_noninformative(pset: PerturbationSet, *,
-                             max_iter: int = MAX_ITER,
-                             tol: float = TOL) -> SurrogateFit:
-    """Posterior around mu0 = 0 with lam and alpha both fitted."""
-    mu0 = np.zeros(pset.m)
-    lam, alpha, iterations = _evidence_loop(
-        pset, mu0, lam=1.0, alpha=_initial_alpha(pset), fit_lambda=True,
-        max_iter=max_iter, tol=tol,
-    )
-    g, b = pset.moments
-    return _posterior(g, b, mu0, lam, alpha, iterations=iterations)
-
-
-def fit_surrogate(pset: PerturbationSet, prior: PriorSpec) -> SurrogateFit:
-    """Dispatch to the fit matching the prior's knowledge mode."""
-    if prior.mode == FULL:
-        return bayes_fit_full(pset, prior.mu0, prior.lam, prior.alpha)
-    if prior.mode == PARTIAL:
-        return bayes_fit_partial(pset, prior.mu0, prior.lam)
-    return bayes_fit_noninformative(pset)
 
 
 def decompose(fit: SurrogateFit,
@@ -322,14 +278,12 @@ def decompose(fit: SurrogateFit,
 
     A carries the prior's share of the posterior mean, B the data's.
     """
-    g, _ = pset.moments
-    m = pset.m
-    precision = _precision(g, fit.lambda_used, fit.alpha_used)
-    try:
-        factor = cho_factor(precision, lower=True)
-    except LinAlgError as exc:
+    eig, vectors, _ = pset.spectrum
+    denominator = fit.lambda_used + fit.alpha_used * eig
+    if denominator[0] <= 0:
         raise DecompositionError("posterior precision is not positive "
-                                 "definite") from exc
-    a = cho_solve(factor, fit.lambda_used * np.eye(m))
-    b = cho_solve(factor, fit.alpha_used * g)
+                                 "definite")
+    prior_share = fit.lambda_used / denominator
+    a = (vectors * prior_share) @ vectors.T
+    b = (vectors * (1.0 - prior_share)) @ vectors.T
     return a, b

@@ -178,6 +178,22 @@ class PerturbationSet:
         """
         return _weighted_moments(self.rows, self.labels, self.weights)
 
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(eig, V, V'X'WY) for X'WX = V diag(eig) V', from one ``eigh``.
+
+        Eigenvalues are ascending and clipped at 0: X'WX is positive
+        semi-definite, so a negative one is rounding noise. Every fit on
+        the set is a diagonal solve in this basis, computed on first use;
+        the arrays are frozen.
+        """
+        gram, moment = self.moments
+        eig, vectors = np.linalg.eigh(gram)
+        spectrum = (np.clip(eig, 0.0, None), vectors, vectors.T @ moment)
+        for arr in spectrum:
+            arr.setflags(write=False)
+        return spectrum
+
 
 @dataclass(frozen=True)
 class Explanation:

@@ -27,10 +27,10 @@ from baylime import (
     PerturbConfig,
     PerturbationSet,
     PredictorHandle,
-    bayes_fit_full,
-    bayes_fit_noninformative,
+    PriorSpec,
     decompose,
     explain,
+    fit_surrogate,
     inconsistency,
     kendalls_w,
     ridge_fit,
@@ -69,8 +69,8 @@ def test_criterion_1_ridge_equivalence(verdict):
         pset = random_problem(rng)
         lam = float(10.0 ** rng.uniform(-2, 2))
         alpha = float(10.0 ** rng.uniform(-2, 2))
-        bayes = bayes_fit_full(pset, np.zeros(pset.m), lam=lam,
-                               alpha=alpha).mu_n
+        bayes = fit_surrogate(pset, PriorSpec.full(np.zeros(pset.m), lam,
+                                                   alpha)).mu_n
         ridge = ridge_fit(pset, lam / alpha)
         rel = np.abs(bayes - ridge) / np.maximum(np.abs(ridge), 1e-300)
         ok = ok and bool(np.all(rel <= 1e-8))
@@ -89,7 +89,7 @@ def test_criterion_2_prior_data_decomposition(verdict):
         mu0 = rng.normal(scale=2.0, size=pset.m)
         lam = float(10.0 ** rng.uniform(-2, 2))
         alpha = float(10.0 ** rng.uniform(-2, 2))
-        fit = bayes_fit_full(pset, mu0, lam=lam, alpha=alpha)
+        fit = fit_surrogate(pset, PriorSpec.full(mu0, lam, alpha))
         a, b = decompose(fit, pset)
         ok = ok and bool(np.all(np.abs(a + b - np.eye(pset.m)) <= 1e-9))
         recovered = a @ mu0 + b @ fit.beta_mle
@@ -103,7 +103,7 @@ def test_criterion_3_single_feature_closed_form(verdict):
     # Worked case: sum(w x^2) = 2, beta = 2, lam = alpha = 1, mu0 = 0.5.
     pset = PerturbationSet(rows=[[1.0], [1.0]], labels=[2.0, 2.0],
                            weights=[1.0, 1.0], seed=0)
-    fit = bayes_fit_full(pset, np.array([0.5]), lam=1.0, alpha=1.0)
+    fit = fit_surrogate(pset, PriorSpec.full(np.array([0.5]), 1.0, 1.0))
     ok = ok and abs(fit.mu_n[0] - 1.5) <= 1e-10
     rng = np.random.default_rng(20240903)
     for _ in range(25):
@@ -120,7 +120,7 @@ def test_criterion_3_single_feature_closed_form(verdict):
             lam + alpha * w * sxx)
         pset = PerturbationSet(rows=x[:, None], labels=y,
                                weights=np.full(n, w), seed=0)
-        fit = bayes_fit_full(pset, np.array([mu0]), lam=lam, alpha=alpha)
+        fit = fit_surrogate(pset, PriorSpec.full(np.array([mu0]), lam, alpha))
         ok = ok and abs(fit.mu_n[0] - expected) <= 1e-10
     verdict(3, "single-feature constant-weight posterior matches the "
                "closed form (tol 1e-10, incl. the mu_n = 1.5 worked case)",
@@ -134,10 +134,10 @@ def test_criterion_4_hyperparameter_limits(verdict):
     pset = PerturbationSet(rows=rows, labels=labels,
                            weights=1.0 - rng.random(500), seed=0)
     mu0 = rng.normal(scale=2.0, size=8)
-    near_mle = bayes_fit_full(pset, mu0, lam=1e-12, alpha=1.0)
+    near_mle = fit_surrogate(pset, PriorSpec.full(mu0, 1e-12, 1.0))
     mle_gap = (np.linalg.norm(near_mle.mu_n - near_mle.beta_mle)
                / np.linalg.norm(near_mle.beta_mle))
-    near_prior = bayes_fit_full(pset, mu0, lam=1.0, alpha=1e-12)
+    near_prior = fit_surrogate(pset, PriorSpec.full(mu0, 1.0, 1e-12))
     prior_gap = (np.linalg.norm(near_prior.mu_n - mu0)
                  / np.linalg.norm(mu0))
     ok = mle_gap < 1e-6 and prior_gap < 1e-6
@@ -155,7 +155,7 @@ def test_criterion_5_evidence_recovers_noise_precision(verdict):
         labels = rows @ beta + rng.normal(scale=0.5, size=1000)
         pset = PerturbationSet(rows=rows, labels=labels,
                                weights=np.ones(1000), seed=0)
-        fit = bayes_fit_noninformative(pset)
+        fit = fit_surrogate(pset, PriorSpec.non_informative())
         hits += 2.0 <= fit.alpha_used <= 8.0
     verdict(5, "evidence maximization recovers noise precision 4 within "
                f"[2, 8] in {hits}/100 seeds (need >= 95)", hits >= 95)

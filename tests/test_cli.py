@@ -452,6 +452,21 @@ class TestParsing:
         assert main(["--version"]) == 0
         assert "0.1.0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags, message", [
+        (["explain", "--m", "2", "--explainer", "partial:mu0=1,,0:lambda=5"],
+         "bad number in option 'mu0=1,,0'"),
+        (["explain", "--m", "3", "--instance-values", "1,,2,3"],
+         "expected comma-separated numbers, got '1,,2,3'"),
+        (["consistency", "--m", "2", "--n-grid", "200,,400", "--k", "2"],
+         "expected comma-separated integers, got '200,,400'"),
+    ])
+    def test_empty_list_entry_exits_two(self, tmp_path, capsys, flags,
+                                        message):
+        code = main([*flags, "--predictor", "linear", "--n", "50",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_readme_commands_parse(self):
         text = README.read_text(encoding="utf-8")
         commands = [

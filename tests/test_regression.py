@@ -11,9 +11,12 @@ Python arithmetic.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baylime import regression, types
 from baylime import (
@@ -23,9 +26,6 @@ from baylime import (
     PriorSpec,
     ShapeError,
     SingularityError,
-    bayes_fit_full,
-    bayes_fit_noninformative,
-    bayes_fit_partial,
     decompose,
     fit_surrogate,
     ridge_fit,
@@ -40,6 +40,33 @@ def random_problem(rng, m=None, n=None):
     weights = 1.0 - rng.random(n)
     return PerturbationSet(rows=rows, labels=labels, weights=weights,
                            seed=int(rng.integers(0, 2**31)))
+
+
+@st.composite
+def designs(draw):
+    """A weighted set with m <= 20 features and n <= 60 samples.
+
+    Its m columns cycle through k <= m distinct ones, so k < m tiles them
+    into a rank-deficient design, as does n < m; with ``exact`` the labels
+    are linear in the rows with zero residual. Returns the set and a prior
+    mean.
+    """
+    m = draw(st.integers(1, 20))
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(1, m))
+    exact = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=(n, k))[:, np.arange(m) % k]
+    labels = rows @ rng.normal(size=m)
+    if not exact:
+        labels = labels + rng.normal(scale=0.3, size=n)
+    pset = PerturbationSet(rows=rows, labels=labels,
+                           weights=rng.uniform(0.05, 1.0, size=n), seed=0)
+    return pset, rng.normal(scale=2.0, size=m)
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
 
 
 class TestRidgeFit:
@@ -82,7 +109,7 @@ class TestFullPosterior:
         # posterior mean is (0.5 + 4) / 3.
         pset = PerturbationSet(rows=[[1.0], [1.0]], labels=[2.0, 2.0],
                                weights=[1.0, 1.0], seed=0)
-        fit = bayes_fit_full(pset, np.array([0.5]), lam=1.0, alpha=1.0)
+        fit = fit_surrogate(pset, PriorSpec.full(np.array([0.5]), 1.0, 1.0))
         assert abs(fit.mu_n[0] - 1.5) < 1e-12
         assert abs(fit.beta_mle[0] - 2.0) < 1e-12
 
@@ -103,7 +130,8 @@ class TestFullPosterior:
             beta = sxy / sxx
             expected = (lam * mu0 + alpha * w * sxx * beta) / (
                 lam + alpha * w * sxx)
-            fit = bayes_fit_full(pset, np.array([mu0]), lam=lam, alpha=alpha)
+            fit = fit_surrogate(pset, PriorSpec.full(np.array([mu0]), lam,
+                                                     alpha))
             assert abs(fit.mu_n[0] - expected) < 1e-10
 
     def test_matches_ridge_at_effective_regularizer(self):
@@ -112,26 +140,27 @@ class TestFullPosterior:
             pset = random_problem(rng)
             lam = float(10.0 ** rng.uniform(-3, 3))
             alpha = float(10.0 ** rng.uniform(-3, 3))
-            fit = bayes_fit_full(pset, np.zeros(pset.m), lam=lam, alpha=alpha)
+            fit = fit_surrogate(pset, PriorSpec.full(np.zeros(pset.m), lam,
+                                                     alpha))
             ridge = ridge_fit(pset, lam / alpha)
             np.testing.assert_allclose(fit.mu_n, ridge, rtol=1e-8)
 
     def test_tiny_lambda_recovers_mle(self):
         pset = random_problem(np.random.default_rng(8), m=5, n=400)
         mu0 = np.full(5, 3.0)
-        fit = bayes_fit_full(pset, mu0, lam=1e-12, alpha=1.0)
+        fit = fit_surrogate(pset, PriorSpec.full(mu0, 1e-12, 1.0))
         gap = np.linalg.norm(fit.mu_n - fit.beta_mle)
         assert gap / np.linalg.norm(fit.beta_mle) < 1e-6
 
     def test_tiny_alpha_recovers_prior(self):
         pset = random_problem(np.random.default_rng(9), m=5, n=400)
         mu0 = np.array([1.0, -2.0, 0.5, 4.0, -0.25])
-        fit = bayes_fit_full(pset, mu0, lam=1.0, alpha=1e-12)
+        fit = fit_surrogate(pset, PriorSpec.full(mu0, 1.0, 1e-12))
         assert np.linalg.norm(fit.mu_n - mu0) / np.linalg.norm(mu0) < 1e-6
 
     def test_effective_sample_bookkeeping(self):
         pset = random_problem(np.random.default_rng(3), m=4, n=100)
-        fit = bayes_fit_full(pset, np.zeros(4), lam=7.0, alpha=2.0)
+        fit = fit_surrogate(pset, PriorSpec.full(np.zeros(4), 7.0, 2.0))
         g = pset.rows.T @ (pset.rows * pset.weights[:, None])
         assert fit.n_effective_prior == 7.0
         assert abs(fit.n_effective_data - 2.0 * np.trace(g)) < 1e-9
@@ -139,27 +168,37 @@ class TestFullPosterior:
     def test_mu0_shape_checked(self):
         pset = random_problem(np.random.default_rng(4), m=3, n=30)
         with pytest.raises(ShapeError):
-            bayes_fit_full(pset, np.zeros(2), lam=1.0, alpha=1.0)
+            fit_surrogate(pset, PriorSpec.full(np.zeros(2), 1.0, 1.0))
+
+
+def counted(monkeypatch, owner, name: str) -> list:
+    """Replace ``owner.name`` by a wrapper that logs each call in a list."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 class TestSharedMoments:
     def test_fits_on_one_set_compute_moments_once(self, monkeypatch):
-        calls = []
-        real = types._weighted_moments
-
-        def counting(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(types, "_weighted_moments", counting)
-        pset = random_problem(np.random.default_rng(41), m=4, n=200)
-        ridge_fit(pset, 1.0)
-        fit = fit_surrogate(pset, PriorSpec.non_informative())
-        fit_surrogate(pset, PriorSpec.partial(np.ones(4), 10.0))
-        fit_surrogate(pset, PriorSpec.full(np.ones(4), 10.0, 1.0))
-        decompose(fit, pset)
-        assert fit.beta_mle is not None
-        assert len(calls) == 1
+        moments = counted(monkeypatch, types, "_weighted_moments")
+        eighs = counted(monkeypatch, np.linalg, "eigh")
+        rng = np.random.default_rng(41)
+        for weighted in range(1, 3):
+            pset = random_problem(rng, m=4, n=200)
+            ridge_fit(pset, 1.0)
+            ridge_fit(pset, 0.0)
+            fit = fit_surrogate(pset, PriorSpec.non_informative())
+            fit_surrogate(pset, PriorSpec.partial(np.ones(4), 10.0))
+            fit_surrogate(pset, PriorSpec.full(np.ones(4), 10.0, 1.0))
+            decompose(fit, pset)
+            assert fit.beta_mle is not None
+            assert len(moments) == len(eighs) == weighted
 
     def test_moments_are_frozen_and_exact(self):
         pset = random_problem(np.random.default_rng(42), m=3, n=50)
@@ -172,28 +211,19 @@ class TestSharedMoments:
 
 
 class TestLazyDerivedMatrices:
-    def test_computed_on_first_access_only(self, monkeypatch):
+    def test_computed_on_first_access_only(self):
         pset = random_problem(np.random.default_rng(43), m=5, n=300)
         g, b = pset.moments
-        eager = cho_solve(cho_factor(g, lower=True), b)
-        calls = []
-        real = regression._beta_mle
-
-        def counting(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(regression, "_beta_mle", counting)
-        fit = bayes_fit_full(pset, np.zeros(5), lam=2.0, alpha=1.0)
-        assert calls == []
-        assert np.array_equal(fit.beta_mle, eager)
+        eager = np.linalg.solve(g, b)
+        fit = fit_surrogate(pset, PriorSpec.full(np.zeros(5), 2.0, 1.0))
+        assert "beta_mle" not in vars(fit)
+        np.testing.assert_allclose(fit.beta_mle, eager, rtol=1e-10)
         assert fit.beta_mle is fit.beta_mle
-        assert len(calls) == 1
         assert not fit.beta_mle.flags.writeable
 
     def test_precision_is_computed_on_first_access(self):
         pset = random_problem(np.random.default_rng(45), m=4, n=200)
-        fit = bayes_fit_full(pset, np.zeros(4), lam=3.0, alpha=0.5)
+        fit = fit_surrogate(pset, PriorSpec.full(np.zeros(4), 3.0, 0.5))
         assert "s_n_inv" not in vars(fit)
         g, _ = pset.moments
         assert np.array_equal(fit.s_n_inv, 3.0 * np.eye(4) + 0.5 * g)
@@ -204,7 +234,7 @@ class TestLazyDerivedMatrices:
         rows = np.tile(rng.normal(size=(50, 1)), (1, 3))
         pset = PerturbationSet(rows=rows, labels=rng.normal(size=50),
                                weights=np.ones(50), seed=0)
-        fit = bayes_fit_full(pset, np.zeros(3), lam=1.0, alpha=1.0)
+        fit = fit_surrogate(pset, PriorSpec.full(np.zeros(3), 1.0, 1.0))
         assert fit.beta_mle is None
 
 
@@ -216,7 +246,7 @@ class TestDecomposition:
             mu0 = rng.normal(size=pset.m)
             lam = float(10.0 ** rng.uniform(-2, 2))
             alpha = float(10.0 ** rng.uniform(-2, 2))
-            fit = bayes_fit_full(pset, mu0, lam=lam, alpha=alpha)
+            fit = fit_surrogate(pset, PriorSpec.full(mu0, lam, alpha))
             a, b = decompose(fit, pset)
             np.testing.assert_allclose(a + b, np.eye(pset.m), atol=1e-9)
             np.testing.assert_allclose(a @ mu0 + b @ fit.beta_mle, fit.mu_n,
@@ -225,7 +255,7 @@ class TestDecomposition:
     def test_single_feature_worked_example(self):
         pset = PerturbationSet(rows=[[1.0], [1.0]], labels=[2.0, 2.0],
                                weights=[1.0, 1.0], seed=0)
-        fit = bayes_fit_full(pset, np.array([0.5]), lam=1.0, alpha=1.0)
+        fit = fit_surrogate(pset, PriorSpec.full(np.array([0.5]), 1.0, 1.0))
         a, b = decompose(fit, pset)
         assert abs(a[0, 0] - 1 / 3) < 1e-12
         assert abs(b[0, 0] - 2 / 3) < 1e-12
@@ -241,21 +271,21 @@ class TestEvidenceFitting:
             labels = rows @ beta + rng.normal(scale=0.5, size=1000)
             pset = PerturbationSet(rows=rows, labels=labels,
                                    weights=np.ones(1000), seed=0)
-            fit = bayes_fit_noninformative(pset)
+            fit = fit_surrogate(pset, PriorSpec.non_informative())
             if 2.0 <= fit.alpha_used <= 8.0:
                 hits += 1
         assert hits >= 29
 
     def test_noninformative_tracks_its_own_ridge(self):
         pset = random_problem(np.random.default_rng(41), m=6, n=500)
-        fit = bayes_fit_noninformative(pset)
+        fit = fit_surrogate(pset, PriorSpec.non_informative())
         ridge = ridge_fit(pset, fit.lambda_used / fit.alpha_used)
         np.testing.assert_allclose(fit.mu_n, ridge,
                                    rtol=1e-6, atol=1e-9)
 
     def test_partial_keeps_lambda_fixed(self):
         pset = random_problem(np.random.default_rng(43), m=4, n=300)
-        fit = bayes_fit_partial(pset, np.zeros(4), lam=12.5)
+        fit = fit_surrogate(pset, PriorSpec.partial(np.zeros(4), 12.5))
         assert fit.lambda_used == 12.5
         assert fit.alpha_used > 0
         assert fit.iterations >= 1
@@ -267,7 +297,7 @@ class TestEvidenceFitting:
         labels = rows @ beta + rng.normal(scale=0.25, size=2000)
         pset = PerturbationSet(rows=rows, labels=labels,
                                weights=np.ones(2000), seed=0)
-        fit = bayes_fit_partial(pset, beta, lam=1.0)
+        fit = fit_surrogate(pset, PriorSpec.partial(beta, 1.0))
         assert 8.0 <= fit.alpha_used <= 32.0
 
     def test_zero_residual_hits_alpha_cap(self):
@@ -276,14 +306,15 @@ class TestEvidenceFitting:
         labels = rows @ np.array([2.0, -1.0])
         pset = PerturbationSet(rows=rows, labels=labels,
                                weights=np.ones(50), seed=0)
-        fit = bayes_fit_partial(pset, np.array([2.0, -1.0]), lam=5.0)
+        fit = fit_surrogate(pset, PriorSpec.partial(np.array([2.0, -1.0]),
+                                                    5.0))
         assert fit.alpha_used == 1e10
         np.testing.assert_allclose(fit.mu_n, [2.0, -1.0], rtol=1e-9)
 
     def test_convergence_error_carries_last_iterate(self):
         pset = random_problem(np.random.default_rng(59), m=3, n=100)
         with pytest.raises(ConvergenceError) as excinfo:
-            bayes_fit_noninformative(pset, max_iter=1)
+            fit_surrogate(pset, PriorSpec.non_informative(), max_iter=1)
         assert excinfo.value.iterations == 1
         assert excinfo.value.alpha is not None
         assert excinfo.value.lam is not None
@@ -317,3 +348,93 @@ class TestPriorSpec:
         assert partial.lambda_used == 2.0
         noninf = fit_surrogate(pset, PriorSpec.non_informative())
         assert noninf.alpha_used > 0 and noninf.lambda_used > 0
+
+
+class TestProperties:
+    """Invariants of the eigenbasis fits on random, tiled and exact designs."""
+
+    @PROPERTY
+    @given(designs(), st.floats(-2, 2), st.floats(-2, 2))
+    def test_decomposition_recovers_mean(self, case, log_lam, log_alpha):
+        pset, mu0 = case
+        fit = fit_surrogate(pset, PriorSpec.full(mu0, 10.0 ** log_lam,
+                                                 10.0 ** log_alpha))
+        a, b = decompose(fit, pset)
+        np.testing.assert_allclose(a + b, np.eye(pset.m), atol=1e-9)
+        g, moment = pset.moments
+        # A rank-deficient design has no unique MLE; B maps every
+        # least-squares solution to the same point, so take the min-norm one.
+        beta = (np.linalg.lstsq(g, moment)[0] if fit.beta_mle is None
+                else fit.beta_mle)
+        gap = np.linalg.norm(a @ mu0 + b @ beta - fit.mu_n)
+        assert gap <= 1e-8 * (np.linalg.norm(mu0) + np.linalg.norm(beta))
+
+    @PROPERTY
+    @given(designs())
+    def test_hyperparameter_limits(self, case):
+        # mu_n - beta = A (mu0 - beta) and mu_n - mu0 = B (beta - mu0), where
+        # |A| = lam / (lam + alpha eig_min) and |B| = 1 - lam / (lam + alpha
+        # eig_max): a vanishing lam (alpha) leaves only that share of the gap.
+        pset, mu0 = case
+        eig = pset.spectrum[0]
+        g, moment = pset.moments
+        beta = np.linalg.lstsq(g, moment)[0]
+        slack = 1e-9 * (np.linalg.norm(mu0) + np.linalg.norm(beta))
+        near_prior = fit_surrogate(pset, PriorSpec.full(mu0, 1.0, 1e-12))
+        share = 1e-12 * eig[-1] / (1.0 + 1e-12 * eig[-1])
+        assert (np.linalg.norm(near_prior.mu_n - mu0)
+                <= share * np.linalg.norm(beta - mu0) + slack)
+        near_mle = fit_surrogate(pset, PriorSpec.full(mu0, 1e-12, 1.0))
+        if near_mle.beta_mle is not None:
+            share = 1e-12 / (1e-12 + eig[0])
+            assert (np.linalg.norm(near_mle.mu_n - near_mle.beta_mle)
+                    <= share * np.linalg.norm(mu0 - near_mle.beta_mle)
+                    + slack)
+
+    @PROPERTY
+    @given(designs())
+    def test_eigenbasis_wsse_matches_explicit_residual(self, case):
+        pset, mu0 = case
+        seen = []
+        real = regression._weighted_sse
+
+        def recording(pset):
+            wsse = real(pset)
+
+            def record(c):
+                seen.append((c.copy(), wsse(c)))
+                return seen[-1][1]
+
+            return record
+
+        with mock.patch.object(regression, "_weighted_sse", recording):
+            for prior in (PriorSpec.non_informative(),
+                          PriorSpec.partial(mu0, 10.0)):
+                try:
+                    fit_surrogate(pset, prior)
+                except ConvergenceError:
+                    pass
+        assert seen
+        eig, vectors, _ = pset.spectrum
+        w, y = pset.weights, pset.labels
+        for c, wsse in seen:
+            residual = y - pset.rows @ (vectors @ c)
+            explicit = float(np.sum(w * residual * residual))
+            # Floor: the rounding scale of a residual y - X mu, whose two
+            # terms have weighted squared norms sum(w y^2) and <= eig_max c'c.
+            floor = float(np.sum(w * y * y)) + eig[-1] * float(c @ c)
+            assert abs(wsse - explicit) <= 1e-9 * max(explicit, floor)
+
+    @PROPERTY
+    @given(designs())
+    def test_unregularized_ridge_refused_exactly_when_rank_deficient(
+            self, case):
+        pset, _ = case
+        g, _ = pset.moments
+        deficient = np.linalg.matrix_rank(g, hermitian=True) < pset.m
+        try:
+            ridge_fit(pset, 0.0)
+        except SingularityError:
+            assert deficient
+        else:
+            assert not deficient
