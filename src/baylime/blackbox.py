@@ -164,9 +164,11 @@ class SubprocessPredictor:
     request must complete before the next is sent.
 
     The transport fails closed. Once a request times out, gets a malformed
-    response, or finds the child gone, the child is killed and every later
-    call raises :class:`ProbeError`: a late answer to an abandoned request
-    would otherwise be read as the answer to the next one.
+    response or one with the wrong number of outputs (raised as
+    :class:`ContractViolationError`), or finds the child gone, the child is
+    killed and every later call raises :class:`ProbeError`: a late answer
+    to an abandoned request would otherwise be read as the answer to the
+    next one.
     """
 
     def __init__(self, command: str | list[str], *, timeout: float = 60.0):
@@ -214,13 +216,14 @@ class SubprocessPredictor:
             self._stderr_tail.append(line)
             del self._stderr_tail[:-20]
 
-    def _fail(self, message: str, payload=None) -> ProbeError:
+    def _fail(self, message: str, payload=None,
+              error: type[ProbeError] = ProbeError) -> ProbeError:
         """Mark the transport broken, kill the child, return the error."""
         self._broken = message
         if self._proc.poll() is None:
             self._proc.kill()
             self._proc.wait()
-        return ProbeError(message, payload=payload)
+        return error(message, payload=payload)
 
     def __call__(self, rows: np.ndarray) -> np.ndarray:
         if self._broken is not None:
@@ -253,6 +256,13 @@ class SubprocessPredictor:
         except (json.JSONDecodeError, TypeError, KeyError) as exc:
             raise self._fail(f"malformed predictor response: {exc}",
                              payload=line) from exc
+        # A count mismatch may mean the child answers another request, so
+        # the transport is not used again.
+        count = len(outputs) if isinstance(outputs, list) else None
+        if count != len(rows):
+            raise self._fail(
+                f"predictor returned {count} outputs for {len(rows)} rows",
+                payload=line, error=ContractViolationError)
         return np.asarray(outputs, dtype=float)
 
     def close(self) -> None:

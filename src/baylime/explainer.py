@@ -15,7 +15,16 @@ from .blackbox import PredictorHandle, with_class
 from .errors import ConfigError, InvalidInputError, ShapeError
 from .kernel import KernelConfig, apply_weights
 from .perturb import PerturbConfig, build_perturbation_set
-from .regression import PriorSpec, SurrogateFit, fit_surrogate, ridge_fit
+from .regression import (
+    PriorSpec,
+    StackFit,
+    SurrogateFit,
+    WeightedStack,
+    fit_surrogate,
+    posterior_rows,
+    ridge_fit,
+    ridge_rows,
+)
 from .types import (
     Explanation,
     ExplanationEnsemble,
@@ -71,17 +80,25 @@ class ExplainConfig:
         return replace(self, surrogate=surrogate)
 
 
-def fit(pset: PerturbationSet, surrogate: LimeRidge | BayLime,
-        ) -> tuple[np.ndarray, SurrogateFit | None]:
-    """Fit the surrogate on a weighted sample set.
+def fit(weighted: PerturbationSet | WeightedStack,
+        surrogate: LimeRidge | BayLime,
+        ) -> tuple[np.ndarray, SurrogateFit | None] | StackFit:
+    """Fit the surrogate on a weighted sample set, or on every row of a stack.
 
-    Returns the raw coefficients and, for a BayLime surrogate, the
-    posterior fit they come from (None for ridge). Every fit on one set
-    shares its X'WX and X'WY.
+    For a set, returns the raw coefficients and, for a BayLime surrogate,
+    the posterior fit they come from (None for ridge); a failure raises.
+    For a :class:`WeightedStack`, returns the rows' :class:`StackFit`,
+    each row bit for bit the fit of that row's weighted set, with the
+    first failing row's error on it. Every fit on one set shares its X'WX
+    spectrum.
     """
+    if isinstance(weighted, WeightedStack):
+        if isinstance(surrogate, LimeRidge):
+            return ridge_rows(weighted, surrogate.r)
+        return posterior_rows(weighted, surrogate.prior)
     if isinstance(surrogate, LimeRidge):
-        return ridge_fit(pset, surrogate.r), None
-    posterior = fit_surrogate(pset, surrogate.prior)
+        return ridge_fit(weighted, surrogate.r), None
+    posterior = fit_surrogate(weighted, surrogate.prior)
     return posterior.mu_n, posterior
 
 
@@ -100,6 +117,20 @@ def explain_from_pset(pset: PerturbationSet, instance: Instance,
             f"only {pset.n} samples for {pset.m} features; coefficients "
             f"lean on the prior or regularizer"
         )
+    # Kish's effective sample size (sum w)^2 / sum w^2 is at least
+    # sum w / max w, so it is computed only when that bound is below m, on
+    # weights scaled to a maximum of 1 that cannot underflow when squared.
+    weights = weighted.weights
+    top = weights.max()
+    if weights.sum() < pset.m * top:
+        scaled = weights / top
+        effective = scaled.sum() ** 2 / (scaled @ scaled)
+        if effective < pset.m:
+            notes.append(
+                f"the kernel leaves an effective sample size of "
+                f"{effective:.3g} for {pset.m} features; coefficients lean "
+                f"on the prior or regularizer, so widen the kernel"
+            )
     return Explanation.from_coefficients(
         coefficients,
         kernel_width=config.kernel.resolved_width(pset.m),

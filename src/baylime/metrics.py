@@ -23,15 +23,11 @@ from typing import Sequence
 import numpy as np
 
 from .blackbox import PredictorHandle
-from .errors import (
-    ConfigError,
-    FitError,
-    ShapeError,
-    UndefinedMetricError,
-)
+from .errors import ConfigError, ShapeError, UndefinedMetricError
 from .explainer import BayLime, ExplainConfig, LimeRidge, _class_handle, fit
 from .kernel import EUCLIDEAN, floored_weights, proximity_distances
 from .perturb import build_perturbation_set
+from .regression import WeightedStack
 from .types import (
     ExplanationEnsemble,
     Instance,
@@ -150,12 +146,6 @@ def width_pairs(pairs: int, bounds: tuple[float, float],
     return out
 
 
-def _importances(pset: PerturbationSet,
-                 surrogate: LimeRidge | BayLime) -> np.ndarray:
-    coefficients, _ = fit(pset, surrogate)
-    return np.abs(normalize_coefficients(coefficients))
-
-
 def robustness_paired(pset: PerturbationSet, instance: Instance,
                       surrogates: Sequence[LimeRidge | BayLime],
                       pair_list: list[tuple[float, float]], *,
@@ -163,52 +153,48 @@ def robustness_paired(pset: PerturbationSet, instance: Instance,
                       ) -> tuple[MetricReport, ...]:
     """Robustness of several surrogates over one sample set and width pairs.
 
-    The samples' distances from the instance are computed once, each
-    width of each pair is weighted once, and every surrogate is fitted on
-    that weighted set, so the fits also share its X'WX and X'WY. Each
-    report equals :func:`robustness_from_pset` with its surrogate alone,
-    bit for bit.
+    The samples' distances from the instance are computed once and every
+    width of every pair is weighted once, in width order l1, l2 of each
+    pair. The widths form one :class:`WeightedStack` (one batched
+    ``eigh``), and each surrogate is fitted on all of its rows in one call.
+    Each report equals :func:`robustness_from_pset` with its surrogate
+    alone, bit for bit.
 
     A prior mean whose length is not the set's feature count raises
     ShapeError before any fit. A fit failure ends that surrogate's sweep;
     the FitError raised is the one the surrogates would raise swept one
     after another: that of the first failing surrogate in the given
-    order, with its completed samples on ``partial_samples``.
+    order, at its first failing width, with the samples of the pairs
+    before that width's pair on ``partial_samples``.
     """
     if not surrogates:
         raise ConfigError("robustness needs at least one surrogate")
+    if not pair_list:
+        raise ConfigError("robustness needs at least one width pair")
     for surrogate in surrogates:
         mu0 = surrogate.prior.mu0 if isinstance(surrogate, BayLime) else None
         if mu0 is not None and mu0.shape != (pset.m,):
             raise ShapeError(f"mu0 has shape {mu0.shape}; the design has "
                              f"{pset.m} features")
     d = proximity_distances(pset, instance, distance)
-    samples: list[list[tuple[float, float, float]]] = [[] for _ in surrogates]
-    failure: FitError | None = None
-    # Only surrogates before the first failing one can change the outcome.
-    live = len(surrogates)
-    for l1, l2 in pair_list:
-        if live == 0:
-            break
-        at_l1 = pset.with_weights(floored_weights(d, l1))
-        at_l2 = pset.with_weights(floored_weights(d, l2))
-        for index in range(live):
-            try:
-                h1 = _importances(at_l1, surrogates[index])
-                h2 = _importances(at_l2, surrogates[index])
-            except FitError as exc:
-                exc.partial_samples = tuple(samples[index])
-                failure, live = exc, index
-                break
-            ratio = float(np.linalg.norm(h1 - h2) / abs(l1 - l2))
-            samples[index].append((l1, l2, ratio))
-    if failure is not None:
-        raise failure
-    return tuple(
-        MetricReport(robustness_samples=tuple(runs),
-                     robustness_r=statistics.median_low(
-                         [s[2] for s in runs]))
-        for runs in samples)
+    widths = [width for pair in pair_list for width in pair]
+    stack = WeightedStack.of_weights(
+        pset, lambda i: floored_weights(d, widths[i]), len(widths))
+    reports = []
+    for surrogate in surrogates:
+        result = fit(stack, surrogate)
+        h = [np.abs(normalize_coefficients(c)) for c in result.coefficients]
+        samples = tuple(
+            (l1, l2, float(np.linalg.norm(h[2 * j] - h[2 * j + 1])
+                           / abs(l1 - l2)))
+            for j, (l1, l2) in enumerate(pair_list[:result.failed // 2]))
+        if result.error is not None:
+            result.error.partial_samples = samples
+            raise result.error
+        reports.append(MetricReport(
+            robustness_samples=samples,
+            robustness_r=statistics.median_low([s[2] for s in samples])))
+    return tuple(reports)
 
 
 def robustness_from_pset(pset: PerturbationSet, instance: Instance,

@@ -16,7 +16,13 @@ mu_n = A mu0 + B beta_mle with A + B = I (:func:`decompose`).
 
 Every fit is a diagonal solve in the eigenbasis X'WX = V diag(eig) V',
 which a perturbation set computes once for all its fits
-(:attr:`~baylime.types.PerturbationSet.spectrum`). With b = V'X'WY and
+(:attr:`~baylime.types.PerturbationSet.spectrum`). The math is written
+once, over a leading stack axis: a :class:`WeightedStack` holds s
+weightings of one sample set (a kernel-width sweep has one per width),
+their spectra come from one batched ``eigh``, and :func:`ridge_rows` and
+:func:`posterior_rows` fit every row in one call. :func:`ridge_fit` and
+:func:`fit_surrogate` are the one-row case, so row i of a stacked fit
+equals the fit of row i's set alone, bit for bit. With b = V'X'WY and
 s = alpha eig:
 
     ridge      V (b / (r + eig))
@@ -45,15 +51,20 @@ Each step costs O(m): wsse = rss_ls + sum_i eig_i (c_i - c_ls_i)^2, where
 c_ls = b / eig is the least-squares solution with directions under the
 rank tolerance set to 0, and rss_ls its weighted residual, computed once
 per fit. Both terms are non-negative, so the sum does not cancel.
-Estimates are clamped to [1e-10, 1e10]; the loop stops when the relative
+Estimates are clamped to [1e-10, 1e10]; a row stops when the relative
 change of every fitted hyperparameter drops to 1e-6, and the returned fit
-is recomputed at the converged values.
+is recomputed at the converged values. The rows of a stack iterate
+together, and a row that settles is frozen at that iterate while the
+others go on, so its lambda, alpha, iteration count and mean are those
+of its fit alone. A row still unsettled after ``max_iter`` iterations
+fails with :class:`~baylime.errors.ConvergenceError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,10 +72,11 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DecompositionError,
+    FitError,
     ShapeError,
     SingularityError,
 )
-from .types import PerturbationSet, _frozen_array
+from .types import PerturbationSet, _frozen_array, _spectra
 
 NON_INFORMATIVE = "non_informative"
 PARTIAL = "partial"
@@ -78,6 +90,8 @@ HYPER_MAX = 1e10
 
 MAX_ITER = 300
 TOL = 1e-6
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -175,20 +189,115 @@ class SurrogateFit:
         return _frozen_array(vectors @ (b / eig))
 
 
-def _rank_tol(eig: np.ndarray) -> float:
-    """The rank tolerance eig_max * m * eps for ascending eigenvalues."""
-    return float(eig[-1] * eig.size * np.finfo(float).eps)
+def _rank_tol(eig: np.ndarray) -> np.ndarray:
+    """eig_max * m * eps per row of ascending eigenvalues (last axis)."""
+    return eig[..., -1] * eig.shape[-1] * _EPS
+
+
+def _rotate(vectors: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """V c for every row: back from eigenbasis coordinates."""
+    return np.matmul(vectors, c[..., None])[..., 0]
+
+
+@dataclass(frozen=True)
+class WeightedStack:
+    """One sample set under s weightings, each row in its own eigenbasis.
+
+    Row i is ``base``'s rows and labels weighted by ``weights(i)``.
+    ``spectrum`` stacks every row's (eig, V, V'X'WY) on a leading axis of
+    length s. A row's weights are made again when its least-squares
+    residual is needed, so a stack holds O(s m^2) numbers, not s weight
+    vectors.
+    """
+
+    base: PerturbationSet
+    weights: Callable[[int], np.ndarray]
+    spectrum: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    @classmethod
+    def of_weights(cls, base: PerturbationSet,
+                   weights: Callable[[int], np.ndarray],
+                   s: int) -> "WeightedStack":
+        """Weight ``base`` by ``weights(i)`` for each i < s, one at a time.
+
+        Each row's weights are checked as a set's are, and every row's
+        X'WX is decomposed in one batched ``eigh``.
+        """
+        grams = np.empty((s, base.m, base.m))
+        moments = np.empty((s, base.m))
+        for i in range(s):
+            grams[i], moments[i] = base.with_weights(weights(i)).moments
+        return cls(base, weights, _spectra(grams, moments))
+
+    @classmethod
+    def of_set(cls, pset: PerturbationSet) -> "WeightedStack":
+        """The one-row stack of a weighted set, sharing its spectrum."""
+        eig, vectors, b = pset.spectrum
+        return cls(pset, lambda i: pset.weights,
+                   (eig[None], vectors[None], b[None]))
+
+    @cached_property
+    def least_squares(self) -> tuple[np.ndarray, np.ndarray]:
+        """(c_ls, rss_ls) per row, computed on first use.
+
+        c_ls is the least-squares solution in the eigenbasis with the
+        directions under the rank tolerance set to 0, and rss_ls its
+        explicit weighted residual sum of squares.
+        """
+        eig, vectors, b = self.spectrum
+        c_ls = np.divide(b, eig, out=np.zeros_like(b),
+                         where=eig > _rank_tol(eig)[:, None])
+        rows, labels = self.base.rows, self.base.labels
+        rss_ls = np.empty(len(eig))
+        for i, beta in enumerate(_rotate(vectors, c_ls)):
+            residual = labels - rows @ beta
+            rss_ls[i] = (self.weights(i) * residual * residual).sum()
+        return c_ls, rss_ls
+
+
+class StackFit(NamedTuple):
+    """The fits of a stack's rows, in row order, up to the first failure.
+
+    ``failed`` is the first row that could not be fitted and ``error`` its
+    FitError; with no failure they are s and None. ``coefficients`` holds
+    the ``failed`` fitted rows; a Bayesian fit adds each row's lambda,
+    alpha and evidence iterations (None for ridge).
+    """
+
+    coefficients: np.ndarray
+    lam: np.ndarray | None
+    alpha: np.ndarray | None
+    iterations: np.ndarray | None
+    failed: int
+    error: FitError | None
+
+
+def ridge_rows(stack: WeightedStack, r: float) -> StackFit:
+    """Weighted ridge coefficients (X'WX + rI)^-1 X'WY for every row.
+
+    At r = 0 a row whose X'WX is rank deficient fails with
+    SingularityError.
+    """
+    if not (np.isfinite(r) and r >= 0):
+        raise ConfigError("ridge regularizer must be finite and >= 0")
+    eig, vectors, b = stack.spectrum
+    failed, error = len(eig), None
+    if r == 0.0:
+        singular = np.flatnonzero(eig[:, 0] <= _rank_tol(eig))
+        if singular.size:
+            failed = int(singular[0])
+            error = SingularityError("unregularized fit: normal-equations "
+                                     "matrix is rank deficient")
+    coefficients = _rotate(vectors[:failed], b[:failed] / (r + eig[:failed]))
+    return StackFit(coefficients, None, None, None, failed, error)
 
 
 def ridge_fit(pset: PerturbationSet, r: float = 0.0) -> np.ndarray:
     """Weighted ridge coefficients (X'WX + rI)^-1 X'WY."""
-    if not (np.isfinite(r) and r >= 0):
-        raise ConfigError("ridge regularizer must be finite and >= 0")
-    eig, vectors, b = pset.spectrum
-    if r == 0.0 and eig[0] <= _rank_tol(eig):
-        raise SingularityError("unregularized fit: normal-equations matrix "
-                               "is rank deficient")
-    return vectors @ (b / (r + eig))
+    fit = ridge_rows(WeightedStack.of_set(pset), r)
+    if fit.error is not None:
+        raise fit.error
+    return fit.coefficients[0]
 
 
 def _initial_alpha(pset: PerturbationSet) -> float:
@@ -196,46 +305,143 @@ def _initial_alpha(pset: PerturbationSet) -> float:
     return 1.0 / var if var > 0 else 1.0
 
 
-def _clamp(value: float) -> float:
-    if not np.isfinite(value) or value > HYPER_MAX:
-        return HYPER_MAX
-    return max(value, HYPER_MIN)
+def _clamp(ratio: np.ndarray) -> np.ndarray:
+    """Hyperparameter estimates clamped to [HYPER_MIN, HYPER_MAX].
+
+    NaN and +inf, which a zero denominator gives (the evidence loop runs
+    with division warnings off), become HYPER_MAX.
+    """
+    return np.fmax(np.fmin(ratio, HYPER_MAX), HYPER_MIN)
 
 
-def _weighted_sse(pset: PerturbationSet):
-    """sum_i w_i (y_i - x_i' V c)^2 as an O(m) function of c = V' mu."""
-    eig, vectors, b = pset.spectrum
-    c_ls = np.divide(b, eig, out=np.zeros_like(b), where=eig > _rank_tol(eig))
-    residual = pset.labels - pset.rows @ (vectors @ c_ls)
-    rss_ls = float(np.sum(pset.weights * residual * residual))
-    return lambda c: rss_ls + float(np.sum(eig * (c - c_ls) ** 2))
+def _posterior(lam: np.ndarray, alpha: np.ndarray, eig: np.ndarray,
+               pull: np.ndarray | None,
+               b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The posterior mean in the eigenbasis and each direction's data share.
+
+    c = (lam V'mu0 + alpha b) / (lam + alpha eig) and
+    alpha eig / (lam + alpha eig), for lam and alpha of shape (s, 1).
+    ``pull`` is the prior's term lam V'mu0, None for mu0 = 0.
+    """
+    scaled = alpha * eig
+    denominator = lam + scaled
+    data = alpha * b
+    if pull is not None:
+        data = pull + data
+    return data / denominator, scaled / denominator
 
 
-def _evidence_loop(pset: PerturbationSet, mu0_rot: np.ndarray, *,
-                   lam: float, alpha: float, fit_lambda: bool,
-                   max_iter: int, tol: float) -> tuple[float, float, int]:
-    """Iterate the evidence updates; returns converged (lam, alpha, iters)."""
-    eig, _, b = pset.spectrum
-    weighted_sse = _weighted_sse(pset)
-    for iteration in range(1, max_iter + 1):
-        scaled = alpha * eig
-        gamma = float(np.sum(scaled / (lam + scaled)))
-        c = (lam * mu0_rot + alpha * b) / (lam + scaled)
-        wsse = weighted_sse(c)
-        new_alpha = _clamp((pset.n - gamma) / wsse) if wsse > 0 else HYPER_MAX
-        new_lam = lam
-        if fit_lambda:
-            norm = float(c @ c)
-            new_lam = _clamp(gamma / norm) if norm > 0 else HYPER_MAX
-        settled = (abs(new_alpha - alpha) <= tol * alpha
-                   and abs(new_lam - lam) <= tol * lam)
-        lam, alpha = new_lam, new_alpha
-        if settled:
-            return lam, alpha, iteration
-    raise ConvergenceError(
-        f"evidence maximization did not settle in {max_iter} iterations",
-        alpha=alpha, lam=lam, iterations=max_iter,
-    )
+def _weighted_sse(c: np.ndarray, eig: np.ndarray, c_ls: np.ndarray,
+                  rss_ls: np.ndarray) -> np.ndarray:
+    """sum_i w_i (y_i - x_i' V c)^2 per row, an O(m) function of c."""
+    return rss_ls + (eig * (c - c_ls) ** 2).sum(axis=1, keepdims=True)
+
+
+def _evidence(eig: np.ndarray, b: np.ndarray, pull: np.ndarray | None,
+              c_ls: np.ndarray, rss_ls: np.ndarray, *, n: int,
+              lam: float, alpha: float, fit_lambda: bool, max_iter: int,
+              tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Iterate the evidence updates on every row until each settles.
+
+    ``pull`` (lam V'mu0) stays fixed: partial fixes lambda, and
+    non-informative, which fits lambda, has mu0 = 0 (``pull`` None).
+    A row that settles is frozen at that iterate and leaves the loop.
+    Returns each row's lambda, alpha and iteration count, and the first
+    row still unsettled after ``max_iter`` (s when every row settled),
+    whose lambda and alpha are its last iterate.
+    """
+    s, m = eig.shape
+    out_lam, out_alpha = np.empty(s), np.empty(s)
+    out_iterations = np.full(s, max_iter)
+    live = np.arange(s)
+    lam, alpha = np.full((s, 1), float(lam)), np.full((s, 1), float(alpha))
+    rss_ls = rss_ls[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for iteration in range(1, max_iter + 1):
+            c, shares = _posterior(lam, alpha, eig, pull, b)
+            gamma = shares.sum(axis=1, keepdims=True)
+            data_dof = n - gamma
+            if n < m:
+                # gamma <= m, so only here can n - gamma be negative; at 0
+                # it gives HYPER_MIN as a negative ratio would, and
+                # HYPER_MAX, not -inf, when wsse = 0.
+                data_dof = np.maximum(data_dof, 0.0)
+            new_alpha = _clamp(data_dof / _weighted_sse(c, eig, c_ls, rss_ls))
+            settled = abs(new_alpha - alpha) <= tol * alpha
+            if fit_lambda:
+                new_lam = _clamp(gamma / (c * c).sum(axis=1, keepdims=True))
+                # A row settles when both settle; lambda's test only
+                # matters where alpha's passed.
+                if np.count_nonzero(settled):
+                    settled &= abs(new_lam - lam) <= tol * lam
+                lam = new_lam
+            alpha = new_alpha
+            count = np.count_nonzero(settled)
+            if not count:
+                continue
+            done = live[settled[:, 0]]
+            out_lam[done], out_alpha[done] = lam[settled], alpha[settled]
+            out_iterations[done] = iteration
+            if count == len(live):
+                return out_lam, out_alpha, out_iterations, s
+            # Only the unsettled rows iterate on.
+            keep = ~settled[:, 0]
+            live, eig, b, c_ls, rss_ls, lam, alpha = (
+                arr[keep] for arr in (live, eig, b, c_ls, rss_ls, lam, alpha))
+            if pull is not None:
+                pull = pull[keep]
+    out_lam[live], out_alpha[live] = lam[:, 0], alpha[:, 0]
+    return out_lam, out_alpha, out_iterations, int(live[0])
+
+
+def posterior_rows(stack: WeightedStack, prior: PriorSpec, *,
+                   max_iter: int = MAX_ITER, tol: float = TOL) -> StackFit:
+    """The posterior under the prior's knowledge mode, for every row.
+
+    full takes mu0, lambda and alpha as given; partial fits alpha and
+    non-informative fits lambda and alpha (around mu0 = 0) by evidence
+    maximization, row by row in one vectorised loop. A row that does not
+    settle in ``max_iter`` fails with ConvergenceError carrying its last
+    iterate.
+    """
+    eig, vectors, b = stack.spectrum
+    s, m = eig.shape
+    mu0_rot = None
+    if prior.mu0 is not None:
+        if prior.mu0.shape != (m,):
+            raise ShapeError(f"mu0 has shape {prior.mu0.shape}; the design "
+                             f"has {m} features")
+        mu0_rot = np.matmul(prior.mu0, vectors)
+    failed, error = s, None
+    if prior.mode == FULL:
+        lam, alpha = np.full(s, prior.lam), np.full(s, prior.alpha)
+        iterations = np.zeros(s, dtype=int)
+    else:
+        c_ls, rss_ls = stack.least_squares
+        lam, alpha, iterations, failed = _evidence(
+            eig, b, None if mu0_rot is None else prior.lam * mu0_rot,
+            c_ls, rss_ls, n=stack.base.n, lam=prior.lam or 1.0,
+            alpha=_initial_alpha(stack.base),
+            fit_lambda=prior.mode == NON_INFORMATIVE, max_iter=max_iter,
+            tol=tol,
+        )
+        if failed < s:
+            error = ConvergenceError(
+                f"evidence maximization did not settle in {max_iter} "
+                f"iterations",
+                alpha=float(alpha[failed]), lam=float(lam[failed]),
+                iterations=max_iter,
+            )
+            eig, vectors, b, lam, alpha, iterations = (
+                arr[:failed] for arr in (eig, vectors, b, lam, alpha,
+                                         iterations))
+            if mu0_rot is not None:
+                mu0_rot = mu0_rot[:failed]
+    column = lam[:, None]
+    pull = None if mu0_rot is None else column * mu0_rot
+    c, _ = _posterior(column, alpha[:, None], eig, pull, b)
+    return StackFit(_rotate(vectors, c), lam, alpha, iterations, failed,
+                    error)
 
 
 def fit_surrogate(pset: PerturbationSet, prior: PriorSpec, *,
@@ -245,30 +451,22 @@ def fit_surrogate(pset: PerturbationSet, prior: PriorSpec, *,
 
     full takes mu0, lambda and alpha as given; partial fits alpha and
     non-informative fits lambda and alpha (around mu0 = 0) by evidence
-    maximization.
+    maximization. This is the one-row case of :func:`posterior_rows`.
     """
-    mu0 = np.zeros(pset.m) if prior.mu0 is None else prior.mu0
-    if mu0.shape != (pset.m,):
-        raise ShapeError(f"mu0 has shape {mu0.shape}; the design has "
-                         f"{pset.m} features")
-    eig, vectors, b = pset.spectrum
-    mu0_rot = vectors.T @ mu0
-    lam, alpha, iterations = prior.lam, prior.alpha, 0
-    if prior.mode != FULL:
-        lam, alpha, iterations = _evidence_loop(
-            pset, mu0_rot, lam=prior.lam or 1.0, alpha=_initial_alpha(pset),
-            fit_lambda=prior.mode == NON_INFORMATIVE, max_iter=max_iter,
-            tol=tol,
-        )
+    fit = posterior_rows(WeightedStack.of_set(pset), prior,
+                         max_iter=max_iter, tol=tol)
+    if fit.error is not None:
+        raise fit.error
+    lam, alpha = float(fit.lam[0]), float(fit.alpha[0])
     return SurrogateFit(
-        mu_n=vectors @ ((lam * mu0_rot + alpha * b) / (lam + alpha * eig)),
-        alpha_used=float(alpha),
-        lambda_used=float(lam),
-        n_effective_prior=float(lam),
+        mu_n=fit.coefficients[0],
+        alpha_used=alpha,
+        lambda_used=lam,
+        n_effective_prior=lam,
         n_effective_data=float(alpha * np.trace(pset.moments[0])),
         moments=pset.moments,
         spectrum=pset.spectrum,
-        iterations=iterations,
+        iterations=int(fit.iterations[0]),
     )
 
 

@@ -47,6 +47,23 @@ def _weighted_moments(rows: np.ndarray, labels: np.ndarray,
     return gram, moment
 
 
+def _spectra(grams: np.ndarray, moments: np.ndarray,
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eig, V, V'X'WY) for every X'WX = V diag(eig) V' of an (s, m, m) stack.
+
+    One batched ``eigh`` decomposes the whole stack; each row comes out
+    bit for bit as it would alone. Eigenvalues are ascending and clipped
+    at 0: X'WX is positive semi-definite, so a negative one is rounding
+    noise. The arrays are frozen.
+    """
+    eig, vectors = np.linalg.eigh(grams)
+    spectra = (np.maximum(eig, 0.0), vectors,
+               np.matmul(moments[:, None, :], vectors)[:, 0])
+    for arr in spectra:
+        arr.setflags(write=False)
+    return spectra
+
+
 def rank_features(coefficients: Sequence[float] | np.ndarray) -> np.ndarray:
     """Rank features by coefficient magnitude, rank 1 = largest |value|.
 
@@ -182,17 +199,13 @@ class PerturbationSet:
     def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(eig, V, V'X'WY) for X'WX = V diag(eig) V', from one ``eigh``.
 
-        Eigenvalues are ascending and clipped at 0: X'WX is positive
-        semi-definite, so a negative one is rounding noise. Every fit on
-        the set is a diagonal solve in this basis, computed on first use;
-        the arrays are frozen.
+        This is the one-row case of :func:`_spectra`. Every fit on the set
+        is a diagonal solve in this basis, computed on first use; the
+        arrays are frozen.
         """
         gram, moment = self.moments
-        eig, vectors = np.linalg.eigh(gram)
-        spectrum = (np.clip(eig, 0.0, None), vectors, vectors.T @ moment)
-        for arr in spectrum:
-            arr.setflags(write=False)
-        return spectrum
+        eig, vectors, b = _spectra(gram[None], moment[None])
+        return eig[0], vectors[0], b[0]
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baylime import blackbox
 from baylime import (
@@ -50,6 +52,22 @@ class TestProbeInProcess:
             lambda rows: (calls.append(1), np.zeros(rows.shape[0]))[1])
         probe(handle, np.zeros((100, 3)))
         assert len(calls) == 1
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(1, 40), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_output_does_not_depend_on_batch_limit(self, n, m, seed):
+        rows = np.random.default_rng(seed).normal(size=(n, m))
+
+        def model(chunk):
+            return np.sin(chunk[:, 0]) + chunk[:, -1] ** 2
+
+        want = probe(PredictorHandle.in_process(model, batch_limit=n + 1),
+                     rows)
+        for limit in range(1, n + 1):
+            got = probe(PredictorHandle.in_process(model, batch_limit=limit),
+                        rows)
+            assert got.tobytes() == want.tobytes()
 
     def test_column_vector_output_accepted(self):
         handle = PredictorHandle.in_process(
@@ -146,6 +164,11 @@ class TestSubprocessPredictor:
         with PredictorHandle.spawn(fixture_command("short")) as handle:
             with pytest.raises(ContractViolationError):
                 probe(handle, np.ones((3, 2)))
+            # The child may be out of step with the requests: it is killed
+            # and the handle stays unusable.
+            with pytest.raises(ProbeError, match="unusable"):
+                probe(handle, np.ones((3, 2)))
+            assert handle.predict_fn._proc.poll() is not None
 
     def test_garbage_response(self):
         with PredictorHandle.spawn(fixture_command("garbage")) as handle:

@@ -108,6 +108,16 @@ class TestExplain:
             lambda rows: rows[:, 0]), config)
         assert any("3 samples" in note for note in result.warnings)
 
+    def test_collapsed_kernel_warns(self):
+        surrogate = BayLime(PriorSpec.full(np.zeros(20), 1.0, 1.0))
+        handle = PredictorHandle.in_process(lambda rows: rows.sum(axis=1))
+        instance, narrow = numeric_problem(20, 2000, 3, surrogate, width=0.3)
+        result = explain(instance, handle, narrow)
+        assert any("effective sample size" in note
+                   for note in result.warnings)
+        _, default = numeric_problem(20, 2000, 3, surrogate)
+        assert explain(instance, handle, default).warnings == ()
+
     def test_inputs_not_mutated(self):
         instance, config = numeric_problem(2, 50, 1, LimeRidge(1.0))
         values_before = instance.values.copy()

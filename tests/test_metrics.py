@@ -7,10 +7,11 @@ import statistics
 import numpy as np
 import pytest
 
-from baylime import metrics
+from baylime import explainer, metrics
 from baylime import (
     BayLime,
     ConfigError,
+    ConvergenceError,
     ExplainConfig,
     Explanation,
     ExplanationEnsemble,
@@ -284,27 +285,56 @@ class TestRobustnessPaired:
         pairs = width_pairs(6, (0.5, 5.0), seed=6)
         first, second = LimeRidge(1.0), LimeRidge(2.0)
         clean = robustness_from_pset(pset, instance, first, pairs)
-        # The second surrogate fails on its first fit (pair 0), the first
-        # on its seventh (the first width of pair 3).
-        fail_at = {first: 7, second: 1}
-        calls = dict.fromkeys(fail_at, 0)
-        real_fit = metrics.fit
+        # Widths are stacked l1, l2 of each pair in turn. The second
+        # surrogate fails at row 0 (pair 0), the first at row 6 (the first
+        # width of pair 3).
+        fail_at = {first: 6, second: 0}
+        real_rows = explainer.ridge_rows
 
-        def failing_fit(weighted, surrogate):
-            calls[surrogate] += 1
-            if calls[surrogate] == fail_at[surrogate]:
-                raise SingularityError(f"{surrogate} fails")
-            return real_fit(weighted, surrogate)
+        def failing_rows(stack, r):
+            surrogate = LimeRidge(r)
+            row = fail_at[surrogate]
+            result = real_rows(stack, r)
+            return result._replace(
+                coefficients=result.coefficients[:row], failed=row,
+                error=SingularityError(f"{surrogate} fails"))
 
-        monkeypatch.setattr(metrics, "fit", failing_fit)
+        monkeypatch.setattr(explainer, "ridge_rows", failing_rows)
         with pytest.raises(FitError) as paired:
             robustness_paired(pset, instance, (first, second), pairs)
-        calls.update(dict.fromkeys(calls, 0))
         with pytest.raises(FitError) as alone:
             robustness_from_pset(pset, instance, first, pairs)
         assert str(paired.value) == str(alone.value) == f"{first} fails"
         assert paired.value.partial_samples == alone.value.partial_samples
         assert alone.value.partial_samples == clean.robustness_samples[:3]
+
+    def test_unsettled_evidence_fit_matches_its_lone_fit(self):
+        # At m=20, widths near 0.45 leave about one effective sample, and
+        # the non_informative evidence loop does not settle on this seed.
+        instance, pset = quadratic_pset(20, 2000, 18)
+        pairs = width_pairs(6, (0.4, 0.5), seed=18)
+        noninf = BayLime(PriorSpec.non_informative())
+        with pytest.raises(ConvergenceError) as paired:
+            robustness_paired(pset, instance, (LimeRidge(1.0), noninf),
+                              pairs)
+        with pytest.raises(ConvergenceError) as alone:
+            robustness_from_pset(pset, instance, noninf, pairs)
+        got, want = paired.value, alone.value
+        assert got.partial_samples == want.partial_samples
+        assert ((got.alpha, got.lam, got.iterations)
+                == (want.alpha, want.lam, want.iterations))
+        # The failing width is the first of its pair that fails alone.
+        pair = pairs[len(got.partial_samples)]
+        for width in pair:
+            weighted = apply_weights(pset, KernelConfig(width), instance)
+            try:
+                fit_surrogate(weighted, noninf.prior)
+            except ConvergenceError as lone:
+                assert ((got.alpha, got.lam, got.iterations)
+                        == (lone.alpha, lone.lam, lone.iterations))
+                break
+        else:
+            pytest.fail(f"no width of pair {pair} fails alone")
 
     def test_mismatched_prior_is_rejected_before_any_fit(self, monkeypatch):
         instance, pset = quadratic_pset(3, 50, 25)
@@ -326,6 +356,11 @@ class TestRobustnessPaired:
         instance, pset = quadratic_pset(3, 50, 24)
         with pytest.raises(ConfigError):
             robustness_paired(pset, instance, (), [(0.5, 1.0)])
+
+    def test_needs_a_width_pair(self):
+        instance, pset = quadratic_pset(3, 50, 24)
+        with pytest.raises(ConfigError):
+            robustness_paired(pset, instance, (LimeRidge(1.0),), [])
 
 
 class TestRobustnessConfig:

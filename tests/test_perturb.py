@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baylime import (
     ConfigError,
@@ -16,7 +18,7 @@ from baylime import (
     frequency_table,
     perturb_matrix,
 )
-from baylime.types import BINARY_MASK, CATEGORICAL, NUMERICAL
+from baylime.types import BINARY_MASK, CATEGORICAL, FEATURE_KINDS, NUMERICAL
 
 
 class TestColumnStatistics:
@@ -130,6 +132,32 @@ class TestPerturbMatrix:
         interp1, _ = perturb_matrix(short, config1)
         interp2, _ = perturb_matrix(long, config2)
         np.testing.assert_array_equal(interp1[:, 0], interp2[:, 0])
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(st.sampled_from(FEATURE_KINDS), min_size=1, max_size=6),
+           st.integers(0, 2**31 - 1), st.integers(1, 60),
+           st.integers(1, 300))
+    def test_first_rows_do_not_depend_on_the_total(self, kinds, seed, n,
+                                                   extra):
+        # Every column draws from its own stream, so the first n rows of a
+        # larger sample are the sample of size n, for each feature kind.
+        m = len(kinds)
+        inst = Instance([1.0] * m, tuple(kinds),
+                        tuple(f"f{j}" for j in range(m)))
+
+        def config(size):
+            return PerturbConfig(
+                n=size, seed=seed,
+                numeric_scale={j: (0.5, 2.0) for j in range(m)},
+                categorical_frequencies={
+                    j: {0.0: 0.2, 1.0: 0.5, 2.0: 0.3} for j in range(m)},
+                binary_off_values={j: -1.0 for j in range(m)})
+
+        small = perturb_matrix(inst, config(n))
+        large = perturb_matrix(inst, config(n + extra))
+        for part, whole in zip(small, large):
+            assert part.tobytes() == whole[:n].tobytes()
 
     def test_missing_statistics_named(self):
         inst = Instance([0.0], (NUMERICAL,), ("a",))

@@ -22,6 +22,7 @@ from baylime import regression, types
 from baylime import (
     ConfigError,
     ConvergenceError,
+    FitError,
     PerturbationSet,
     PriorSpec,
     ShapeError,
@@ -30,6 +31,7 @@ from baylime import (
     fit_surrogate,
     ridge_fit,
 )
+from baylime.regression import WeightedStack, posterior_rows, ridge_rows
 
 
 def random_problem(rng, m=None, n=None):
@@ -398,14 +400,10 @@ class TestProperties:
         seen = []
         real = regression._weighted_sse
 
-        def recording(pset):
-            wsse = real(pset)
-
-            def record(c):
-                seen.append((c.copy(), wsse(c)))
-                return seen[-1][1]
-
-            return record
+        def recording(c, *args):
+            wsse = real(c, *args)
+            seen.append((c[0].copy(), float(wsse[0, 0])))
+            return wsse
 
         with mock.patch.object(regression, "_weighted_sse", recording):
             for prior in (PriorSpec.non_informative(),
@@ -438,3 +436,108 @@ class TestProperties:
             assert deficient
         else:
             assert not deficient
+
+
+@st.composite
+def stacks(draw):
+    """One design under s <= 8 weightings, m <= 12, n <= 60.
+
+    Columns are tiled and labels exact as in :func:`designs`; each row of
+    the stack draws its own weights. Returns the base set, the (s, n)
+    weights, a prior mean and an evidence iteration cap, small caps making
+    some rows settle and others fail.
+    """
+    s = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(1, m))
+    exact = draw(st.booleans())
+    max_iter = draw(st.sampled_from((2, 3, 4, 6, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=(n, k))[:, np.arange(m) % k]
+    labels = rows @ rng.normal(size=m)
+    if not exact:
+        labels = labels + rng.normal(scale=0.3, size=n)
+    base = PerturbationSet(rows=rows, labels=labels, weights=np.ones(n),
+                           seed=0)
+    # Rows differ in how peaked their weights are, so they settle at
+    # different iterations.
+    weights = (rng.uniform(0.05, 1.0, size=(s, n))
+               ** rng.uniform(1.0, 8.0, size=(s, 1)))
+    return base, weights, rng.normal(scale=2.0, size=m), max_iter
+
+
+def lone_fit(pset, surrogate, max_iter):
+    """(coefficients, lambda, alpha, iterations) of one set, or its error."""
+    try:
+        if isinstance(surrogate, float):
+            return ridge_fit(pset, surrogate), None, None, None
+        fit = fit_surrogate(pset, surrogate, max_iter=max_iter)
+    except FitError as exc:
+        return exc
+    return fit.mu_n, fit.lambda_used, fit.alpha_used, fit.iterations
+
+
+class TestStackedRows:
+    """Row i of a stacked fit is the fit of row i's set alone, bit for bit."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              database=None)
+    @given(stacks())
+    def test_every_row_equals_its_lone_fit(self, case):
+        base, weights, mu0, max_iter = case
+        s = len(weights)
+        stack = WeightedStack.of_weights(base, lambda i: weights[i], s)
+        for surrogate in (1.0, 0.0, PriorSpec.non_informative(),
+                          PriorSpec.partial(mu0, 10.0),
+                          PriorSpec.full(mu0, 10.0, 2.0)):
+            if isinstance(surrogate, float):
+                result = ridge_rows(stack, surrogate)
+            else:
+                result = posterior_rows(stack, surrogate, max_iter=max_iter)
+            assert len(result.coefficients) == result.failed
+            for i in range(min(result.failed + 1, s)):
+                lone = lone_fit(base.with_weights(weights[i]), surrogate,
+                                max_iter)
+                if i == result.failed:
+                    assert type(lone) is type(result.error)
+                    if isinstance(lone, ConvergenceError):
+                        assert ((lone.alpha, lone.lam, lone.iterations)
+                                == (result.error.alpha, result.error.lam,
+                                    result.error.iterations))
+                    continue
+                assert not isinstance(lone, FitError)
+                coefficients, lam, alpha, iterations = lone
+                assert (result.coefficients[i].tobytes()
+                        == coefficients.tobytes())
+                if result.lam is not None:
+                    assert (result.lam[i], result.alpha[i],
+                            result.iterations[i]) == (lam, alpha, iterations)
+            if result.failed == s:
+                assert result.error is None
+
+    def test_rows_settle_at_their_own_iterations(self):
+        # Rows that settle early are frozen while the others iterate on.
+        rng = np.random.default_rng(71)
+        rows = rng.normal(size=(200, 3))
+        base = PerturbationSet(rows=rows,
+                               labels=rows @ [1.0, -2.0, 0.5]
+                               + rng.normal(size=200),
+                               weights=np.ones(200), seed=0)
+        weights = (rng.uniform(0.01, 1.0, (4, 200))
+                   ** (1 + 4 * rng.random((4, 1))))
+        stack = WeightedStack.of_weights(base, lambda i: weights[i], 4)
+        result = posterior_rows(stack, PriorSpec.non_informative())
+        assert len(set(result.iterations.tolist())) > 1
+        for i, w in enumerate(weights):
+            lone = fit_surrogate(base.with_weights(w),
+                                 PriorSpec.non_informative())
+            assert result.coefficients[i].tobytes() == lone.mu_n.tobytes()
+            assert ((result.lam[i], result.alpha[i], result.iterations[i])
+                    == (lone.lambda_used, lone.alpha_used, lone.iterations))
+
+    def test_spectrum_is_the_one_row_stack(self):
+        pset = random_problem(np.random.default_rng(73), m=6, n=80)
+        stack = WeightedStack.of_weights(pset, lambda i: pset.weights, 1)
+        for stacked, alone in zip(stack.spectrum, pset.spectrum):
+            assert stacked[0].tobytes() == alone.tobytes()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baylime import (
     Explanation,
@@ -47,6 +49,23 @@ class TestRankFeatures:
     def test_rejects_empty(self):
         with pytest.raises(InvalidInputError):
             rank_features([])
+
+
+class TestPositiveScaling:
+    # Integer-valued coefficients differ by at least 1 part in 1000, far
+    # above rounding, so scaling cannot merge two distinct magnitudes.
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=12),
+           st.floats(1e-100, 1e100))
+    def test_ranks_and_importances_ignore_positive_scaling(self, values,
+                                                           scale):
+        c = np.array(values, dtype=float)
+        scaled = scale * c
+        assert rank_features(scaled).tolist() == rank_features(c).tolist()
+        np.testing.assert_allclose(np.abs(normalize_coefficients(scaled)),
+                                   np.abs(normalize_coefficients(c)),
+                                   rtol=1e-12, atol=0.0)
 
 
 class TestNormalizeCoefficients:
