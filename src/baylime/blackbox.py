@@ -10,7 +10,10 @@ one numeric output per row. Two transports are provided:
   stdin/stdout. Each request is one line ``{"inputs": [[f64, ...], ...]}``,
   each response one line ``{"outputs": [f64, ...]}`` with exactly one output
   per input row, UTF-8 encoded and LF-terminated. A response must be fully
-  written before the next request is sent.
+  written before the next request is sent. Requests are compact JSON
+  (whitespace is not part of the protocol) whose numbers are the shortest
+  decimals that parse back to the same doubles, so the child sees every
+  input bit for bit.
 
 :func:`probe` splits large batches into chunks of ``batch_limit`` rows, so
 one probe call may translate into several requests on the same transport.
@@ -18,6 +21,7 @@ one probe call may translate into several requests on the same transport.
 
 from __future__ import annotations
 
+import io
 import json
 import queue
 import shlex
@@ -164,11 +168,11 @@ class SubprocessPredictor:
     request must complete before the next is sent.
 
     The transport fails closed. Once a request times out, gets a malformed
-    response or one with the wrong number of outputs (raised as
-    :class:`ContractViolationError`), or finds the child gone, the child is
-    killed and every later call raises :class:`ProbeError`: a late answer
-    to an abandoned request would otherwise be read as the answer to the
-    next one.
+    response or one with the wrong number of outputs or a non-numeric
+    output (both raised as :class:`ContractViolationError`), or finds the
+    child gone, the child is killed and every later call raises
+    :class:`ProbeError`: a late answer to an abandoned request would
+    otherwise be read as the answer to the next one.
     """
 
     def __init__(self, command: str | list[str], *, timeout: float = 60.0):
@@ -185,14 +189,18 @@ class SubprocessPredictor:
         self.command = list(command)
         self.timeout = float(timeout)
         self._broken: str | None = None
+        # Imported here, not at module level, so that in-process runs do not
+        # pay orjson's import time.
+        import orjson
+        self._dumps = orjson.dumps
+        self._dump_option = (orjson.OPT_SERIALIZE_NUMPY
+                             | orjson.OPT_APPEND_NEWLINE)
         try:
             self._proc = subprocess.Popen(
                 self.command,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
-                text=True,
-                encoding="utf-8",
             )
         except OSError as exc:
             raise ProbeError(f"could not start predictor command "
@@ -206,13 +214,13 @@ class SubprocessPredictor:
 
     def _drain_stdout(self) -> None:
         assert self._proc.stdout is not None
-        for line in self._proc.stdout:
+        for line in io.TextIOWrapper(self._proc.stdout, encoding="utf-8"):
             self._lines.put(line)
         self._lines.put(None)
 
     def _drain_stderr(self) -> None:
         assert self._proc.stderr is not None
-        for line in self._proc.stderr:
+        for line in io.TextIOWrapper(self._proc.stderr, encoding="utf-8"):
             self._stderr_tail.append(line)
             del self._stderr_tail[:-20]
 
@@ -229,10 +237,14 @@ class SubprocessPredictor:
         if self._broken is not None:
             raise ProbeError(f"predictor transport is unusable after an "
                              f"earlier failure: {self._broken}")
-        request = json.dumps({"inputs": np.asarray(rows, dtype=float).tolist()})
+        # orjson serializes only C-contiguous arrays, straight from their
+        # doubles; the request goes out as bytes.
+        request = self._dumps(
+            {"inputs": np.ascontiguousarray(rows, dtype=np.float64)},
+            option=self._dump_option)
         try:
             assert self._proc.stdin is not None
-            self._proc.stdin.write(request + "\n")
+            self._proc.stdin.write(request)
             self._proc.stdin.flush()
         except (OSError, ValueError) as exc:
             raise self._fail(
@@ -263,7 +275,12 @@ class SubprocessPredictor:
             raise self._fail(
                 f"predictor returned {count} outputs for {len(rows)} rows",
                 payload=line, error=ContractViolationError)
-        return np.asarray(outputs, dtype=float)
+        try:
+            return np.asarray(outputs, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise self._fail(f"predictor returned non-numeric outputs: {exc}",
+                             payload=line,
+                             error=ContractViolationError) from exc
 
     def close(self) -> None:
         if self._proc.poll() is None:

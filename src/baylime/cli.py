@@ -370,11 +370,14 @@ def _manifest_path(out: str) -> str:
     return str(Path(out).with_suffix(".manifest.json"))
 
 
-def _write_manifest(out: str, command: str, parameters: dict) -> str:
+def _write_manifest(out: str, command: str, parameters: dict,
+                    **results) -> str:
+    """Write the run's manifest; ``results`` become top-level keys."""
     path = _manifest_path(out)
     manifest = {
         "command": command,
         "parameters": parameters,
+        **results,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": [out],
@@ -507,6 +510,13 @@ def cmd_robustness(args) -> int:
         pair_list = width_pairs(args.pairs, (args.l_lo, args.l_up), args.seed)
         reports = robustness_paired(pset, instance, surrogates, pair_list,
                                     distance=kernel.distance)
+        effective = reports[0].min_effective_sample_size
+        if effective < instance.m:
+            print(f"warning: the kernel leaves an effective sample size "
+                  f"as low as {effective:.3g} for {instance.m} features; "
+                  f"ratios at those widths measure the prior or "
+                  f"regularizer, not the model, so raise --l-lo",
+                  file=sys.stderr)
         for record, report in zip(records, reports):
             label = record["spec"]
             for l1, l2, ratio in report.robustness_samples:
@@ -525,7 +535,8 @@ def cmd_robustness(args) -> int:
         "explainers": records, "elicit_runs": args.elicit_runs,
         "elicit_n": args.elicit_n, **predictor_info,
     }
-    _write_manifest(args.out, "robustness", parameters)
+    _write_manifest(args.out, "robustness", parameters,
+                    min_effective_sample_size=effective)
     return 0
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .blackbox import PredictorHandle, with_class
 from .errors import ConfigError, InvalidInputError, ShapeError
-from .kernel import KernelConfig, apply_weights
+from .kernel import KernelConfig, apply_weights, effective_sample_size
 from .perturb import PerturbConfig, build_perturbation_set
 from .regression import (
     PriorSpec,
@@ -117,14 +117,11 @@ def explain_from_pset(pset: PerturbationSet, instance: Instance,
             f"only {pset.n} samples for {pset.m} features; coefficients "
             f"lean on the prior or regularizer"
         )
-    # Kish's effective sample size (sum w)^2 / sum w^2 is at least
-    # sum w / max w, so it is computed only when that bound is below m, on
-    # weights scaled to a maximum of 1 that cannot underflow when squared.
+    # Kish's effective sample size is at least sum w / max w, so it is
+    # computed only when that bound is below m.
     weights = weighted.weights
-    top = weights.max()
-    if weights.sum() < pset.m * top:
-        scaled = weights / top
-        effective = scaled.sum() ** 2 / (scaled @ scaled)
+    if weights.sum() < pset.m * weights.max():
+        effective = effective_sample_size(weights)
         if effective < pset.m:
             notes.append(
                 f"the kernel leaves an effective sample size of "

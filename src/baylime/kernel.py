@@ -110,6 +110,17 @@ def floored_weights(d: np.ndarray, width: float) -> np.ndarray:
     return np.maximum(kernel_weight(d, width), _WEIGHT_FLOOR)
 
 
+def effective_sample_size(weights: np.ndarray) -> float:
+    """Kish's effective sample size (sum w)^2 / sum w^2 of positive weights.
+
+    n for equal weights, 1 when one sample carries all the weight. The
+    weights are scaled to a maximum of 1 first, so their squares cannot
+    underflow.
+    """
+    scaled = weights / weights.max()
+    return float(scaled.sum() ** 2 / (scaled @ scaled))
+
+
 def apply_weights(pset: PerturbationSet, config: KernelConfig,
                   instance: Instance) -> PerturbationSet:
     """Replace the set's weights with kernel weights around the instance.

@@ -25,7 +25,12 @@ import numpy as np
 from .blackbox import PredictorHandle
 from .errors import ConfigError, ShapeError, UndefinedMetricError
 from .explainer import BayLime, ExplainConfig, LimeRidge, _class_handle, fit
-from .kernel import EUCLIDEAN, floored_weights, proximity_distances
+from .kernel import (
+    EUCLIDEAN,
+    effective_sample_size,
+    floored_weights,
+    proximity_distances,
+)
 from .perturb import build_perturbation_set
 from .regression import WeightedStack
 from .types import (
@@ -46,13 +51,16 @@ class MetricReport:
 
     ``robustness_r`` is the lower-middle order statistic of the sample
     ratios (for an even count the smaller of the two central values), so
-    it is always one of the observed ratios.
+    it is always one of the observed ratios. ``min_effective_sample_size``
+    is the smallest Kish effective sample size the kernel left over the
+    swept widths.
     """
 
     inconsistency: float | None = None
     kendalls_w: float | None = None
     robustness_samples: tuple[tuple[float, float, float], ...] = ()
     robustness_r: float | None = None
+    min_effective_sample_size: float | None = None
 
     def __post_init__(self):
         if self.inconsistency is not None and self.inconsistency < 0:
@@ -158,7 +166,8 @@ def robustness_paired(pset: PerturbationSet, instance: Instance,
     pair. The widths form one :class:`WeightedStack` (one batched
     ``eigh``), and each surrogate is fitted on all of its rows in one call.
     Each report equals :func:`robustness_from_pset` with its surrogate
-    alone, bit for bit.
+    alone, bit for bit, and carries the smallest Kish effective sample
+    size over the widths.
 
     A prior mean whose length is not the set's feature count raises
     ShapeError before any fit. A fit failure ends that surrogate's sweep;
@@ -178,8 +187,16 @@ def robustness_paired(pset: PerturbationSet, instance: Instance,
                              f"{pset.m} features")
     d = proximity_distances(pset, instance, distance)
     widths = [width for pair in pair_list for width in pair]
-    stack = WeightedStack.of_weights(
-        pset, lambda i: floored_weights(d, widths[i]), len(widths))
+    effective: list[float] = []
+
+    def weights(i: int) -> np.ndarray:
+        w = floored_weights(d, widths[i])
+        # The stack weights rows 0..s-1 in order, then may remake them.
+        if i == len(effective):
+            effective.append(effective_sample_size(w))
+        return w
+
+    stack = WeightedStack.of_weights(pset, weights, len(widths))
     reports = []
     for surrogate in surrogates:
         result = fit(stack, surrogate)
@@ -193,7 +210,8 @@ def robustness_paired(pset: PerturbationSet, instance: Instance,
             raise result.error
         reports.append(MetricReport(
             robustness_samples=samples,
-            robustness_r=statistics.median_low([s[2] for s in samples])))
+            robustness_r=statistics.median_low([s[2] for s in samples]),
+            min_effective_sample_size=min(effective)))
     return tuple(reports)
 
 

@@ -5,7 +5,9 @@ one line per request ({"outputs": [...]}). The first argument selects a
 behaviour:
 
     sum      one output per row: the row sum (the well-behaved case)
+    echo     one output per row: the row's first value, as parsed
     short    drops the last output of every batch
+    text     one output per row, but a string instead of a number
     garbage  answers with non-JSON text
     exit     quits immediately without answering
     sleep    never answers
@@ -32,7 +34,12 @@ for index, line in enumerate(sys.stdin):
         sys.stdout.write("not json at all\n")
         sys.stdout.flush()
         continue
-    outputs = [float(sum(row)) for row in rows]
+    if mode == "echo":
+        outputs = [row[0] for row in rows]
+    elif mode == "text":
+        outputs = ["x" for row in rows]
+    else:
+        outputs = [float(sum(row)) for row in rows]
     if mode == "short":
         outputs = outputs[:-1]
     sys.stdout.write(json.dumps({"outputs": outputs}) + "\n")

@@ -170,6 +170,43 @@ class TestSubprocessPredictor:
                 probe(handle, np.ones((3, 2)))
             assert handle.predict_fn._proc.poll() is not None
 
+    def test_non_numeric_outputs_are_contract_violation(self):
+        with PredictorHandle.spawn(fixture_command("text")) as handle:
+            with pytest.raises(ContractViolationError, match="non-numeric"):
+                probe(handle, np.ones((3, 2)))
+            with pytest.raises(ProbeError, match="unusable"):
+                probe(handle, np.ones((3, 2)))
+            assert handle.predict_fn._proc.poll() is not None
+
+    def test_every_double_reaches_the_child_exactly(self):
+        # The echo child answers each row with its first value, so probing
+        # the columns from j onwards returns column j as the child parsed
+        # it. C-order, Fortran-order and column-strided inputs all go out.
+        edges = st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
+                                 2.2250738585072014e-308, 1.7e308, -1.7e308,
+                                 1.7976931348623157e308])
+        values = st.one_of(edges, st.floats(allow_nan=False,
+                                            allow_infinity=False))
+
+        @settings(max_examples=40, deadline=None, derandomize=True,
+                  database=None)
+        @given(st.integers(4, 9), st.integers(1, 4), st.data())
+        def check(handle, n, m, data):
+            matrix = np.array(data.draw(st.lists(values, min_size=n * m,
+                                                 max_size=n * m)),
+                              dtype=float).reshape(n, m)
+            wide = np.zeros((n, 2 * m))
+            wide[:, ::2] = matrix
+            for layout in (matrix, np.asfortranarray(matrix), wide[:, ::2]):
+                for j in range(m):
+                    got = probe(handle, layout[:, j:])
+                    assert np.array_equal(got.view(np.uint64),
+                                          matrix[:, j].view(np.uint64))
+
+        with PredictorHandle.spawn(fixture_command("echo"),
+                                   batch_limit=3) as handle:
+            check(handle)
+
     def test_garbage_response(self):
         with PredictorHandle.spawn(fixture_command("garbage")) as handle:
             with pytest.raises(ProbeError, match="malformed"):

@@ -153,6 +153,12 @@ class TestExplainCommand:
                      f"{sys.executable} {FIXTURE} exit", "--n", "50"])
         assert code == 3
 
+    def test_non_numeric_predictor_output_maps_to_probe_error(self, capsys):
+        code = main(["explain", "--m", "2", "--predictor-cmd",
+                     f"{sys.executable} {FIXTURE} text", "--n", "50"])
+        assert code == 3
+        assert "non-numeric" in capsys.readouterr().err
+
     def test_env_var_supplies_predictor(self, capsys, monkeypatch):
         monkeypatch.setenv("BAYLIME_PREDICTOR_CMD",
                            f"{sys.executable} {FIXTURE} sum")
@@ -430,6 +436,19 @@ class TestRobustnessCommand:
             ratio = float(np.linalg.norm(h1 - h2) / abs(l1 - l2))
             expected.append((repr(l1), repr(l2), repr(ratio)))
         assert hamming == expected
+
+    @pytest.mark.parametrize("lo, up, warns", [("0.6", "0.9", True),
+                                               ("2", "5", False)])
+    def test_warns_when_the_kernel_collapses(self, tmp_path, capsys,
+                                             lo, up, warns):
+        out = tmp_path / "rob.csv"
+        assert main(["robustness", "--m", "20", "--predictor", "quadratic",
+                     "--l-lo", lo, "--l-up", up, "--seed", "3",
+                     "--out", str(out)]) == 0
+        assert ("effective sample size" in capsys.readouterr().err) == warns
+        manifest = json.loads(
+            (tmp_path / "rob.manifest.json").read_text(encoding="utf-8"))
+        assert (manifest["min_effective_sample_size"] < 20) == warns
 
     def test_target_class_applies_to_the_sweep(self, tmp_path, capsys):
         # The quadratic fixture returns one output per row, so selecting a

@@ -17,11 +17,31 @@ from baylime import (
 from baylime.kernel import (
     BINARY_HAMMING,
     distances,
+    effective_sample_size,
     floored_weights,
     interpretable_reference,
     proximity_distances,
 )
 from baylime.types import BINARY_MASK, CATEGORICAL, NUMERICAL
+
+
+class TestEffectiveSampleSize:
+    def test_equal_weights_count_every_sample(self):
+        assert effective_sample_size(np.full(8, 0.25)) == 8.0
+
+    def test_one_dominant_weight_counts_once(self):
+        weights = np.array([1.0, 1e-9, 1e-9, 1e-9])
+        assert abs(effective_sample_size(weights) - 1.0) < 1e-8
+
+    def test_kish_formula(self):
+        weights = np.array([0.5, 1.0, 2.0])
+        assert abs(effective_sample_size(weights)
+                   - weights.sum() ** 2 / (weights @ weights)) < 1e-12
+
+    def test_floored_weights_do_not_underflow(self):
+        # Squared, these would all be zero; scaled first, they are equal.
+        weights = floored_weights(np.full(5, 100.0), 0.1)
+        assert effective_sample_size(weights) == 5.0
 
 
 class TestKernelWeight:

@@ -38,7 +38,13 @@ from baylime import (
     robustness_paired,
     width_pairs,
 )
-from baylime.kernel import BINARY_HAMMING, EUCLIDEAN
+from baylime.kernel import (
+    BINARY_HAMMING,
+    EUCLIDEAN,
+    effective_sample_size,
+    floored_weights,
+    proximity_distances,
+)
 from baylime.types import Instance, NUMERICAL
 
 
@@ -279,6 +285,16 @@ class TestRobustnessPaired:
                                                    surrogate, pairs, distance)
             assert report.robustness_samples == samples
             assert report.robustness_r == median
+
+    def test_reports_the_smallest_effective_sample_size(self):
+        instance, pset = quadratic_pset(3, 300, 21)
+        pairs = width_pairs(5, (0.3, 5.0), seed=4)
+        d = proximity_distances(pset, instance)
+        smallest = min(effective_sample_size(floored_weights(d, width))
+                       for pair in pairs for width in pair)
+        reports = robustness_paired(pset, instance, self.SURROGATES, pairs)
+        assert [r.min_effective_sample_size for r in reports] == (
+            [smallest] * len(self.SURROGATES))
 
     def test_first_failing_surrogate_in_order_is_raised(self, monkeypatch):
         instance, pset = quadratic_pset(3, 200, 23)

@@ -159,6 +159,34 @@ class TestPerturbMatrix:
         for part, whole in zip(small, large):
             assert part.tobytes() == whole[:n].tobytes()
 
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(st.sampled_from(FEATURE_KINDS), min_size=1, max_size=6),
+           st.sampled_from(FEATURE_KINDS), st.integers(0, 2**31 - 1),
+           st.integers(1, 60))
+    def test_added_feature_leaves_existing_columns_unchanged(self, kinds,
+                                                             added, seed, n):
+        # Each column's stream depends on (seed, column) alone, so a feature
+        # of any kind appended to any kind list changes no earlier column.
+        m = len(kinds)
+        config = PerturbConfig(
+            n=n, seed=seed,
+            numeric_scale={j: (0.5, 2.0) for j in range(m + 1)},
+            categorical_frequencies={
+                j: {0.0: 0.2, 1.0: 0.5, 2.0: 0.3} for j in range(m + 1)},
+            binary_off_values={j: -1.0 for j in range(m + 1)})
+
+        def sample(feature_kinds):
+            k = len(feature_kinds)
+            return perturb_matrix(
+                Instance([1.0] * k, tuple(feature_kinds),
+                         tuple(f"f{j}" for j in range(k))), config)
+
+        short = sample(kinds)
+        long = sample([*kinds, added])
+        for part, whole in zip(short, long):
+            assert part.tobytes() == whole[:, :m].tobytes()
+
     def test_missing_statistics_named(self):
         inst = Instance([0.0], (NUMERICAL,), ("a",))
         with pytest.raises(ConfigError, match="feature 0"):
