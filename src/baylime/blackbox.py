@@ -17,6 +17,9 @@ one numeric output per row. Two transports are provided:
 
 :func:`probe` splits large batches into chunks of ``batch_limit`` rows, so
 one probe call may translate into several requests on the same transport.
+:class:`PackedProbe` labels many blocks of rows (the seeds of a repeated
+explanation) in shared requests of ``batch_limit`` rows, so one request
+may carry rows of several blocks.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import queue
 import shlex
 import subprocess
 import threading
+import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -90,7 +95,8 @@ def probe(handle: PredictorHandle, rows: np.ndarray) -> np.ndarray:
 
     Rows are submitted in input order, split transparently into chunks of at
     most ``handle.batch_limit`` rows, so the model sees exactly
-    ceil(n / batch_limit) calls.
+    ceil(n / batch_limit) calls. This is the one-block case of
+    :class:`PackedProbe`.
 
     Raises:
         ProbeError: the transport failed (exit, malformed response, timeout).
@@ -98,15 +104,67 @@ def probe(handle: PredictorHandle, rows: np.ndarray) -> np.ndarray:
             outputs, a shape that cannot be narrowed to one value per row,
             or a non-finite prediction (the offending row index is named).
     """
-    matrix = np.asarray(rows, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] == 0:
-        raise ConfigError("probe needs a non-empty n-by-m matrix")
-    if not np.all(np.isfinite(matrix)):
-        raise ConfigError("probe rows must be finite")
-    outputs = []
-    for start in range(0, matrix.shape[0], handle.batch_limit):
-        chunk = matrix[start:start + handle.batch_limit]
-        raw = handle.predict_fn(chunk)
+    packed = PackedProbe(handle)
+    labels = packed.add(rows) + packed.finish()
+    return labels[0]
+
+
+class PackedProbe:
+    """Label a stream of row blocks in shared requests of ``batch_limit`` rows.
+
+    Blocks are queued in order by :meth:`add`, and a request goes out as
+    soon as ``batch_limit`` rows wait. A block may therefore share requests
+    with the blocks before and after it, and the model sees
+    ceil(total rows / batch_limit) calls for all blocks together, with the
+    rows in block order. :meth:`add` returns the labels of the blocks its
+    requests completed, in block order; :meth:`finish` sends the rows still
+    waiting and returns the labels of the remaining blocks. Only the rows
+    of blocks not yet labelled are held.
+
+    Each block is checked as :func:`probe` checks its rows, and a
+    non-finite prediction is reported by its row index within its block.
+    """
+
+    def __init__(self, handle: PredictorHandle):
+        self.handle = handle
+        # Row slices of the next request, and how many rows they hold.
+        self._waiting: list[np.ndarray] = []
+        self._count = 0
+        # Per block not yet fully labelled: [rows without labels, labels].
+        self._blocks: deque[list] = deque()
+
+    def add(self, rows: np.ndarray) -> list[np.ndarray]:
+        """Queue a block; returns the labels of every block now complete."""
+        matrix = np.asarray(rows, dtype=float)
+        if matrix.ndim != 2 or matrix.shape[0] == 0:
+            raise ConfigError("probe needs a non-empty n-by-m matrix")
+        if not np.all(np.isfinite(matrix)):
+            raise ConfigError("probe rows must be finite")
+        self._blocks.append([matrix.shape[0], []])
+        limit = self.handle.batch_limit
+        done: list[np.ndarray] = []
+        start = 0
+        while start < matrix.shape[0]:
+            stop = min(start + limit - self._count, matrix.shape[0])
+            self._waiting.append(matrix[start:stop])
+            self._count += stop - start
+            if self._count == limit:
+                done += self._send()
+            elif start:
+                # Only the unsent tail of a partly sent block is kept.
+                self._waiting[-1] = self._waiting[-1].copy()
+            start = stop
+        return done
+
+    def finish(self) -> list[np.ndarray]:
+        """Send the rows still waiting; returns the remaining blocks' labels."""
+        return self._send() if self._count else []
+
+    def _send(self) -> list[np.ndarray]:
+        waiting = self._waiting
+        chunk = waiting[0] if len(waiting) == 1 else np.concatenate(waiting)
+        self._waiting, self._count = [], 0
+        raw = self.handle.predict_fn(chunk)
         out = np.asarray(raw, dtype=float)
         if out.ndim == 2 and out.shape[1] == 1:
             out = out[:, 0]
@@ -122,14 +180,24 @@ def probe(handle: PredictorHandle, rows: np.ndarray) -> np.ndarray:
                 f"{chunk.shape[0]} rows",
                 payload=raw,
             )
-        outputs.append(out)
-    result = np.concatenate(outputs)
-    bad = np.flatnonzero(~np.isfinite(result))
-    if bad.size:
-        raise ContractViolationError(
-            f"non-finite prediction at row {int(bad[0])}", payload=result
-        )
-    return result
+        done = []
+        start = 0
+        while start < out.shape[0]:
+            block = self._blocks[0]
+            stop = min(start + block[0], out.shape[0])
+            block[1].append(out[start:stop])
+            block[0] -= stop - start
+            start = stop
+            if block[0] == 0:
+                self._blocks.popleft()
+                result = np.concatenate(block[1])
+                bad = np.flatnonzero(~np.isfinite(result))
+                if bad.size:
+                    raise ContractViolationError(
+                        f"non-finite prediction at row {int(bad[0])}",
+                        payload=result)
+                done.append(result)
+        return done
 
 
 def select_class(fn: Callable[[np.ndarray], np.ndarray],
@@ -283,11 +351,19 @@ class SubprocessPredictor:
                              error=ContractViolationError) from exc
 
     def close(self) -> None:
+        """End the child's input and reap it; kill it if it runs on 5 s.
+
+        A child that exits closes its stdout, so the reader thread's end of
+        file marks the exit and the reap finds it at once, without
+        sleep-polling for it. A second call does nothing.
+        """
         if self._proc.poll() is None:
+            deadline = time.monotonic() + 5.0
             try:
                 if self._proc.stdin is not None:
                     self._proc.stdin.close()
-                self._proc.wait(timeout=5)
+                self._reader.join(timeout=5.0)
+                self._proc.wait(timeout=max(deadline - time.monotonic(), 0.05))
             except (OSError, subprocess.TimeoutExpired):
                 self._proc.kill()
                 self._proc.wait()

@@ -45,9 +45,10 @@ from .explainer import (
     _class_handle,
     elicit_prior,
     explain,
+    explain_block,
     explain_paired,
 )
-from .kernel import DISTANCES, EUCLIDEAN, KernelConfig
+from .kernel import DISTANCES, EUCLIDEAN, KernelConfig, distance_note
 from .metrics import (
     inconsistency,
     kendalls_w,
@@ -350,12 +351,14 @@ def _resolve_sweep_explainers(args, instance: Instance,
     fallback: dict = {}
     if any(name in ("partial", "full") and "mu0" not in options
            for _, name, options in parsed):
+        if args.elicit_runs < 1:
+            raise ConfigError("--elicit-runs must be at least 1")
         base = ExplainConfig(perturb, kernel, LimeRidge(args.r),
                              args.target_class).with_n(args.elicit_n)
-        runs = [explain(instance, handle,
-                        base.with_seed(args.seed + ELICIT_SEED_OFFSET + i))
-                for i in range(args.elicit_runs)]
-        elicited = elicit_prior(runs)
+        (block,), _ = explain_block(instance, handle, base,
+                                    (base.surrogate,), args.elicit_runs,
+                                    seed_base=args.seed + ELICIT_SEED_OFFSET)
+        elicited = elicit_prior(block.run(i) for i in range(args.elicit_runs))
         fallback = {"mu0": elicited.mu0, "lambda": elicited.lam}
     return [_build_surrogate(spec, name, options, instance.m, args.r,
                              fallback)
@@ -390,6 +393,14 @@ def _write_manifest(out: str, command: str, parameters: dict,
 
 def _metric_cell(value: float | None) -> str:
     return "nan" if value is None else repr(value)
+
+
+def _warn_distance(instance: Instance, kernel: KernelConfig) -> None:
+    """One stderr line per sweep when the distance cannot tell samples
+    apart."""
+    note = distance_note(instance, kernel.distance)
+    if note is not None:
+        print(f"warning: {note}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +465,9 @@ def cmd_consistency(args) -> int:
         raise ConfigError("--n-grid needs values >= 2")
     if args.k < 2:
         raise ConfigError("--k must be at least 2")
+    _warn_distance(instance, kernel)
     rows: list[tuple] = []
+    effective = []
     with handle:
         surrogates, records = zip(*_resolve_sweep_explainers(
             args, instance, handle, perturb, kernel))
@@ -466,6 +479,7 @@ def cmd_consistency(args) -> int:
             ensembles = explain_paired(instance, handle, base.with_n(n),
                                        surrogates, args.k,
                                        seed_base=args.seed + cell * args.k)
+            effective.append(ensembles[0].min_effective_sample_size)
             for record, ensemble in zip(records, ensembles):
                 try:
                     inc = inconsistency(ensemble)
@@ -476,6 +490,12 @@ def cmd_consistency(args) -> int:
                 except UndefinedMetricError:
                     w = None
                 rows.append((n, record["spec"], inc, w))
+    effective = min(effective)
+    if effective < instance.m:
+        print(f"warning: the kernel leaves an effective sample size as low "
+              f"as {effective:.3g} for {instance.m} features; coefficients "
+              f"in those cells lean on the prior or regularizer, so widen "
+              f"the kernel", file=sys.stderr)
     with open(args.out, "w", newline="", encoding="utf-8") as out:
         writer = csv.writer(out)
         writer.writerow(["n", "explainer", "inconsistency", "kendalls_w"])
@@ -489,7 +509,8 @@ def cmd_consistency(args) -> int:
         "elicit_runs": args.elicit_runs, "elicit_n": args.elicit_n,
         **predictor_info,
     }
-    _write_manifest(args.out, "consistency", parameters)
+    _write_manifest(args.out, "consistency", parameters,
+                    min_effective_sample_size=effective)
     return 0
 
 
@@ -499,6 +520,7 @@ def cmd_robustness(args) -> int:
     handle, predictor_info = _resolve_predictor(args, instance.m)
     if not args.l_lo < args.l_up:
         raise ConfigError("--l-lo must be below --l-up")
+    _warn_distance(instance, kernel)
     rows: list[tuple] = []
     with handle:
         surrogates, records = zip(*_resolve_sweep_explainers(

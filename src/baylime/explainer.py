@@ -6,16 +6,26 @@ into a prior for the next one.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .blackbox import PredictorHandle, with_class
+from .blackbox import PackedProbe, PredictorHandle, with_class
 from .errors import ConfigError, InvalidInputError, ShapeError
-from .kernel import KernelConfig, apply_weights, effective_sample_size
-from .perturb import PerturbConfig, build_perturbation_set
+from .kernel import (
+    KernelConfig,
+    apply_weights,
+    distance_note,
+    distances,
+    effective_sample_size,
+    floored_weights,
+    interpretable_reference,
+)
+from .perturb import PerturbConfig, build_perturbation_set, perturb_matrix
 from .regression import (
+    FULL,
     PriorSpec,
     StackFit,
     SurrogateFit,
@@ -30,6 +40,8 @@ from .types import (
     ExplanationEnsemble,
     Instance,
     PerturbationSet,
+    normalize_coefficients,
+    rank_features,
 )
 
 
@@ -102,6 +114,47 @@ def fit(weighted: PerturbationSet | WeightedStack,
     return posterior.mu_n, posterior
 
 
+def check_surrogates(surrogates: Sequence[LimeRidge | BayLime],
+                     m: int) -> None:
+    """Refuse a surrogate of the wrong type, or a prior mean not of length m.
+
+    Sweeps call this before they probe, so a bad spec costs no model call.
+    """
+    for surrogate in surrogates:
+        if not isinstance(surrogate, (LimeRidge, BayLime)):
+            raise ConfigError("surrogate must be LimeRidge or BayLime")
+        mu0 = surrogate.prior.mu0 if isinstance(surrogate, BayLime) else None
+        if mu0 is not None and mu0.shape != (m,):
+            raise ShapeError(f"mu0 has shape {mu0.shape}; the design has "
+                             f"{m} features")
+
+
+def _notes(weighted: PerturbationSet, instance: Instance,
+           kernel: KernelConfig) -> list[str]:
+    """The warnings an explanation on this weighted set carries."""
+    notes: list[str] = []
+    if weighted.n < weighted.m:
+        notes.append(
+            f"only {weighted.n} samples for {weighted.m} features; "
+            f"coefficients lean on the prior or regularizer"
+        )
+    # Kish's effective sample size is at least sum w / max w, so it is
+    # computed only when that bound is below m.
+    weights = weighted.weights
+    if weights.sum() < weighted.m * weights.max():
+        effective = effective_sample_size(weights)
+        if effective < weighted.m:
+            notes.append(
+                f"the kernel leaves an effective sample size of "
+                f"{effective:.3g} for {weighted.m} features; coefficients "
+                f"lean on the prior or regularizer, so widen the kernel"
+            )
+    note = distance_note(instance, kernel.distance)
+    if note is not None:
+        notes.append(note)
+    return notes
+
+
 def explain_from_pset(pset: PerturbationSet, instance: Instance,
                       config: ExplainConfig) -> Explanation:
     """Weight, fit and rank a sample set already drawn and probed.
@@ -111,30 +164,13 @@ def explain_from_pset(pset: PerturbationSet, instance: Instance,
     """
     weighted = apply_weights(pset, config.kernel, instance)
     coefficients, posterior = fit(weighted, config.surrogate)
-    notes: list[str] = []
-    if pset.n < pset.m:
-        notes.append(
-            f"only {pset.n} samples for {pset.m} features; coefficients "
-            f"lean on the prior or regularizer"
-        )
-    # Kish's effective sample size is at least sum w / max w, so it is
-    # computed only when that bound is below m.
-    weights = weighted.weights
-    if weights.sum() < pset.m * weights.max():
-        effective = effective_sample_size(weights)
-        if effective < pset.m:
-            notes.append(
-                f"the kernel leaves an effective sample size of "
-                f"{effective:.3g} for {pset.m} features; coefficients lean "
-                f"on the prior or regularizer, so widen the kernel"
-            )
     return Explanation.from_coefficients(
         coefficients,
         kernel_width=config.kernel.resolved_width(pset.m),
         n_samples=pset.n,
         posterior=posterior,
         seed=config.perturb.seed,
-        warnings=notes,
+        warnings=_notes(weighted, instance, config.kernel),
     )
 
 
@@ -159,39 +195,138 @@ def explain(instance: Instance, predictor: PredictorHandle,
     return explain_from_pset(pset, instance, config)
 
 
+class BlockRuns(NamedTuple):
+    """One surrogate's runs in a seed block.
+
+    Row i of the (k, m) ``importances`` and ``ranks`` matrices belongs to
+    seed i's run, and ``run(i)`` makes that run's :class:`Explanation`.
+    """
+
+    importances: np.ndarray
+    ranks: np.ndarray
+    run: Callable[[int], Explanation]
+
+
+def explain_block(instance: Instance, predictor: PredictorHandle,
+                  config: ExplainConfig,
+                  surrogates: Sequence[LimeRidge | BayLime], k: int, *,
+                  seed_base: int = 0) -> tuple[tuple[BlockRuns, ...], float]:
+    """One seed block: k >= 1 seeded runs of several surrogates, paired.
+
+    The seeds seed_base, ..., seed_base+k-1 draw their sample sets in
+    order. The sets are labelled in shared requests of ``batch_limit``
+    rows (:class:`~baylime.blackbox.PackedProbe`), so the predictor sees
+    ceil(k * n / batch_limit) calls whatever the number of surrogates, and
+    a request may carry rows of several seeds. Once a set is labelled it
+    is weighted and reduced to its fit inputs (:meth:`WeightedStack.of_sets`)
+    and its rows are dropped; only the rows still waiting for labels are
+    held. Each surrogate is then fitted on all k sets in one stacked call,
+    and its importances and ranks are taken for all k runs at once. Run i
+    of a surrogate equals :func:`explain_from_pset` on seed i's set, bit
+    for bit; ``config.surrogate`` is not used.
+
+    Returns the runs of each surrogate, in the given order, and the
+    smallest Kish effective sample size the kernel left over the k sets.
+    A fit failure raises the error a seed-by-seed loop would: that of the
+    earliest failing seed, and within it of the first failing surrogate in
+    the given order.
+    """
+    if k < 1:
+        raise ConfigError("a seed block needs k >= 1 runs")
+    if not surrogates:
+        raise ConfigError("paired explanation needs at least one surrogate")
+    check_surrogates(surrogates, instance.m)
+    kernel = config.kernel
+    reference = interpretable_reference(instance)
+    width = kernel.resolved_width(instance.m)
+    packed = PackedProbe(_class_handle(predictor, config.target_class))
+    waiting: deque[tuple[int, np.ndarray]] = deque()
+    seeds: list[int] = []
+    notes: list[list[str]] = []
+    effective: list[float] = []
+
+    def weighted(labels: Iterable[np.ndarray]) -> Iterator[PerturbationSet]:
+        for values in labels:
+            seed, rows = waiting.popleft()
+            weights = floored_weights(
+                distances(rows, reference, kernel.distance), width)
+            # Frozen here, the arrays are shared by the set, not copied.
+            for arr in (rows, values, weights):
+                arr.setflags(write=False)
+            pset = PerturbationSet(rows, values, weights, seed)
+            seeds.append(seed)
+            notes.append(_notes(pset, instance, kernel))
+            effective.append(effective_sample_size(pset.weights))
+            yield pset
+
+    def sets() -> Iterator[PerturbationSet]:
+        for seed in range(seed_base, seed_base + k):
+            rows, original = perturb_matrix(
+                instance, replace(config.perturb, seed=seed))
+            waiting.append((seed, rows))
+            labelled = packed.add(original)
+            del rows, original
+            yield from weighted(labelled)
+        yield from weighted(packed.finish())
+
+    # Evidence fits need each set's least-squares terms, taken while its
+    # rows are alive.
+    evidence = any(isinstance(surrogate, BayLime)
+                   and surrogate.prior.mode != FULL
+                   for surrogate in surrogates)
+    stack = WeightedStack.of_sets(sets(), evidence=evidence)
+    fits = [fit(stack, surrogate) for surrogate in surrogates]
+    # min keeps the first of equal rows: the first surrogate in order.
+    first_failure = min(fits, key=lambda result: result.failed)
+    if first_failure.error is not None:
+        raise first_failure.error
+
+    def runs(result: StackFit) -> BlockRuns:
+        importances = np.abs(normalize_coefficients(result.coefficients))
+        ranks = rank_features(result.coefficients)
+
+        def run(i: int) -> Explanation:
+            posterior = (None if result.lam is None
+                         else stack.surrogate_fit(result, i))
+            return Explanation(result.coefficients[i], importances[i],
+                               ranks[i], width, stack.n, posterior=posterior,
+                               seed=seeds[i], warnings=notes[i])
+
+        return BlockRuns(importances, ranks, run)
+
+    return tuple(runs(result) for result in fits), min(effective)
+
+
 def explain_paired(instance: Instance, predictor: PredictorHandle,
                    config: ExplainConfig,
                    surrogates: Sequence[LimeRidge | BayLime], k: int, *,
                    seed_base: int = 0) -> tuple[ExplanationEnsemble, ...]:
     """k seeded runs of several surrogates, paired on shared sample sets.
 
-    For each seed (seed_base, seed_base+1, ...) one sample set is drawn and
-    probed, and every surrogate is fitted on it; ``config.surrogate`` is
-    not used. The surrogates therefore see identical labels even from a
-    stochastic predictor, so their comparison is exactly paired, and the
-    predictor sees k * ceil(n / batch_limit) calls whatever the number of
-    surrogates. A sample set is dropped once its seed's fits are done.
+    The k seeds (seed_base, seed_base+1, ...) form one seed block
+    (:func:`explain_block`): each seed's sample set is drawn and probed
+    once and every surrogate is fitted on it; ``config.surrogate`` is not
+    used. The surrogates therefore see identical labels even from a
+    stochastic predictor, so their comparison is exactly paired. The
+    seeds' rows share requests of ``batch_limit`` rows, so the predictor
+    sees ceil(k * n / batch_limit) calls whatever the number of
+    surrogates, and the cell holds one set's rows at a time plus those
+    still waiting for labels.
 
     Returns one ensemble per surrogate, in the given order, with runs
-    ordered by seed. For a deterministic predictor each ensemble equals
-    :func:`explain_repeated` with that surrogate alone.
+    ordered by seed and the block's smallest Kish effective sample size.
+    The ensembles hold their importance and rank matrices and make their
+    runs on first access. For a deterministic predictor whose output for
+    a row does not depend on the other rows of its request, each ensemble
+    equals :func:`explain_repeated` with that surrogate alone, and each
+    run equals :func:`explain_from_pset` on its seed's set, bit for bit.
     """
     if k < 2:
         raise ConfigError("repeated explanation needs k >= 2 runs")
-    if not surrogates:
-        raise ConfigError("paired explanation needs at least one surrogate")
-    configs = [config.with_surrogate(surrogate) for surrogate in surrogates]
-    handle = _class_handle(predictor, config.target_class)
-    runs: list[list[Explanation]] = [[] for _ in configs]
-    for seed in range(seed_base, seed_base + k):
-        pset = build_perturbation_set(
-            instance, config.with_seed(seed).perturb, handle)
-        for surrogate_runs, surrogate_config in zip(runs, configs):
-            surrogate_runs.append(explain_from_pset(
-                pset, instance, surrogate_config.with_seed(seed)))
-        # Released before the next seed is probed: one set alive at a time.
-        del pset
-    return tuple(ExplanationEnsemble(tuple(r)) for r in runs)
+    blocks, effective = explain_block(instance, predictor, config,
+                                      surrogates, k, seed_base=seed_base)
+    return tuple(ExplanationEnsemble.of_rows(
+        *block, min_effective_sample_size=effective) for block in blocks)
 
 
 def explain_repeated(instance: Instance, predictor: PredictorHandle,
@@ -201,7 +336,7 @@ def explain_repeated(instance: Instance, predictor: PredictorHandle,
 
     Runs are ordered by seed in the returned ensemble. This is the
     one-surrogate case of :func:`explain_paired`: the predictor sees
-    k * ceil(n / batch_limit) calls.
+    ceil(k * n / batch_limit) calls.
     """
     return explain_paired(instance, predictor, config, (config.surrogate,),
                           k, seed_base=seed_base)[0]

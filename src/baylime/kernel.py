@@ -82,6 +82,21 @@ def distances(rows: np.ndarray, reference: np.ndarray,
     raise ConfigError(f"unknown distance {distance!r}")
 
 
+def distance_note(instance: Instance, distance: str) -> str | None:
+    """Why ``distance`` cannot tell the instance's samples apart, or None.
+
+    ``binary_hamming_fraction`` counts every nonzero offset as a mismatch,
+    so on an all-numerical problem every sample sits at distance 1 and
+    gets the same weight.
+    """
+    if distance == BINARY_HAMMING and all(
+            kind == NUMERICAL for kind in instance.feature_kinds):
+        return ("binary_hamming_fraction puts every sample of an "
+                "all-numerical problem at distance 1, so the kernel gives "
+                "every sample the same weight; use euclidean")
+    return None
+
+
 def kernel_weight(distance: np.ndarray | float, width: float) -> np.ndarray:
     """exp(-d^2 / l^2) for distance d and width l."""
     if not (np.isfinite(width) and width > 0):

@@ -23,8 +23,15 @@ from typing import Sequence
 import numpy as np
 
 from .blackbox import PredictorHandle
-from .errors import ConfigError, ShapeError, UndefinedMetricError
-from .explainer import BayLime, ExplainConfig, LimeRidge, _class_handle, fit
+from .errors import ConfigError, UndefinedMetricError
+from .explainer import (
+    BayLime,
+    ExplainConfig,
+    LimeRidge,
+    _class_handle,
+    check_surrogates,
+    fit,
+)
 from .kernel import (
     EUCLIDEAN,
     effective_sample_size,
@@ -120,10 +127,13 @@ def kendalls_w(ensemble: ExplanationEnsemble) -> float:
     k, m = ranks.shape
     rank_sums = ranks.sum(axis=0)
     s = float(np.sum((rank_sums - rank_sums.mean()) ** 2))
-    ties = 0.0
-    for row in ranks:
-        _, counts = np.unique(row, return_counts=True)
-        ties += float(np.sum(counts**3 - counts))
+    # Tied groups are runs of equal values in each sorted row; a row's
+    # first value always starts a group.
+    ordered = np.sort(ranks, axis=1)
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    counts = np.diff(np.append(np.flatnonzero(starts), ordered.size))
+    ties = float(np.sum(counts**3 - counts))
     denominator = k * k * (m**3 - m) - k * ties
     if denominator == 0.0:
         return 1.0
@@ -180,11 +190,7 @@ def robustness_paired(pset: PerturbationSet, instance: Instance,
         raise ConfigError("robustness needs at least one surrogate")
     if not pair_list:
         raise ConfigError("robustness needs at least one width pair")
-    for surrogate in surrogates:
-        mu0 = surrogate.prior.mu0 if isinstance(surrogate, BayLime) else None
-        if mu0 is not None and mu0.shape != (pset.m,):
-            raise ShapeError(f"mu0 has shape {mu0.shape}; the design has "
-                             f"{pset.m} features")
+    check_surrogates(surrogates, pset.m)
     d = proximity_distances(pset, instance, distance)
     widths = [width for pair in pair_list for width in pair]
     effective: list[float] = []

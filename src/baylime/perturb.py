@@ -22,6 +22,7 @@ exists only long enough to probe the black box.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -63,7 +64,7 @@ class PerturbConfig:
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         for j, (mean, std) in self.numeric_scale.items():
-            if not (np.isfinite(mean) and np.isfinite(std)):
+            if not (math.isfinite(mean) and math.isfinite(std)):
                 raise ConfigError(f"non-finite scale for feature {j}")
             if not std > 0:
                 raise ConfigError(f"std for feature {j} must be positive")

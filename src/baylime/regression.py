@@ -17,10 +17,13 @@ mu_n = A mu0 + B beta_mle with A + B = I (:func:`decompose`).
 Every fit is a diagonal solve in the eigenbasis X'WX = V diag(eig) V',
 which a perturbation set computes once for all its fits
 (:attr:`~baylime.types.PerturbationSet.spectrum`). The math is written
-once, over a leading stack axis: a :class:`WeightedStack` holds s
-weightings of one sample set (a kernel-width sweep has one per width),
-their spectra come from one batched ``eigh``, and :func:`ridge_rows` and
-:func:`posterior_rows` fit every row in one call. :func:`ridge_fit` and
+once, over a leading stack axis: a :class:`WeightedStack` holds s weighted
+sample sets, and :func:`ridge_rows` and :func:`posterior_rows` fit every
+row in one call. The sets are either one set under s weightings (a
+kernel-width sweep has one per width, decomposed in one batched ``eigh``)
+or s different sets (the seeds of a repeated explanation, each reduced to
+its fit inputs as soon as it is labelled); the fit code does not tell the
+two apart. :func:`ridge_fit` and
 :func:`fit_surrogate` are the one-row case, so row i of a stacked fit
 equals the fit of row i's set alone, bit for bit. With b = V'X'WY and
 s = alpha eig:
@@ -64,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -155,7 +158,8 @@ class SurrogateFit:
     the prior and the weighted samples exert on the posterior (lambda
     versus alpha * trace(X'WX)). ``moments`` holds the X'WX and X'WY the
     fit was made from and ``spectrum`` their eigendecomposition
-    (:attr:`PerturbationSet.spectrum`), shared with the set.
+    (:attr:`PerturbationSet.spectrum`), shared with the set or the stack
+    row it was fitted on.
 
     Two matrices are computed on first access, so a fit that never reads
     them neither pays for nor keeps them: ``s_n_inv``, the posterior
@@ -199,20 +203,61 @@ def _rotate(vectors: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.matmul(vectors, c[..., None])[..., 0]
 
 
+def _least_squares(spectrum: tuple[np.ndarray, np.ndarray, np.ndarray],
+                   rows: np.ndarray, labels: np.ndarray,
+                   weights: Callable[[int], np.ndarray],
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(c_ls, rss_ls) for every row of a spectrum stack over one design.
+
+    c_ls is the least-squares solution in the eigenbasis with the
+    directions under the rank tolerance set to 0, and rss_ls its explicit
+    weighted residual sum of squares under row i's ``weights(i)``.
+    """
+    eig, vectors, b = spectrum
+    c_ls = np.divide(b, eig, out=np.zeros_like(b),
+                     where=eig > _rank_tol(eig)[:, None])
+    rss_ls = np.empty(len(eig))
+    for i, beta in enumerate(_rotate(vectors, c_ls)):
+        residual = labels - rows @ beta
+        rss_ls[i] = (weights(i) * residual * residual).sum()
+    return c_ls, rss_ls
+
+
+def _initial_alpha(labels: np.ndarray) -> float:
+    var = float(np.var(labels))
+    return 1.0 / var if var > 0 else 1.0
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 @dataclass(frozen=True)
 class WeightedStack:
-    """One sample set under s weightings, each row in its own eigenbasis.
+    """s weighted sample sets of n samples each, in their own eigenbases.
 
-    Row i is ``base``'s rows and labels weighted by ``weights(i)``.
-    ``spectrum`` stacks every row's (eig, V, V'X'WY) on a leading axis of
-    length s. A row's weights are made again when its least-squares
-    residual is needed, so a stack holds O(s m^2) numbers, not s weight
-    vectors.
+    A row is one weighted set: a kernel-width sweep stacks one set under s
+    weightings (:meth:`of_weights`), a repeated explanation s different
+    sets, one per seed (:meth:`of_sets`). ``moments`` stacks every row's
+    X'WX and X'WY and ``spectrum`` its (eig, V, V'X'WY), each on a leading
+    axis of length s. The evidence loop also needs each row's
+    least-squares terms (c_ls, rss_ls) and its initial alpha;
+    ``evidence_inputs`` returns them, made by ``evidence`` on first use. A
+    stack holds O(s m^2) numbers, never the rows of its sets.
     """
 
-    base: PerturbationSet
-    weights: Callable[[int], np.ndarray]
+    moments: tuple[np.ndarray, np.ndarray]
     spectrum: tuple[np.ndarray, np.ndarray, np.ndarray]
+    n: int
+    evidence: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        repr=False)
+
+    @cached_property
+    def evidence_inputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(c_ls, rss_ls, initial alpha) per row, computed on first use."""
+        return self.evidence()
 
     @classmethod
     def of_weights(cls, base: PerturbationSet,
@@ -221,38 +266,94 @@ class WeightedStack:
         """Weight ``base`` by ``weights(i)`` for each i < s, one at a time.
 
         Each row's weights are checked as a set's are, and every row's
-        X'WX is decomposed in one batched ``eigh``.
+        X'WX is decomposed in one batched ``eigh``. A row's weights are
+        made again when its least-squares residual is needed, so the stack
+        keeps no weight vector.
         """
         grams = np.empty((s, base.m, base.m))
         moments = np.empty((s, base.m))
         for i in range(s):
             grams[i], moments[i] = base.with_weights(weights(i)).moments
-        return cls(base, weights, _spectra(grams, moments))
+        spectrum = _spectra(grams, moments)
+
+        def evidence():
+            c_ls, rss_ls = _least_squares(spectrum, base.rows, base.labels,
+                                          weights)
+            return c_ls, rss_ls, np.full(s, _initial_alpha(base.labels))
+
+        return cls(_frozen(grams, moments), spectrum, base.n, evidence)
 
     @classmethod
     def of_set(cls, pset: PerturbationSet) -> "WeightedStack":
         """The one-row stack of a weighted set, sharing its spectrum."""
+        gram, moment = pset.moments
         eig, vectors, b = pset.spectrum
-        return cls(pset, lambda i: pset.weights,
-                   (eig[None], vectors[None], b[None]))
+        spectrum = (eig[None], vectors[None], b[None])
 
-    @cached_property
-    def least_squares(self) -> tuple[np.ndarray, np.ndarray]:
-        """(c_ls, rss_ls) per row, computed on first use.
+        def evidence():
+            c_ls, rss_ls = _least_squares(spectrum, pset.rows, pset.labels,
+                                          lambda i: pset.weights)
+            return c_ls, rss_ls, np.array([_initial_alpha(pset.labels)])
 
-        c_ls is the least-squares solution in the eigenbasis with the
-        directions under the rank tolerance set to 0, and rss_ls its
-        explicit weighted residual sum of squares.
+        return cls((gram[None], moment[None]), spectrum, pset.n, evidence)
+
+    @classmethod
+    def of_sets(cls, sets: Iterable[PerturbationSet], *,
+                evidence: bool = True) -> "WeightedStack":
+        """Stack weighted sets of one size n, in order, one row per set.
+
+        Each set is reduced to its fit inputs as it arrives: its X'WX and
+        X'WY and, with ``evidence``, its spectrum, least-squares terms and
+        initial alpha, which evidence fits need and which need the set's
+        rows. No set is kept, so ``sets`` may yield them one at a time.
+        Without ``evidence`` every row's X'WX is decomposed in one batched
+        ``eigh`` at the end, and only ridge and full-mode fits can use the
+        stack. Either way row i's inputs are those of :meth:`of_set` on set
+        i, bit for bit.
         """
-        eig, vectors, b = self.spectrum
-        c_ls = np.divide(b, eig, out=np.zeros_like(b),
-                         where=eig > _rank_tol(eig)[:, None])
-        rows, labels = self.base.rows, self.base.labels
-        rss_ls = np.empty(len(eig))
-        for i, beta in enumerate(_rotate(vectors, c_ls)):
-            residual = labels - rows @ beta
-            rss_ls[i] = (self.weights(i) * residual * residual).sum()
-        return c_ls, rss_ls
+        n = None
+        grams, moments, rows = [], [], []
+        for pset in sets:
+            if n is None:
+                n = pset.n
+            elif pset.n != n:
+                raise ShapeError(f"stacked sets must share one sample count; "
+                                 f"got {pset.n} after {n}")
+            gram, moment = pset.moments
+            grams.append(gram)
+            moments.append(moment)
+            if evidence:
+                row = cls.of_set(pset)
+                rows.append(row.spectrum + row.evidence_inputs)
+        if n is None:
+            raise ShapeError("a stack needs at least one set")
+        grams, moments = _frozen(np.stack(grams), np.stack(moments))
+        if not evidence:
+            def no_evidence():
+                raise ConfigError("this stack was built without the inputs "
+                                  "of evidence fits")
+
+            return cls((grams, moments), _spectra(grams, moments), n,
+                       no_evidence)
+        eig, vectors, b, *inputs = (np.concatenate(column)
+                                    for column in zip(*rows))
+        return cls((grams, moments), _frozen(eig, vectors, b), n,
+                   lambda: tuple(inputs))
+
+    def surrogate_fit(self, fit: "StackFit", i: int) -> "SurrogateFit":
+        """Row i of a Bayesian fit of this stack as a :class:`SurrogateFit`."""
+        lam, alpha = float(fit.lam[i]), float(fit.alpha[i])
+        grams, moments = self.moments
+        return SurrogateFit(
+            mu_n=fit.coefficients[i],
+            alpha_used=alpha,
+            lambda_used=lam,
+            n_effective_prior=lam,
+            n_effective_data=float(alpha * np.trace(grams[i])),
+            moments=(grams[i], moments[i]),
+            spectrum=tuple(arr[i] for arr in self.spectrum),
+            iterations=int(fit.iterations[i]),
+        )
 
 
 class StackFit(NamedTuple):
@@ -300,11 +401,6 @@ def ridge_fit(pset: PerturbationSet, r: float = 0.0) -> np.ndarray:
     return fit.coefficients[0]
 
 
-def _initial_alpha(pset: PerturbationSet) -> float:
-    var = float(np.var(pset.labels))
-    return 1.0 / var if var > 0 else 1.0
-
-
 def _clamp(ratio: np.ndarray) -> np.ndarray:
     """Hyperparameter estimates clamped to [HYPER_MIN, HYPER_MAX].
 
@@ -338,13 +434,14 @@ def _weighted_sse(c: np.ndarray, eig: np.ndarray, c_ls: np.ndarray,
 
 
 def _evidence(eig: np.ndarray, b: np.ndarray, pull: np.ndarray | None,
-              c_ls: np.ndarray, rss_ls: np.ndarray, *, n: int,
-              lam: float, alpha: float, fit_lambda: bool, max_iter: int,
+              c_ls: np.ndarray, rss_ls: np.ndarray, alpha: np.ndarray, *,
+              n: int, lam: float, fit_lambda: bool, max_iter: int,
               tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Iterate the evidence updates on every row until each settles.
 
-    ``pull`` (lam V'mu0) stays fixed: partial fixes lambda, and
-    non-informative, which fits lambda, has mu0 = 0 (``pull`` None).
+    ``alpha`` holds each row's initial alpha. ``pull`` (lam V'mu0) stays
+    fixed: partial fixes lambda, and non-informative, which fits lambda,
+    has mu0 = 0 (``pull`` None).
     A row that settles is frozen at that iterate and leaves the loop.
     Returns each row's lambda, alpha and iteration count, and the first
     row still unsettled after ``max_iter`` (s when every row settled),
@@ -354,7 +451,7 @@ def _evidence(eig: np.ndarray, b: np.ndarray, pull: np.ndarray | None,
     out_lam, out_alpha = np.empty(s), np.empty(s)
     out_iterations = np.full(s, max_iter)
     live = np.arange(s)
-    lam, alpha = np.full((s, 1), float(lam)), np.full((s, 1), float(alpha))
+    lam, alpha = np.full((s, 1), float(lam)), alpha[:, None]
     rss_ls = rss_ls[:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for iteration in range(1, max_iter + 1):
@@ -417,11 +514,9 @@ def posterior_rows(stack: WeightedStack, prior: PriorSpec, *,
         lam, alpha = np.full(s, prior.lam), np.full(s, prior.alpha)
         iterations = np.zeros(s, dtype=int)
     else:
-        c_ls, rss_ls = stack.least_squares
         lam, alpha, iterations, failed = _evidence(
             eig, b, None if mu0_rot is None else prior.lam * mu0_rot,
-            c_ls, rss_ls, n=stack.base.n, lam=prior.lam or 1.0,
-            alpha=_initial_alpha(stack.base),
+            *stack.evidence_inputs, n=stack.n, lam=prior.lam or 1.0,
             fit_lambda=prior.mode == NON_INFORMATIVE, max_iter=max_iter,
             tol=tol,
         )
@@ -453,21 +548,11 @@ def fit_surrogate(pset: PerturbationSet, prior: PriorSpec, *,
     non-informative fits lambda and alpha (around mu0 = 0) by evidence
     maximization. This is the one-row case of :func:`posterior_rows`.
     """
-    fit = posterior_rows(WeightedStack.of_set(pset), prior,
-                         max_iter=max_iter, tol=tol)
+    stack = WeightedStack.of_set(pset)
+    fit = posterior_rows(stack, prior, max_iter=max_iter, tol=tol)
     if fit.error is not None:
         raise fit.error
-    lam, alpha = float(fit.lam[0]), float(fit.alpha[0])
-    return SurrogateFit(
-        mu_n=fit.coefficients[0],
-        alpha_used=alpha,
-        lambda_used=lam,
-        n_effective_prior=lam,
-        n_effective_data=float(alpha * np.trace(pset.moments[0])),
-        moments=pset.moments,
-        spectrum=pset.spectrum,
-        iterations=int(fit.iterations[0]),
-    )
+    return stack.surrogate_fit(fit, 0)
 
 
 def decompose(fit: SurrogateFit,

@@ -1,16 +1,17 @@
 """Core value types: instances, perturbation datasets and explanations.
 
-Every container here is a frozen dataclass backed by read-only numpy arrays,
-so instances are immutable after construction and safe to share across
-threads. No algorithmic logic lives in this module beyond ranking and
-coefficient normalization, which every other module depends on.
+Every container here is backed by read-only numpy arrays and immutable after
+construction (a frozen dataclass, or for the ensemble a class with read-only
+properties), so instances are safe to share across threads. No algorithmic
+logic lives in this module beyond ranking and coefficient normalization,
+which every other module depends on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -72,20 +73,29 @@ def rank_features(coefficients: Sequence[float] | np.ndarray) -> np.ndarray:
     rank 1 (there is no ordering information to encode).
 
     Args:
-        coefficients: length-m vector of finite reals.
+        coefficients: length-m vector of finite reals, or a (k, m) matrix
+            whose rows are ranked each on its own.
 
     Returns:
-        Integer array of length m with ``ranks[i]`` = rank of feature i.
+        Integer array of the input's shape with ``ranks[..., i]`` = rank of
+        feature i.
     """
     c = np.asarray(coefficients, dtype=float)
-    if c.ndim != 1 or c.size == 0:
-        raise InvalidInputError("coefficients must be a non-empty 1-D vector")
+    if c.ndim not in (1, 2) or c.shape[-1] == 0:
+        raise InvalidInputError("coefficients must be a non-empty 1-D vector "
+                                "or a matrix of such rows")
     if not np.all(np.isfinite(c)):
         raise InvalidInputError("coefficients contain non-finite values")
-    m = c.size
+    m = c.shape[-1]
+    # lexsort: last key is primary. Sort by descending |c|, then by index.
+    if c.ndim == 2:
+        order = np.lexsort((np.broadcast_to(np.arange(m), c.shape),
+                            -np.abs(c)))
+        ranks = order.argsort(axis=1) + 1
+        ranks[~c.any(axis=1)] = 1
+        return ranks
     if not c.any():
         return np.ones(m, dtype=int)
-    # lexsort: last key is primary. Sort by descending |c|, then by index.
     order = np.lexsort((np.arange(m), -np.abs(c)))
     ranks = np.empty(m, dtype=int)
     ranks[order] = np.arange(1, m + 1)
@@ -93,8 +103,16 @@ def rank_features(coefficients: Sequence[float] | np.ndarray) -> np.ndarray:
 
 
 def normalize_coefficients(coefficients: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Scale a coefficient vector to unit Euclidean norm (zero stays zero)."""
+    """Scale a coefficient vector to unit Euclidean norm (zero stays zero).
+
+    A (k, m) matrix is scaled row by row. A row's norm is sqrt(row . row),
+    as ``numpy.linalg.norm`` takes it for a vector, so row i equals the
+    vector case bit for bit.
+    """
     c = np.asarray(coefficients, dtype=float)
+    if c.ndim == 2:
+        norms = np.sqrt([row.dot(row) for row in c])[:, None]
+        return np.divide(c, norms, out=np.zeros_like(c), where=norms != 0.0)
     norm = float(np.linalg.norm(c))
     if norm == 0.0:
         return np.zeros_like(c)
@@ -237,7 +255,7 @@ class Explanation:
             raise InvalidInputError("coefficients must be a non-empty vector")
         if importances.shape != (m,) or ranks.shape != (m,):
             raise ShapeError("coefficients, importances and ranks must share length")
-        sq = float(np.sum(importances**2))
+        sq = float(importances.dot(importances))
         if coeffs.any():
             if abs(sq - 1.0) > 1e-9:
                 raise InvalidInputError(
@@ -245,7 +263,7 @@ class Explanation:
                 )
         elif sq != 0.0:
             raise InvalidInputError("zero coefficients require zero importances")
-        if np.any(ranks < 1) or np.any(ranks > m):
+        if ranks.min() < 1 or ranks.max() > m:
             raise InvalidInputError("ranks must lie in [1, m]")
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "importances", importances)
@@ -269,34 +287,83 @@ class Explanation:
         return self.coefficients.size
 
 
-@dataclass(frozen=True)
 class ExplanationEnsemble:
-    """k repeated explanations of one instance, identical apart from seeds."""
+    """k repeated explanations of one instance, identical apart from seeds.
 
-    runs: tuple[Explanation, ...] = field(default_factory=tuple)
+    An ensemble is made from its runs, or by :meth:`of_rows` from the
+    (k, m) importance and rank matrices of its runs and a function that
+    makes run i. Then the runs are made on first access to ``runs``; the
+    consistency metrics read only the matrices, so a sweep makes no
+    per-run explanation. ``min_effective_sample_size``, when known, is the
+    smallest Kish effective sample size the kernel left over the runs'
+    sample sets. Attributes are read-only.
+    """
 
-    def __post_init__(self):
-        runs = tuple(self.runs)
+    __slots__ = ("_importances", "_ranks", "_runs", "_make_run",
+                 "_min_effective")
+
+    def __init__(self, runs: Sequence[Explanation], *,
+                 min_effective_sample_size: float | None = None):
+        runs = tuple(runs)
         if len(runs) < 2:
             raise InvalidInputError("an ensemble needs at least two runs")
         m = runs[0].m
         for run in runs[1:]:
             if run.m != m:
                 raise ShapeError("all runs in an ensemble must share m")
-        object.__setattr__(self, "runs", runs)
+        self._fill(np.stack([run.importances for run in runs]),
+                   np.stack([run.ranks for run in runs]), runs, None,
+                   min_effective_sample_size)
+
+    @classmethod
+    def of_rows(cls, importances: np.ndarray, ranks: np.ndarray,
+                make_run: Callable[[int], Explanation], *,
+                min_effective_sample_size: float | None = None,
+                ) -> "ExplanationEnsemble":
+        """The ensemble of k runs with these importance and rank rows.
+
+        ``make_run(i)`` makes run i, whose importances and ranks must be
+        row i of the matrices; it is called on first access to ``runs``.
+        """
+        if np.ndim(importances) != 2 or len(importances) < 2:
+            raise InvalidInputError("an ensemble needs at least two runs")
+        if np.shape(ranks) != np.shape(importances):
+            raise ShapeError("importance and rank matrices must share shape")
+        ensemble = cls.__new__(cls)
+        ensemble._fill(importances, ranks, None, make_run,
+                       min_effective_sample_size)
+        return ensemble
+
+    def _fill(self, importances, ranks, runs, make_run, effective) -> None:
+        self._importances = _frozen_array(importances)
+        self._ranks = _frozen_array(ranks, dtype=int)
+        self._runs = runs
+        self._make_run = make_run
+        self._min_effective = effective
+
+    @property
+    def runs(self) -> tuple[Explanation, ...]:
+        if self._runs is None:
+            self._runs = tuple(self._make_run(i) for i in range(self.k))
+            self._make_run = None
+        return self._runs
+
+    @property
+    def min_effective_sample_size(self) -> float | None:
+        return self._min_effective
 
     @property
     def k(self) -> int:
-        return len(self.runs)
+        return self._importances.shape[0]
 
     @property
     def m(self) -> int:
-        return self.runs[0].m
+        return self._importances.shape[1]
 
     def importance_matrix(self) -> np.ndarray:
         """k-by-m matrix of normalized importances, one row per run."""
-        return np.stack([run.importances for run in self.runs])
+        return self._importances.copy()
 
     def rank_matrix(self) -> np.ndarray:
         """k-by-m matrix of ranks, one row per run."""
-        return np.stack([run.ranks for run in self.runs])
+        return self._ranks.copy()

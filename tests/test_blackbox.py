@@ -108,6 +108,59 @@ class TestProbeInProcess:
             PredictorHandle.in_process(lambda rows: rows, batch_limit=0)
 
 
+class TestPackedProbe:
+    @staticmethod
+    def model(chunk):
+        return np.sin(chunk[:, 0]) + chunk[:, -1] ** 2
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(st.integers(1, 20), min_size=1, max_size=6),
+           st.integers(1, 3), st.integers(1, 25), st.integers(0, 2**32 - 1))
+    def test_blocks_share_requests_in_order(self, sizes, m, limit, seed):
+        rng = np.random.default_rng(seed)
+        blocks = [rng.normal(size=(n, m)) for n in sizes]
+        requests = []
+
+        def model(chunk):
+            requests.append(chunk.copy())
+            return self.model(chunk)
+
+        packed = blackbox.PackedProbe(
+            PredictorHandle.in_process(model, batch_limit=limit))
+        labels = []
+        for block in blocks:
+            labels += packed.add(block)
+            # A block is returned once its last row has been answered.
+            sent = sum(len(r) for r in requests)
+            assert len(labels) == sum(np.cumsum(sizes[:len(labels) + 1])
+                                      <= sent)
+        labels += packed.finish()
+        assert len(requests) == -(-sum(sizes) // limit)
+        assert all(len(r) == limit for r in requests[:-1])
+        assert np.vstack(requests).tobytes() == np.vstack(blocks).tobytes()
+        assert len(labels) == len(blocks)
+        for block, got in zip(blocks, labels):
+            assert got.tobytes() == self.model(block).tobytes()
+
+    def test_non_finite_prediction_names_row_within_its_block(self):
+        def bad(rows):
+            out = np.ones(rows.shape[0])
+            out[rows[:, 0] == 1.0] = np.nan
+            return out
+
+        second = np.zeros((3, 1))
+        second[1, 0] = 1.0
+        packed = blackbox.PackedProbe(
+            PredictorHandle.in_process(bad, batch_limit=4))
+        assert packed.add(np.zeros((2, 1))) == []
+        # The first request carries both blocks' rows but completes only
+        # the first block.
+        assert [len(done) for done in packed.add(second)] == [2]
+        with pytest.raises(ContractViolationError, match="row 1"):
+            packed.finish()
+
+
 class TestClassSelection:
     @staticmethod
     def _matrix_fn(rows):
@@ -234,6 +287,16 @@ class TestSubprocessPredictor:
             with pytest.raises(ProbeError, match="unusable"):
                 probe(handle, np.array([[7.0], [8.0]]))
             assert handle.predict_fn._proc.poll() is not None
+
+    def test_close_reaps_the_child_once(self):
+        handle = PredictorHandle.spawn(fixture_command("sum"))
+        probe(handle, np.ones((3, 2)))
+        transport = handle.predict_fn
+        handle.close()
+        assert transport._proc.returncode == 0
+        assert not transport._reader.is_alive()
+        handle.close()
+        assert transport._proc.returncode == 0
 
     def test_unknown_command(self):
         with pytest.raises(ProbeError):

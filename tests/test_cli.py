@@ -7,6 +7,7 @@ import json
 import re
 import shlex
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from baylime import (
 )
 from baylime.cli import _parse_explainer_spec, build_parser, ingest_csv, main
 from baylime.errors import ConfigError
-from baylime.kernel import BINARY_HAMMING
+from baylime.kernel import BINARY_HAMMING, effective_sample_size
 from baylime.types import NUMERICAL
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "jsonl_predictor.py")
@@ -349,6 +350,27 @@ class TestConsistencyCommand:
         assert row["inconsistency"] == "nan"
         assert row["kendalls_w"] == "1.0"
 
+    @pytest.mark.parametrize("width, warns", [("0.3", True), ("3", False)])
+    def test_reports_the_smallest_effective_sample_size(self, tmp_path,
+                                                        capsys, width, warns):
+        out = tmp_path / "cons.csv"
+        assert main(["consistency", "--m", "6", "--predictor", "quadratic",
+                     "--kernel-width", width, "--n-grid", "40,80",
+                     "--k", "3", "--seed", "2", "--out", str(out)]) == 0
+        assert ("effective sample size" in capsys.readouterr().err) == warns
+        manifest = json.loads(
+            (tmp_path / "cons.manifest.json").read_text(encoding="utf-8"))
+        # The same sets by hand: each cell's seed block, weighted.
+        instance, perturb, handle = quadratic_problem(6, 40, 2)
+        kernel = KernelConfig(float(width))
+        smallest = min(
+            effective_sample_size(apply_weights(build_perturbation_set(
+                instance, replace(perturb, n=n, seed=2 + cell * 3 + i),
+                handle), kernel, instance).weights)
+            for cell, n in enumerate((40, 80)) for i in range(3))
+        assert manifest["min_effective_sample_size"] == smallest
+        assert (smallest < 6) == warns
+
     def test_bad_explainer_spec(self, tmp_path, capsys):
         out = tmp_path / "cons.csv"
         code = main(["consistency", "--m", "2", "--predictor", "linear",
@@ -458,6 +480,21 @@ class TestRobustnessCommand:
                      "--out", str(tmp_path / "rob.csv")])
         assert code == 3
         assert "class selection" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("consistency", ["--n-grid", "30", "--k", "2"]),
+    ("robustness", ["--n", "60", "--pairs", "2"]),
+])
+def test_hamming_distance_on_a_numerical_problem_warns_once(
+        tmp_path, capsys, command, flags):
+    argv = [command, "--m", "3", "--predictor", "quadratic", *flags,
+            "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 0
+    assert "same weight" not in capsys.readouterr().err
+    assert main(argv + ["--distance", BINARY_HAMMING]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert sum("same weight" in line for line in lines) == 1
 
 
 class TestParsing:

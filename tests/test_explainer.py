@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import functools
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baylime import (
     BayLime,
     ConfigError,
+    ConvergenceError,
     ExplainConfig,
     Explanation,
+    FitError,
     InvalidInputError,
     KernelConfig,
     LimeRidge,
@@ -17,12 +25,25 @@ from baylime import (
     PredictorHandle,
     PriorSpec,
     ShapeError,
+    SingularityError,
+    apply_weights,
+    build_perturbation_set,
     elicit_prior,
     explain,
+    explain_from_pset,
     explain_paired,
     explain_repeated,
+    perturb_matrix,
 )
-from baylime.types import Instance, NUMERICAL
+from baylime import explainer
+from baylime.kernel import BINARY_HAMMING, DISTANCES, effective_sample_size
+from baylime.types import (
+    BINARY_MASK,
+    CATEGORICAL,
+    FEATURE_KINDS,
+    NUMERICAL,
+    Instance,
+)
 
 
 def numeric_problem(m: int, n: int, seed: int,
@@ -118,11 +139,24 @@ class TestExplain:
         _, default = numeric_problem(20, 2000, 3, surrogate)
         assert explain(instance, handle, default).warnings == ()
 
+    def test_hamming_distance_on_a_numerical_problem_warns(self):
+        instance, config = numeric_problem(3, 50, 0, LimeRidge(1.0))
+        hamming = replace(config, kernel=KernelConfig(distance=BINARY_HAMMING))
+        result = explain(instance, quadratic_predictor3(), hamming)
+        assert any("same weight" in note for note in result.warnings)
+        assert explain(instance, quadratic_predictor3(), config).warnings == ()
+
     def test_inputs_not_mutated(self):
         instance, config = numeric_problem(2, 50, 1, LimeRidge(1.0))
         values_before = instance.values.copy()
         explain(instance, quadratic_predictor(), config)
         np.testing.assert_array_equal(instance.values, values_before)
+
+
+def quadratic_predictor3():
+    return PredictorHandle.in_process(
+        lambda rows: rows @ np.array([1.0, 0.5, -0.5])
+        + 0.5 * (rows**2).sum(axis=1))
 
 
 class TestExplainRepeated:
@@ -174,7 +208,8 @@ class TestExplainPaired:
         ensembles = explain_paired(
             instance, PredictorHandle.in_process(model, batch_limit=64),
             config, self.SURROGATES, 5, seed_base=20)
-        assert (model.calls, model.rows) == (5 * 3, 5 * 150)
+        # The seeds' rows share requests of batch_limit rows.
+        assert (model.calls, model.rows) == (math.ceil(5 * 150 / 64), 5 * 150)
         assert len(ensembles) == len(self.SURROGATES)
         for surrogate, paired in zip(self.SURROGATES, ensembles):
             alone = explain_repeated(
@@ -210,6 +245,207 @@ class TestExplainPaired:
         with pytest.raises(ConfigError):
             explain_paired(instance, PredictorHandle.in_process(model),
                            config, (), 3)
+        assert model.calls == 0
+
+
+POOL = (
+    LimeRidge(0.5),
+    LimeRidge(0.0),
+    BayLime(PriorSpec.non_informative()),
+    "partial",
+    "full",
+)
+
+
+def surrogate_of(entry, m: int):
+    """A pool entry as a surrogate; informative priors get a length-m mu0."""
+    mu0 = np.linspace(-1.0, 1.0, m)
+    if entry == "partial":
+        return BayLime(PriorSpec.partial(mu0, 10.0))
+    if entry == "full":
+        return BayLime(PriorSpec.full(mu0, 10.0, 2.0))
+    return entry
+
+
+@st.composite
+def seed_blocks(draw):
+    """A small problem of mixed feature kinds, seeded runs and surrogates.
+
+    Sizes include n < m; the model is either row-wise nonlinear or
+    constant (every weighted residual 0, so alpha runs to its clamp); a
+    small evidence iteration cap makes some seeds fail to converge.
+    """
+    m = draw(st.integers(1, 6))
+    kinds = tuple(draw(st.lists(st.sampled_from(FEATURE_KINDS),
+                                min_size=m, max_size=m)))
+    values = [{NUMERICAL: 0.3, BINARY_MASK: 1.0, CATEGORICAL: 1.0}[kind]
+              for kind in kinds]
+    instance = Instance(np.array(values), kinds,
+                        tuple(f"f{j}" for j in range(m)))
+    perturb = PerturbConfig(
+        n=draw(st.integers(1, 40)), seed=0,
+        numeric_scale={j: (0.5, 2.0) for j in range(m)
+                       if kinds[j] == NUMERICAL},
+        categorical_frequencies={j: {0.0: 0.3, 1.0: 0.5, 2.0: 0.2}
+                                 for j in range(m)
+                                 if kinds[j] == CATEGORICAL})
+    kernel = KernelConfig(width=draw(st.sampled_from((None, 0.5, 3.0))),
+                          distance=draw(st.sampled_from(DISTANCES)))
+    surrogates = tuple(surrogate_of(entry, m) for entry in draw(
+        st.lists(st.sampled_from(POOL), min_size=1, max_size=4)))
+    return dict(instance=instance,
+                config=ExplainConfig(perturb, kernel, surrogates[0]),
+                surrogates=surrogates, k=draw(st.integers(2, 5)),
+                seed_base=draw(st.integers(0, 10**6)),
+                limit=draw(st.integers(1, 64)),
+                constant=draw(st.booleans()),
+                max_iter=draw(st.sampled_from((3, 6, 300))))
+
+
+def row_model(constant: bool):
+    """A model whose output for a row does not depend on the other rows."""
+    if constant:
+        return lambda rows: np.full(rows.shape[0], 1.5)
+    return lambda rows: (np.sin(rows[:, 0]) + 0.5 * rows[:, -1] ** 2
+                         - rows[:, rows.shape[1] // 2])
+
+
+def seed_by_seed(instance, model, config, surrogates, k, seed_base):
+    """The runs of a per-seed loop: probe a seed's set, fit each surrogate."""
+    runs = [[] for _ in surrogates]
+    for seed in range(seed_base, seed_base + k):
+        seeded = config.with_seed(seed)
+        pset = build_perturbation_set(instance, seeded.perturb,
+                                      PredictorHandle.in_process(model))
+        for out, surrogate in zip(runs, surrogates):
+            out.append(explain_from_pset(pset, instance,
+                                         seeded.with_surrogate(surrogate)))
+    return runs
+
+
+class TestSeedBlock:
+    """A seed block equals the per-seed loop it replaces, bit for bit."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(seed_blocks())
+    def test_block_equals_the_per_seed_loop(self, case):
+        instance, config = case["instance"], case["config"]
+        surrogates, k = case["surrogates"], case["k"]
+        model = row_model(case["constant"])
+        requests = []
+
+        def counting(rows):
+            requests.append(rows.copy())
+            return model(rows)
+
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("fit_surrogate", "posterior_rows"):
+                patch.setattr(explainer, name, functools.partial(
+                    getattr(explainer, name), max_iter=case["max_iter"]))
+            try:
+                want = seed_by_seed(instance, model, config, surrogates, k,
+                                    case["seed_base"])
+            except FitError as exc:
+                want = exc
+            try:
+                got = explain_paired(
+                    instance,
+                    PredictorHandle.in_process(counting,
+                                               batch_limit=case["limit"]),
+                    config, surrogates, k, seed_base=case["seed_base"])
+            except FitError as exc:
+                got = exc
+
+        # Every seed's rows reach the model in seed order, packed.
+        n = config.perturb.n
+        assert len(requests) == math.ceil(k * n / case["limit"])
+        originals = [perturb_matrix(instance, config.with_seed(seed).perturb)
+                     [1] for seed in range(case["seed_base"],
+                                           case["seed_base"] + k)]
+        assert (np.vstack(requests).tobytes()
+                == np.vstack(originals).tobytes())
+        if isinstance(want, FitError):
+            assert type(got) is type(want)
+            assert str(got) == str(want)
+            if isinstance(want, ConvergenceError):
+                assert ((got.alpha, got.lam, got.iterations)
+                        == (want.alpha, want.lam, want.iterations))
+            return
+        assert not isinstance(got, FitError)
+        weights = [apply_weights(
+            build_perturbation_set(instance, config.with_seed(seed).perturb,
+                                   PredictorHandle.in_process(model)),
+            config.kernel, instance).weights
+            for seed in range(case["seed_base"], case["seed_base"] + k)]
+        for ensemble, runs in zip(got, want, strict=True):
+            assert ensemble.min_effective_sample_size == min(
+                effective_sample_size(w) for w in weights)
+            assert (ensemble.importance_matrix().tobytes()
+                    == np.stack([r.importances for r in runs]).tobytes())
+            assert (ensemble.rank_matrix().tolist()
+                    == [r.ranks.tolist() for r in runs])
+            for a, b in zip(ensemble.runs, runs, strict=True):
+                assert a.coefficients.tobytes() == b.coefficients.tobytes()
+                assert a.importances.tobytes() == b.importances.tobytes()
+                assert a.ranks.tolist() == b.ranks.tolist()
+                assert a.warnings == b.warnings
+                assert (a.seed, a.kernel_width, a.n_samples) == (
+                    b.seed, b.kernel_width, b.n_samples)
+                assert (a.posterior is None) == (b.posterior is None)
+                if a.posterior is not None:
+                    assert (a.posterior.mu_n.tobytes()
+                            == b.posterior.mu_n.tobytes())
+                    assert ((a.posterior.lambda_used, a.posterior.alpha_used,
+                             a.posterior.iterations,
+                             a.posterior.n_effective_data)
+                            == (b.posterior.lambda_used,
+                                b.posterior.alpha_used,
+                                b.posterior.iterations,
+                                b.posterior.n_effective_data))
+
+    def test_earliest_failing_seed_then_first_surrogate(self, monkeypatch):
+        # Seed 1 fails for both surrogates and seed 0 for neither, so the
+        # error is the first surrogate's at seed 1, although the second
+        # surrogate's rows are fitted in a later call.
+        instance, config = numeric_problem(3, 40, 0, LimeRidge(1.0))
+        first, second = LimeRidge(1.0), LimeRidge(2.0)
+        fail_at = {first.r: 1, second.r: 1}
+        real_rows = explainer.ridge_rows
+
+        def failing_rows(stack, r):
+            result = real_rows(stack, r)
+            row = fail_at[r]
+            return result._replace(
+                coefficients=result.coefficients[:row], failed=row,
+                error=SingularityError(f"r={r} fails at seed {row}"))
+
+        monkeypatch.setattr(explainer, "ridge_rows", failing_rows)
+        with pytest.raises(FitError, match=r"r=1.0 fails at seed 1"):
+            explain_paired(instance, quadratic_predictor3(), config,
+                           (first, second), 3)
+        fail_at[first.r] = 2
+        with pytest.raises(FitError, match=r"r=2.0 fails at seed 1"):
+            explain_paired(instance, quadratic_predictor3(), config,
+                           (first, second), 3)
+
+    def test_runs_are_made_on_first_access(self):
+        instance, config = numeric_problem(2, 60, 0, LimeRidge(1.0))
+        (ensemble,) = explain_paired(instance, quadratic_predictor(), config,
+                                     (BayLime(PriorSpec.non_informative()),),
+                                     3)
+        assert ensemble._runs is None
+        runs = ensemble.runs
+        assert ensemble.runs is runs
+        assert [run.seed for run in runs] == [0, 1, 2]
+
+    def test_bad_prior_shape_is_refused_before_probing(self):
+        instance, config = numeric_problem(3, 50, 0, LimeRidge(1.0))
+        model = CountingPredictor()
+        prior = BayLime(PriorSpec.partial(np.zeros(2), 1.0))
+        with pytest.raises(ShapeError):
+            explain_paired(instance, PredictorHandle.in_process(model),
+                           config, (LimeRidge(1.0), prior), 3)
         assert model.calls == 0
 
 

@@ -541,3 +541,63 @@ class TestStackedRows:
         stack = WeightedStack.of_weights(pset, lambda i: pset.weights, 1)
         for stacked, alone in zip(stack.spectrum, pset.spectrum):
             assert stacked[0].tobytes() == alone.tobytes()
+
+
+class TestStackedSets:
+    """A stack of different sets fits each row as its set alone."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 40),
+           st.integers(0, 2**32 - 1), st.sampled_from((3, 300)))
+    def test_every_row_equals_its_lone_fit(self, s, m, n, seed, max_iter):
+        rng = np.random.default_rng(seed)
+        sets = [random_problem(rng, m=m, n=n) for _ in range(s)]
+        mu0 = rng.normal(size=m)
+        stacks = {True: WeightedStack.of_sets(iter(sets)),
+                  False: WeightedStack.of_sets(iter(sets), evidence=False)}
+        for evidence, stack in stacks.items():
+            for i, pset in enumerate(sets):
+                for stacked, alone in zip(stack.spectrum, pset.spectrum):
+                    assert stacked[i].tobytes() == alone.tobytes()
+            surrogates = [1.0, 0.0, PriorSpec.full(mu0, 10.0, 2.0)]
+            if evidence:
+                surrogates += [PriorSpec.non_informative(),
+                               PriorSpec.partial(mu0, 10.0)]
+            for surrogate in surrogates:
+                if isinstance(surrogate, float):
+                    result = ridge_rows(stack, surrogate)
+                else:
+                    result = posterior_rows(stack, surrogate,
+                                            max_iter=max_iter)
+                for i in range(min(result.failed + 1, s)):
+                    lone = lone_fit(sets[i], surrogate, max_iter)
+                    if i == result.failed:
+                        assert type(lone) is type(result.error)
+                        continue
+                    coefficients, lam, alpha, iterations = lone
+                    assert (result.coefficients[i].tobytes()
+                            == coefficients.tobytes())
+                    if result.lam is not None:
+                        fit = stack.surrogate_fit(result, i)
+                        assert ((fit.lambda_used, fit.alpha_used,
+                                 fit.iterations) == (lam, alpha, iterations))
+                        assert fit.n_effective_data == fit_surrogate(
+                            sets[i], surrogate,
+                            max_iter=max_iter).n_effective_data
+
+    def test_sets_must_share_their_size(self):
+        rng = np.random.default_rng(3)
+        with pytest.raises(ShapeError):
+            WeightedStack.of_sets([random_problem(rng, m=2, n=10),
+                                   random_problem(rng, m=2, n=11)])
+        with pytest.raises(ShapeError):
+            WeightedStack.of_sets([])
+
+    def test_stack_without_evidence_inputs_refuses_evidence_fits(self):
+        rng = np.random.default_rng(4)
+        stack = WeightedStack.of_sets(
+            [random_problem(rng, m=3, n=30) for _ in range(2)],
+            evidence=False)
+        with pytest.raises(ConfigError):
+            posterior_rows(stack, PriorSpec.non_informative())

@@ -51,6 +51,25 @@ class TestRankFeatures:
             rank_features([])
 
 
+class TestCoefficientRows:
+    """A (k, m) matrix ranks and normalizes each row as the vector case."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(1, 6), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_rows_equal_vectors(self, k, m, seed):
+        rng = np.random.default_rng(seed)
+        # Small integers give ties and all-zero rows.
+        c = rng.integers(-2, 3, size=(k, m)) * rng.choice((1.0, 0.37), k)[
+            :, None]
+        ranks = rank_features(c)
+        normalized = normalize_coefficients(c)
+        for i, row in enumerate(c):
+            assert ranks[i].tolist() == rank_features(row).tolist()
+            assert (normalized[i].tobytes()
+                    == normalize_coefficients(row).tobytes())
+
+
 class TestPositiveScaling:
     # Integer-valued coefficients differ by at least 1 part in 1000, far
     # above rounding, so scaling cannot merge two distinct magnitudes.
@@ -173,6 +192,30 @@ class TestExplanationEnsemble:
     def test_needs_two_runs(self):
         with pytest.raises(InvalidInputError):
             ExplanationEnsemble((self._run([1.0]),))
+        with pytest.raises(InvalidInputError):
+            ExplanationEnsemble.of_rows(np.ones((1, 2)), np.ones((1, 2)),
+                                        lambda i: None)
+
+    def test_rows_make_their_runs_once_on_demand(self):
+        runs = (self._run([0.8, 0.6]), self._run([0.6, 0.8]))
+        made = []
+
+        def make_run(i):
+            made.append(i)
+            return runs[i]
+
+        ensemble = ExplanationEnsemble.of_rows(
+            np.stack([r.importances for r in runs]),
+            np.stack([r.ranks for r in runs]), make_run,
+            min_effective_sample_size=3.5)
+        assert ensemble.k == 2 and ensemble.m == 2
+        assert ensemble.rank_matrix().tolist() == [[1, 2], [2, 1]]
+        assert made == []
+        assert ensemble.runs == runs
+        assert ensemble.runs == runs
+        assert made == [0, 1]
+        assert ensemble.min_effective_sample_size == 3.5
+        assert ExplanationEnsemble(runs).min_effective_sample_size is None
 
     def test_rejects_mixed_m(self):
         with pytest.raises(ShapeError):
