@@ -30,9 +30,7 @@ from .explainer import (
     LimeRidge,
     elicit_prior,
     explain,
-    explain_from_pset,
-    explain_paired,
-    explain_repeated,
+    explain_block,
 )
 from .kernel import KernelConfig, apply_weights, default_width, kernel_weight
 from .metrics import (
@@ -40,8 +38,6 @@ from .metrics import (
     inconsistency,
     kendalls_w,
     robustness,
-    robustness_from_pset,
-    robustness_paired,
     width_pairs,
 )
 from .perturb import (
@@ -52,13 +48,7 @@ from .perturb import (
     frequency_table,
     perturb_matrix,
 )
-from .regression import (
-    PriorSpec,
-    SurrogateFit,
-    decompose,
-    fit_surrogate,
-    ridge_fit,
-)
+from .regression import PriorSpec, SurrogateFit, decompose
 from .types import (
     BINARY_MASK,
     CATEGORICAL,
@@ -82,11 +72,8 @@ __all__ = [
     "ShapeError", "SingularityError", "SurrogateFit", "UndefinedMetricError",
     "apply_weights", "build_perturbation_set", "column_statistics",
     "config_from_data", "decompose", "default_width", "elicit_prior",
-    "explain", "explain_from_pset", "explain_paired", "explain_repeated",
-    "fit_surrogate", "frequency_table",
+    "explain", "explain_block", "frequency_table",
     "inconsistency", "kendalls_w", "kernel_weight", "normalize_coefficients",
-    "perturb_matrix", "probe", "rank_features", "ridge_fit",
-    "robustness", "robustness_from_pset", "robustness_paired",
-    "select_class", "width_pairs",
-    "with_class",
+    "perturb_matrix", "probe", "rank_features", "robustness",
+    "select_class", "width_pairs", "with_class",
 ]

@@ -46,15 +46,9 @@ from .explainer import (
     elicit_prior,
     explain,
     explain_block,
-    explain_paired,
 )
 from .kernel import DISTANCES, EUCLIDEAN, KernelConfig, distance_note
-from .metrics import (
-    inconsistency,
-    kendalls_w,
-    robustness_paired,
-    width_pairs,
-)
+from .metrics import inconsistency, kendalls_w, robustness, width_pairs
 from .perturb import PerturbConfig, build_perturbation_set, config_from_data
 from .regression import PriorSpec
 from .types import CATEGORICAL, Instance, NUMERICAL
@@ -355,10 +349,10 @@ def _resolve_sweep_explainers(args, instance: Instance,
             raise ConfigError("--elicit-runs must be at least 1")
         base = ExplainConfig(perturb, kernel, LimeRidge(args.r),
                              args.target_class).with_n(args.elicit_n)
-        (block,), _ = explain_block(instance, handle, base,
-                                    (base.surrogate,), args.elicit_runs,
-                                    seed_base=args.seed + ELICIT_SEED_OFFSET)
-        elicited = elicit_prior(block.run(i) for i in range(args.elicit_runs))
+        (runs,) = explain_block(instance, handle, base, (base.surrogate,),
+                                args.elicit_runs,
+                                seed_base=args.seed + ELICIT_SEED_OFFSET)
+        elicited = elicit_prior(runs)
         fallback = {"mu0": elicited.mu0, "lambda": elicited.lam}
     return [_build_surrogate(spec, name, options, instance.m, args.r,
                              fallback)
@@ -476,9 +470,9 @@ def cmd_consistency(args) -> int:
         for cell, n in enumerate(n_grid):
             # Explainers share each cell's seed block, and each seed's
             # probed sample set, for an exactly paired comparison.
-            ensembles = explain_paired(instance, handle, base.with_n(n),
-                                       surrogates, args.k,
-                                       seed_base=args.seed + cell * args.k)
+            ensembles = explain_block(instance, handle, base.with_n(n),
+                                      surrogates, args.k,
+                                      seed_base=args.seed + cell * args.k)
             effective.append(ensembles[0].min_effective_sample_size)
             for record, ensemble in zip(records, ensembles):
                 try:
@@ -530,8 +524,8 @@ def cmd_robustness(args) -> int:
         pset = build_perturbation_set(
             instance, perturb, _class_handle(handle, args.target_class))
         pair_list = width_pairs(args.pairs, (args.l_lo, args.l_up), args.seed)
-        reports = robustness_paired(pset, instance, surrogates, pair_list,
-                                    distance=kernel.distance)
+        reports = robustness(pset, instance, surrogates, pair_list,
+                             distance=kernel.distance)
         effective = reports[0].min_effective_sample_size
         if effective < instance.m:
             print(f"warning: the kernel leaves an effective sample size "

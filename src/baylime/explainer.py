@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -16,30 +16,28 @@ from .blackbox import PackedProbe, PredictorHandle, with_class
 from .errors import ConfigError, InvalidInputError, ShapeError
 from .kernel import (
     KernelConfig,
-    apply_weights,
     distance_note,
     distances,
     effective_sample_size,
     floored_weights,
     interpretable_reference,
 )
-from .perturb import PerturbConfig, build_perturbation_set, perturb_matrix
+from .perturb import PerturbConfig, perturb_matrix
 from .regression import (
     FULL,
     PriorSpec,
     StackFit,
-    SurrogateFit,
     WeightedStack,
-    fit_surrogate,
+    evidence_inputs,
     posterior_rows,
-    ridge_fit,
     ridge_rows,
 )
 from .types import (
     Explanation,
     ExplanationEnsemble,
     Instance,
-    PerturbationSet,
+    _spectra,
+    _weighted_moments,
     normalize_coefficients,
     rank_features,
 )
@@ -92,86 +90,65 @@ class ExplainConfig:
         return replace(self, surrogate=surrogate)
 
 
-def fit(weighted: PerturbationSet | WeightedStack,
-        surrogate: LimeRidge | BayLime,
-        ) -> tuple[np.ndarray, SurrogateFit | None] | StackFit:
-    """Fit the surrogate on a weighted sample set, or on every row of a stack.
+def fit(stack: WeightedStack, surrogate: LimeRidge | BayLime) -> StackFit:
+    """Fit the surrogate on every row of a stack.
 
-    For a set, returns the raw coefficients and, for a BayLime surrogate,
-    the posterior fit they come from (None for ridge); a failure raises.
-    For a :class:`WeightedStack`, returns the rows' :class:`StackFit`,
-    each row bit for bit the fit of that row's weighted set, with the
-    first failing row's error on it. Every fit on one set shares its X'WX
-    spectrum.
+    Each row of the returned :class:`StackFit` is bit for bit the fit of
+    that row's weighted set alone, and the first failing row's error is on
+    it.
     """
-    if isinstance(weighted, WeightedStack):
-        if isinstance(surrogate, LimeRidge):
-            return ridge_rows(weighted, surrogate.r)
-        return posterior_rows(weighted, surrogate.prior)
     if isinstance(surrogate, LimeRidge):
-        return ridge_fit(weighted, surrogate.r), None
-    posterior = fit_surrogate(weighted, surrogate.prior)
-    return posterior.mu_n, posterior
+        return ridge_rows(stack, surrogate.r)
+    return posterior_rows(stack, surrogate.prior)
 
 
 def check_surrogates(surrogates: Sequence[LimeRidge | BayLime],
-                     m: int) -> None:
+                     m: int) -> bool:
     """Refuse a surrogate of the wrong type, or a prior mean not of length m.
 
     Sweeps call this before they probe, so a bad spec costs no model call.
+    Returns whether any surrogate maximizes the evidence (a BayLime prior
+    not in full mode), whose fits need each set's rows while they are
+    alive.
     """
+    evidence = False
     for surrogate in surrogates:
         if not isinstance(surrogate, (LimeRidge, BayLime)):
             raise ConfigError("surrogate must be LimeRidge or BayLime")
-        mu0 = surrogate.prior.mu0 if isinstance(surrogate, BayLime) else None
+        if isinstance(surrogate, LimeRidge):
+            continue
+        mu0 = surrogate.prior.mu0
         if mu0 is not None and mu0.shape != (m,):
             raise ShapeError(f"mu0 has shape {mu0.shape}; the design has "
                              f"{m} features")
+        evidence |= surrogate.prior.mode != FULL
+    return evidence
 
 
-def _notes(weighted: PerturbationSet, instance: Instance,
+def _notes(n: int, effective: float, instance: Instance,
            kernel: KernelConfig) -> list[str]:
-    """The warnings an explanation on this weighted set carries."""
+    """The warnings an explanation carries, given its sample count and the
+    Kish effective sample size its kernel weights leave."""
+    m = instance.m
     notes: list[str] = []
-    if weighted.n < weighted.m:
+    if n < m:
+        notes.append(f"only {n} samples for {m} features; coefficients "
+                     f"lean on the prior or regularizer")
+    if effective < m:
         notes.append(
-            f"only {weighted.n} samples for {weighted.m} features; "
-            f"coefficients lean on the prior or regularizer"
+            f"the kernel leaves an effective sample size of {effective:.3g} "
+            f"for {m} features; coefficients lean on the prior or "
+            f"regularizer, so widen the kernel"
         )
-    # Kish's effective sample size is at least sum w / max w, so it is
-    # computed only when that bound is below m.
-    weights = weighted.weights
-    if weights.sum() < weighted.m * weights.max():
-        effective = effective_sample_size(weights)
-        if effective < weighted.m:
-            notes.append(
-                f"the kernel leaves an effective sample size of "
-                f"{effective:.3g} for {weighted.m} features; coefficients "
-                f"lean on the prior or regularizer, so widen the kernel"
-            )
     note = distance_note(instance, kernel.distance)
     if note is not None:
         notes.append(note)
     return notes
 
 
-def explain_from_pset(pset: PerturbationSet, instance: Instance,
-                      config: ExplainConfig) -> Explanation:
-    """Weight, fit and rank a sample set already drawn and probed.
-
-    ``config`` must be the one the set was drawn with; its seed is
-    recorded on the explanation. The predictor is not touched.
-    """
-    weighted = apply_weights(pset, config.kernel, instance)
-    coefficients, posterior = fit(weighted, config.surrogate)
-    return Explanation.from_coefficients(
-        coefficients,
-        kernel_width=config.kernel.resolved_width(pset.m),
-        n_samples=pset.n,
-        posterior=posterior,
-        seed=config.perturb.seed,
-        warnings=_notes(weighted, instance, config.kernel),
-    )
+def _join(rows: list[np.ndarray]) -> np.ndarray:
+    """Stack rows given as (1, ...) arrays; a lone row is its own stack."""
+    return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
 def _class_handle(predictor: PredictorHandle,
@@ -186,102 +163,104 @@ def explain(instance: Instance, predictor: PredictorHandle,
             config: ExplainConfig) -> Explanation:
     """Explain one instance: sample, probe, weight, fit, rank.
 
-    The perturbation seed fully determines the run given the config, so
-    repeating the call reproduces the explanation bit for bit.
+    This is the one-run, one-surrogate seed block (:func:`explain_block`)
+    at the configured seed, so the predictor sees ceil(n / batch_limit)
+    calls. The perturbation seed fully determines the run given the
+    config, so repeating the call reproduces the explanation bit for bit.
     """
-    pset = build_perturbation_set(instance, config.perturb,
-                                  _class_handle(predictor,
-                                                config.target_class))
-    return explain_from_pset(pset, instance, config)
-
-
-class BlockRuns(NamedTuple):
-    """One surrogate's runs in a seed block.
-
-    Row i of the (k, m) ``importances`` and ``ranks`` matrices belongs to
-    seed i's run, and ``run(i)`` makes that run's :class:`Explanation`.
-    """
-
-    importances: np.ndarray
-    ranks: np.ndarray
-    run: Callable[[int], Explanation]
+    (ensemble,) = explain_block(instance, predictor, config,
+                                (config.surrogate,), 1,
+                                seed_base=config.perturb.seed)
+    return ensemble.runs[0]
 
 
 def explain_block(instance: Instance, predictor: PredictorHandle,
                   config: ExplainConfig,
                   surrogates: Sequence[LimeRidge | BayLime], k: int, *,
-                  seed_base: int = 0) -> tuple[tuple[BlockRuns, ...], float]:
+                  seed_base: int = 0) -> tuple[ExplanationEnsemble, ...]:
     """One seed block: k >= 1 seeded runs of several surrogates, paired.
 
     The seeds seed_base, ..., seed_base+k-1 draw their sample sets in
-    order. The sets are labelled in shared requests of ``batch_limit``
-    rows (:class:`~baylime.blackbox.PackedProbe`), so the predictor sees
+    order; ``config.surrogate`` and the configured seed are not used. The
+    sets are labelled in shared requests of ``batch_limit`` rows
+    (:class:`~baylime.blackbox.PackedProbe`), so the predictor sees
     ceil(k * n / batch_limit) calls whatever the number of surrogates, and
-    a request may carry rows of several seeds. Once a set is labelled it
-    is weighted and reduced to its fit inputs (:meth:`WeightedStack.of_sets`)
-    and its rows are dropped; only the rows still waiting for labels are
-    held. Each surrogate is then fitted on all k sets in one stacked call,
-    and its importances and ranks are taken for all k runs at once. Run i
-    of a surrogate equals :func:`explain_from_pset` on seed i's set, bit
-    for bit; ``config.surrogate`` is not used.
+    a request may carry rows of several seeds. Every surrogate therefore
+    sees identical labels, even from a stochastic predictor, and the
+    comparison is exactly paired. Once a set is labelled it is weighted
+    and reduced to its fit inputs, and its rows are dropped; only the rows
+    still waiting for labels are held. Each surrogate is then fitted on
+    all k sets in one stacked call (:class:`WeightedStack`), and its
+    importances and ranks are taken for all k runs at once.
 
-    Returns the runs of each surrogate, in the given order, and the
-    smallest Kish effective sample size the kernel left over the k sets.
-    A fit failure raises the error a seed-by-seed loop would: that of the
-    earliest failing seed, and within it of the first failing surrogate in
-    the given order.
+    Returns one ensemble per surrogate, in the given order, with runs
+    ordered by seed; each carries the smallest Kish effective sample size
+    the kernel left over the k sets. For a predictor whose output for a
+    row does not depend on the other rows of its request, run i of a
+    surrogate equals :func:`explain` with that surrogate at seed
+    seed_base+i, bit for bit. A fit failure raises the error a
+    seed-by-seed loop would: that of the earliest failing seed, and
+    within it of the first failing surrogate in the given order.
     """
     if k < 1:
         raise ConfigError("a seed block needs k >= 1 runs")
     if not surrogates:
-        raise ConfigError("paired explanation needs at least one surrogate")
-    check_surrogates(surrogates, instance.m)
+        raise ConfigError("a seed block needs at least one surrogate")
+    evidence = check_surrogates(surrogates, instance.m)
     kernel = config.kernel
     reference = interpretable_reference(instance)
     width = kernel.resolved_width(instance.m)
+    n = config.perturb.n
     packed = PackedProbe(_class_handle(predictor, config.target_class))
     waiting: deque[tuple[int, np.ndarray]] = deque()
     seeds: list[int] = []
     notes: list[list[str]] = []
     effective: list[float] = []
+    parts: list[tuple[np.ndarray, ...]] = []
 
-    def weighted(labels: Iterable[np.ndarray]) -> Iterator[PerturbationSet]:
+    def reduce(labels: list[np.ndarray]) -> None:
+        """Weight each labelled set and reduce it to its row of the stack."""
         for values in labels:
             seed, rows = waiting.popleft()
             weights = floored_weights(
                 distances(rows, reference, kernel.distance), width)
-            # Frozen here, the arrays are shared by the set, not copied.
-            for arr in (rows, values, weights):
-                arr.setflags(write=False)
-            pset = PerturbationSet(rows, values, weights, seed)
             seeds.append(seed)
-            notes.append(_notes(pset, instance, kernel))
-            effective.append(effective_sample_size(pset.weights))
-            yield pset
+            effective.append(effective_sample_size(weights))
+            notes.append(_notes(n, effective[-1], instance, kernel))
+            gram, moment = _weighted_moments(rows, values, weights)
+            row = (gram[None], moment[None])
+            if evidence:
+                # Evidence fits need the set's spectrum and least-squares
+                # terms, taken while its rows are alive.
+                spectrum = _spectra(*row)
+                row += spectrum + evidence_inputs(spectrum, rows, values,
+                                                  lambda _: weights)
+            parts.append(row)
 
-    def sets() -> Iterator[PerturbationSet]:
-        for seed in range(seed_base, seed_base + k):
-            rows, original = perturb_matrix(
-                instance, replace(config.perturb, seed=seed))
-            waiting.append((seed, rows))
-            labelled = packed.add(original)
-            del rows, original
-            yield from weighted(labelled)
-        yield from weighted(packed.finish())
-
-    # Evidence fits need each set's least-squares terms, taken while its
-    # rows are alive.
-    evidence = any(isinstance(surrogate, BayLime)
-                   and surrogate.prior.mode != FULL
-                   for surrogate in surrogates)
-    stack = WeightedStack.of_sets(sets(), evidence=evidence)
+    for seed in range(seed_base, seed_base + k):
+        # The configured seed draws from the config as given, uncopied.
+        perturb = config.perturb
+        if seed != perturb.seed:
+            perturb = replace(perturb, seed=seed)
+        rows, original = perturb_matrix(instance, perturb)
+        waiting.append((seed, rows))
+        labelled = packed.add(original)
+        del rows, original
+        reduce(labelled)
+    reduce(packed.finish())
+    grams, moments, *inputs = [_join(column) for column in zip(*parts)]
+    # Without evidence fits, every set is decomposed in one batched eigh.
+    spectrum = tuple(inputs[:3]) if evidence else _spectra(grams, moments)
+    stack = WeightedStack((grams, moments), spectrum, n,
+                          tuple(inputs[3:]) or None)
     fits = [fit(stack, surrogate) for surrogate in surrogates]
     # min keeps the first of equal rows: the first surrogate in order.
     first_failure = min(fits, key=lambda result: result.failed)
     if first_failure.error is not None:
         raise first_failure.error
+    floor = min(effective)
 
-    def runs(result: StackFit) -> BlockRuns:
+    def ensemble(result: StackFit) -> ExplanationEnsemble:
         importances = np.abs(normalize_coefficients(result.coefficients))
         ranks = rank_features(result.coefficients)
 
@@ -289,57 +268,16 @@ def explain_block(instance: Instance, predictor: PredictorHandle,
             posterior = (None if result.lam is None
                          else stack.surrogate_fit(result, i))
             return Explanation(result.coefficients[i], importances[i],
-                               ranks[i], width, stack.n, posterior=posterior,
+                               ranks[i], width, n, posterior=posterior,
                                seed=seeds[i], warnings=notes[i])
 
-        return BlockRuns(importances, ranks, run)
+        # Frozen here, the matrices are shared by the ensemble, not copied.
+        importances.setflags(write=False)
+        ranks.setflags(write=False)
+        return ExplanationEnsemble(importances, ranks, run,
+                                   min_effective_sample_size=floor)
 
-    return tuple(runs(result) for result in fits), min(effective)
-
-
-def explain_paired(instance: Instance, predictor: PredictorHandle,
-                   config: ExplainConfig,
-                   surrogates: Sequence[LimeRidge | BayLime], k: int, *,
-                   seed_base: int = 0) -> tuple[ExplanationEnsemble, ...]:
-    """k seeded runs of several surrogates, paired on shared sample sets.
-
-    The k seeds (seed_base, seed_base+1, ...) form one seed block
-    (:func:`explain_block`): each seed's sample set is drawn and probed
-    once and every surrogate is fitted on it; ``config.surrogate`` is not
-    used. The surrogates therefore see identical labels even from a
-    stochastic predictor, so their comparison is exactly paired. The
-    seeds' rows share requests of ``batch_limit`` rows, so the predictor
-    sees ceil(k * n / batch_limit) calls whatever the number of
-    surrogates, and the cell holds one set's rows at a time plus those
-    still waiting for labels.
-
-    Returns one ensemble per surrogate, in the given order, with runs
-    ordered by seed and the block's smallest Kish effective sample size.
-    The ensembles hold their importance and rank matrices and make their
-    runs on first access. For a deterministic predictor whose output for
-    a row does not depend on the other rows of its request, each ensemble
-    equals :func:`explain_repeated` with that surrogate alone, and each
-    run equals :func:`explain_from_pset` on its seed's set, bit for bit.
-    """
-    if k < 2:
-        raise ConfigError("repeated explanation needs k >= 2 runs")
-    blocks, effective = explain_block(instance, predictor, config,
-                                      surrogates, k, seed_base=seed_base)
-    return tuple(ExplanationEnsemble.of_rows(
-        *block, min_effective_sample_size=effective) for block in blocks)
-
-
-def explain_repeated(instance: Instance, predictor: PredictorHandle,
-                     config: ExplainConfig, k: int, *,
-                     seed_base: int = 0) -> ExplanationEnsemble:
-    """k runs differing only in seed (seed_base, seed_base+1, ...).
-
-    Runs are ordered by seed in the returned ensemble. This is the
-    one-surrogate case of :func:`explain_paired`: the predictor sees
-    ceil(k * n / batch_limit) calls.
-    """
-    return explain_paired(instance, predictor, config, (config.surrogate,),
-                          k, seed_base=seed_base)[0]
+    return tuple(ensemble(result) for result in fits)
 
 
 def elicit_prior(previous: ExplanationEnsemble | Iterable[Explanation], *,

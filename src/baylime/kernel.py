@@ -76,7 +76,10 @@ def distances(rows: np.ndarray, reference: np.ndarray,
         raise ConfigError("rows must be n-by-m and the reference length m")
     delta = rows - reference
     if distance == EUCLIDEAN:
-        return np.sqrt(np.sum(delta * delta, axis=1))
+        # Squared in place: delta is n-by-m, and a second array that size
+        # would cost a fresh allocation and its page faults.
+        delta *= delta
+        return np.sqrt(np.sum(delta, axis=1))
     if distance == BINARY_HAMMING:
         return np.mean(delta != 0.0, axis=1)
     raise ConfigError(f"unknown distance {distance!r}")

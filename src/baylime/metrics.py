@@ -22,28 +22,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .blackbox import PredictorHandle
-from .errors import ConfigError, UndefinedMetricError
-from .explainer import (
-    BayLime,
-    ExplainConfig,
-    LimeRidge,
-    _class_handle,
-    check_surrogates,
-    fit,
-)
+from .errors import ConfigError, InvalidInputError, UndefinedMetricError
+from .explainer import BayLime, LimeRidge, check_surrogates, fit
 from .kernel import (
     EUCLIDEAN,
     effective_sample_size,
     floored_weights,
     proximity_distances,
 )
-from .perturb import build_perturbation_set
-from .regression import WeightedStack
+from .regression import WeightedStack, evidence_inputs
 from .types import (
     ExplanationEnsemble,
     Instance,
     PerturbationSet,
+    _spectra,
     normalize_coefficients,
 )
 
@@ -82,6 +74,12 @@ class MetricReport:
                                   "ratios")
 
 
+def _check_runs(ensemble: ExplanationEnsemble) -> None:
+    if ensemble.k < 2:
+        raise InvalidInputError("agreement across runs needs at least two "
+                                "runs")
+
+
 def inconsistency(ensemble: ExplanationEnsemble) -> float:
     """Importance-weighted dispersion of feature ranks across runs.
 
@@ -92,9 +90,11 @@ def inconsistency(ensemble: ExplanationEnsemble) -> float:
     ones. Zero exactly when every feature keeps one rank in every run.
 
     Raises:
+        InvalidInputError: fewer than two runs.
         UndefinedMetricError: every importance in every run is zero, so the
             weights have a zero normalizer.
     """
+    _check_runs(ensemble)
     importances = ensemble.importance_matrix()
     mean_importance = importances.mean(axis=0)
     total = float(mean_importance.sum())
@@ -118,8 +118,10 @@ def kendalls_w(ensemble: ExplanationEnsemble) -> float:
     returned.
 
     Raises:
+        InvalidInputError: fewer than two runs.
         UndefinedMetricError: fewer than two features to rank.
     """
+    _check_runs(ensemble)
     if ensemble.m < 2:
         raise UndefinedMetricError("rank agreement needs at least two "
                                    "features")
@@ -164,20 +166,20 @@ def width_pairs(pairs: int, bounds: tuple[float, float],
     return out
 
 
-def robustness_paired(pset: PerturbationSet, instance: Instance,
-                      surrogates: Sequence[LimeRidge | BayLime],
-                      pair_list: list[tuple[float, float]], *,
-                      distance: str = EUCLIDEAN,
-                      ) -> tuple[MetricReport, ...]:
-    """Robustness of several surrogates over one sample set and width pairs.
+def robustness(pset: PerturbationSet, instance: Instance,
+               surrogates: Sequence[LimeRidge | BayLime],
+               pair_list: list[tuple[float, float]], *,
+               distance: str = EUCLIDEAN) -> tuple[MetricReport, ...]:
+    """Robustness of several surrogates over one probed set and width pairs.
 
-    The samples' distances from the instance are computed once and every
-    width of every pair is weighted once, in width order l1, l2 of each
-    pair. The widths form one :class:`WeightedStack` (one batched
-    ``eigh``), and each surrogate is fitted on all of its rows in one call.
-    Each report equals :func:`robustness_from_pset` with its surrogate
-    alone, bit for bit, and carries the smallest Kish effective sample
-    size over the widths.
+    The set's own weights play no role. The samples' distances from the
+    instance are computed once and every width of every pair is weighted
+    once, in width order l1, l2 of each pair. The widths form one
+    :class:`WeightedStack` (one batched ``eigh``), and each surrogate is
+    fitted on all of its rows in one call, each row bit for bit the fit at
+    that width alone. Returns one report per surrogate, in the given
+    order, each with the smallest Kish effective sample size over the
+    widths.
 
     A prior mean whose length is not the set's feature count raises
     ShapeError before any fit. A fit failure ends that surrogate's sweep;
@@ -190,23 +192,28 @@ def robustness_paired(pset: PerturbationSet, instance: Instance,
         raise ConfigError("robustness needs at least one surrogate")
     if not pair_list:
         raise ConfigError("robustness needs at least one width pair")
-    check_surrogates(surrogates, pset.m)
+    evidence = check_surrogates(surrogates, pset.m)
     d = proximity_distances(pset, instance, distance)
     widths = [width for pair in pair_list for width in pair]
-    effective: list[float] = []
-
-    def weights(i: int) -> np.ndarray:
-        w = floored_weights(d, widths[i])
-        # The stack weights rows 0..s-1 in order, then may remake them.
-        if i == len(effective):
-            effective.append(effective_sample_size(w))
-        return w
-
-    stack = WeightedStack.of_weights(pset, weights, len(widths))
+    m = pset.m
+    grams, moments = np.empty((len(widths), m, m)), np.empty((len(widths), m))
+    effective = []
+    for i, width in enumerate(widths):
+        weights = floored_weights(d, width)
+        effective.append(effective_sample_size(weights))
+        grams[i], moments[i] = pset.with_weights(weights).moments
+    spectrum = _spectra(grams, moments)
+    inputs = None
+    if evidence:
+        # Each width's weights are made again, so the sweep never holds
+        # more than one weight vector.
+        inputs = evidence_inputs(spectrum, pset.rows, pset.labels,
+                                 lambda i: floored_weights(d, widths[i]))
+    stack = WeightedStack((grams, moments), spectrum, pset.n, inputs)
     reports = []
     for surrogate in surrogates:
         result = fit(stack, surrogate)
-        h = [np.abs(normalize_coefficients(c)) for c in result.coefficients]
+        h = np.abs(normalize_coefficients(result.coefficients))
         samples = tuple(
             (l1, l2, float(np.linalg.norm(h[2 * j] - h[2 * j + 1])
                            / abs(l1 - l2)))
@@ -219,37 +226,3 @@ def robustness_paired(pset: PerturbationSet, instance: Instance,
             robustness_r=statistics.median_low([s[2] for s in samples]),
             min_effective_sample_size=min(effective)))
     return tuple(reports)
-
-
-def robustness_from_pset(pset: PerturbationSet, instance: Instance,
-                         surrogate: LimeRidge | BayLime,
-                         pair_list: list[tuple[float, float]], *,
-                         distance: str = EUCLIDEAN) -> MetricReport:
-    """Robustness over pre-sampled width pairs and a pre-built sample set.
-
-    A fit failure at any pair aborts the sweep; the raised error carries
-    the completed samples on its ``partial_samples`` attribute. This is
-    the one-surrogate case of :func:`robustness_paired`.
-    """
-    return robustness_paired(pset, instance, (surrogate,), pair_list,
-                             distance=distance)[0]
-
-
-def robustness(instance: Instance, predictor: PredictorHandle,
-               config: ExplainConfig, *, pairs: int = 100,
-               bounds: tuple[float, float] = (0.2, 5.0),
-               seed: int = 0) -> MetricReport:
-    """Median sensitivity of the explanation to the kernel width.
-
-    One perturbation set is drawn and probed (with the seed in
-    ``config.perturb``, through the class ``config.target_class`` picks),
-    then refit at both widths of every sampled pair with the configured
-    distance; the configured kernel width plays no role. ``seed`` drives
-    only the width sampling.
-    """
-    pset = build_perturbation_set(
-        instance, config.perturb,
-        _class_handle(predictor, config.target_class))
-    pair_list = width_pairs(pairs, bounds, seed)
-    return robustness_from_pset(pset, instance, config.surrogate, pair_list,
-                                distance=config.kernel.distance)

@@ -21,11 +21,10 @@ once, over a leading stack axis: a :class:`WeightedStack` holds s weighted
 sample sets, and :func:`ridge_rows` and :func:`posterior_rows` fit every
 row in one call. The sets are either one set under s weightings (a
 kernel-width sweep has one per width, decomposed in one batched ``eigh``)
-or s different sets (the seeds of a repeated explanation, each reduced to
-its fit inputs as soon as it is labelled); the fit code does not tell the
-two apart. :func:`ridge_fit` and
-:func:`fit_surrogate` are the one-row case, so row i of a stacked fit
-equals the fit of row i's set alone, bit for bit. With b = V'X'WY and
+or s different sets (the seeds of a seed block, each reduced to its fit
+inputs as soon as it is labelled); the fit code does not tell the two
+apart, and a single explanation is the one-row stack. Row i of a stacked
+fit equals the fit of row i's set alone, bit for bit. With b = V'X'WY and
 s = alpha eig:
 
     ridge      V (b / (r + eig))
@@ -67,7 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,7 +78,7 @@ from .errors import (
     ShapeError,
     SingularityError,
 )
-from .types import PerturbationSet, _frozen_array, _spectra
+from .types import PerturbationSet, _frozen_array
 
 NON_INFORMATIVE = "non_informative"
 PARTIAL = "partial"
@@ -203,15 +202,17 @@ def _rotate(vectors: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.matmul(vectors, c[..., None])[..., 0]
 
 
-def _least_squares(spectrum: tuple[np.ndarray, np.ndarray, np.ndarray],
-                   rows: np.ndarray, labels: np.ndarray,
-                   weights: Callable[[int], np.ndarray],
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(c_ls, rss_ls) for every row of a spectrum stack over one design.
+def evidence_inputs(spectrum: tuple[np.ndarray, np.ndarray, np.ndarray],
+                    rows: np.ndarray, labels: np.ndarray,
+                    weights: Callable[[int], np.ndarray],
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c_ls, rss_ls, initial alpha) for every row of a spectrum stack.
 
-    c_ls is the least-squares solution in the eigenbasis with the
-    directions under the rank tolerance set to 0, and rss_ls its explicit
-    weighted residual sum of squares under row i's ``weights(i)``.
+    The rows of the stack share one design (``rows``, ``labels``) and row
+    i is weighted by ``weights(i)``. c_ls is the least-squares solution in
+    the eigenbasis with the directions under the rank tolerance set to 0,
+    and rss_ls its explicit weighted residual sum of squares. Evidence fits
+    need these terms, and they need the set's rows.
     """
     eig, vectors, b = spectrum
     c_ls = np.divide(b, eig, out=np.zeros_like(b),
@@ -220,18 +221,8 @@ def _least_squares(spectrum: tuple[np.ndarray, np.ndarray, np.ndarray],
     for i, beta in enumerate(_rotate(vectors, c_ls)):
         residual = labels - rows @ beta
         rss_ls[i] = (weights(i) * residual * residual).sum()
-    return c_ls, rss_ls
-
-
-def _initial_alpha(labels: np.ndarray) -> float:
     var = float(np.var(labels))
-    return 1.0 / var if var > 0 else 1.0
-
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
+    return c_ls, rss_ls, np.full(len(eig), 1.0 / var if var > 0 else 1.0)
 
 
 @dataclass(frozen=True)
@@ -239,106 +230,23 @@ class WeightedStack:
     """s weighted sample sets of n samples each, in their own eigenbases.
 
     A row is one weighted set: a kernel-width sweep stacks one set under s
-    weightings (:meth:`of_weights`), a repeated explanation s different
-    sets, one per seed (:meth:`of_sets`). ``moments`` stacks every row's
-    X'WX and X'WY and ``spectrum`` its (eig, V, V'X'WY), each on a leading
-    axis of length s. The evidence loop also needs each row's
-    least-squares terms (c_ls, rss_ls) and its initial alpha;
-    ``evidence_inputs`` returns them, made by ``evidence`` on first use. A
-    stack holds O(s m^2) numbers, never the rows of its sets.
+    weightings, a seed block s different sets, one per seed. ``moments``
+    stacks every row's X'WX and X'WY and ``spectrum`` its (eig, V, V'X'WY),
+    each on a leading axis of length s. ``evidence`` holds each row's
+    (c_ls, rss_ls, initial alpha) from :func:`evidence_inputs`; only
+    partial and non-informative fits read it, and a stack built for none
+    leaves it None. A stack holds O(s m^2) numbers, never the rows of its
+    sets. The arrays are frozen.
     """
 
     moments: tuple[np.ndarray, np.ndarray]
     spectrum: tuple[np.ndarray, np.ndarray, np.ndarray]
     n: int
-    evidence: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        repr=False)
+    evidence: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    @cached_property
-    def evidence_inputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(c_ls, rss_ls, initial alpha) per row, computed on first use."""
-        return self.evidence()
-
-    @classmethod
-    def of_weights(cls, base: PerturbationSet,
-                   weights: Callable[[int], np.ndarray],
-                   s: int) -> "WeightedStack":
-        """Weight ``base`` by ``weights(i)`` for each i < s, one at a time.
-
-        Each row's weights are checked as a set's are, and every row's
-        X'WX is decomposed in one batched ``eigh``. A row's weights are
-        made again when its least-squares residual is needed, so the stack
-        keeps no weight vector.
-        """
-        grams = np.empty((s, base.m, base.m))
-        moments = np.empty((s, base.m))
-        for i in range(s):
-            grams[i], moments[i] = base.with_weights(weights(i)).moments
-        spectrum = _spectra(grams, moments)
-
-        def evidence():
-            c_ls, rss_ls = _least_squares(spectrum, base.rows, base.labels,
-                                          weights)
-            return c_ls, rss_ls, np.full(s, _initial_alpha(base.labels))
-
-        return cls(_frozen(grams, moments), spectrum, base.n, evidence)
-
-    @classmethod
-    def of_set(cls, pset: PerturbationSet) -> "WeightedStack":
-        """The one-row stack of a weighted set, sharing its spectrum."""
-        gram, moment = pset.moments
-        eig, vectors, b = pset.spectrum
-        spectrum = (eig[None], vectors[None], b[None])
-
-        def evidence():
-            c_ls, rss_ls = _least_squares(spectrum, pset.rows, pset.labels,
-                                          lambda i: pset.weights)
-            return c_ls, rss_ls, np.array([_initial_alpha(pset.labels)])
-
-        return cls((gram[None], moment[None]), spectrum, pset.n, evidence)
-
-    @classmethod
-    def of_sets(cls, sets: Iterable[PerturbationSet], *,
-                evidence: bool = True) -> "WeightedStack":
-        """Stack weighted sets of one size n, in order, one row per set.
-
-        Each set is reduced to its fit inputs as it arrives: its X'WX and
-        X'WY and, with ``evidence``, its spectrum, least-squares terms and
-        initial alpha, which evidence fits need and which need the set's
-        rows. No set is kept, so ``sets`` may yield them one at a time.
-        Without ``evidence`` every row's X'WX is decomposed in one batched
-        ``eigh`` at the end, and only ridge and full-mode fits can use the
-        stack. Either way row i's inputs are those of :meth:`of_set` on set
-        i, bit for bit.
-        """
-        n = None
-        grams, moments, rows = [], [], []
-        for pset in sets:
-            if n is None:
-                n = pset.n
-            elif pset.n != n:
-                raise ShapeError(f"stacked sets must share one sample count; "
-                                 f"got {pset.n} after {n}")
-            gram, moment = pset.moments
-            grams.append(gram)
-            moments.append(moment)
-            if evidence:
-                row = cls.of_set(pset)
-                rows.append(row.spectrum + row.evidence_inputs)
-        if n is None:
-            raise ShapeError("a stack needs at least one set")
-        grams, moments = _frozen(np.stack(grams), np.stack(moments))
-        if not evidence:
-            def no_evidence():
-                raise ConfigError("this stack was built without the inputs "
-                                  "of evidence fits")
-
-            return cls((grams, moments), _spectra(grams, moments), n,
-                       no_evidence)
-        eig, vectors, b, *inputs = (np.concatenate(column)
-                                    for column in zip(*rows))
-        return cls((grams, moments), _frozen(eig, vectors, b), n,
-                   lambda: tuple(inputs))
+    def __post_init__(self):
+        for arr in (*self.moments, *self.spectrum, *(self.evidence or ())):
+            arr.setflags(write=False)
 
     def surrogate_fit(self, fit: "StackFit", i: int) -> "SurrogateFit":
         """Row i of a Bayesian fit of this stack as a :class:`SurrogateFit`."""
@@ -391,14 +299,6 @@ def ridge_rows(stack: WeightedStack, r: float) -> StackFit:
                                      "matrix is rank deficient")
     coefficients = _rotate(vectors[:failed], b[:failed] / (r + eig[:failed]))
     return StackFit(coefficients, None, None, None, failed, error)
-
-
-def ridge_fit(pset: PerturbationSet, r: float = 0.0) -> np.ndarray:
-    """Weighted ridge coefficients (X'WX + rI)^-1 X'WY."""
-    fit = ridge_rows(WeightedStack.of_set(pset), r)
-    if fit.error is not None:
-        raise fit.error
-    return fit.coefficients[0]
 
 
 def _clamp(ratio: np.ndarray) -> np.ndarray:
@@ -497,9 +397,10 @@ def posterior_rows(stack: WeightedStack, prior: PriorSpec, *,
 
     full takes mu0, lambda and alpha as given; partial fits alpha and
     non-informative fits lambda and alpha (around mu0 = 0) by evidence
-    maximization, row by row in one vectorised loop. A row that does not
-    settle in ``max_iter`` fails with ConvergenceError carrying its last
-    iterate.
+    maximization, row by row in one vectorised loop, from the stack's
+    evidence inputs (a stack without them is refused with ConfigError). A
+    row that does not settle in ``max_iter`` fails with ConvergenceError
+    carrying its last iterate.
     """
     eig, vectors, b = stack.spectrum
     s, m = eig.shape
@@ -510,13 +411,16 @@ def posterior_rows(stack: WeightedStack, prior: PriorSpec, *,
                              f"has {m} features")
         mu0_rot = np.matmul(prior.mu0, vectors)
     failed, error = s, None
+    if prior.mode != FULL and stack.evidence is None:
+        raise ConfigError("this stack was built without the inputs of "
+                          "evidence fits")
     if prior.mode == FULL:
         lam, alpha = np.full(s, prior.lam), np.full(s, prior.alpha)
         iterations = np.zeros(s, dtype=int)
     else:
         lam, alpha, iterations, failed = _evidence(
             eig, b, None if mu0_rot is None else prior.lam * mu0_rot,
-            *stack.evidence_inputs, n=stack.n, lam=prior.lam or 1.0,
+            *stack.evidence, n=stack.n, lam=prior.lam or 1.0,
             fit_lambda=prior.mode == NON_INFORMATIVE, max_iter=max_iter,
             tol=tol,
         )
@@ -537,22 +441,6 @@ def posterior_rows(stack: WeightedStack, prior: PriorSpec, *,
     c, _ = _posterior(column, alpha[:, None], eig, pull, b)
     return StackFit(_rotate(vectors, c), lam, alpha, iterations, failed,
                     error)
-
-
-def fit_surrogate(pset: PerturbationSet, prior: PriorSpec, *,
-                  max_iter: int = MAX_ITER,
-                  tol: float = TOL) -> SurrogateFit:
-    """The posterior under the prior's knowledge mode.
-
-    full takes mu0, lambda and alpha as given; partial fits alpha and
-    non-informative fits lambda and alpha (around mu0 = 0) by evidence
-    maximization. This is the one-row case of :func:`posterior_rows`.
-    """
-    stack = WeightedStack.of_set(pset)
-    fit = posterior_rows(stack, prior, max_iter=max_iter, tol=tol)
-    if fit.error is not None:
-        raise fit.error
-    return stack.surrogate_fit(fit, 0)
 
 
 def decompose(fit: SurrogateFit,

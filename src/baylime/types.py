@@ -2,9 +2,10 @@
 
 Every container here is backed by read-only numpy arrays and immutable after
 construction (a frozen dataclass, or for the ensemble a class with read-only
-properties), so instances are safe to share across threads. No algorithmic
-logic lives in this module beyond ranking and coefficient normalization,
-which every other module depends on.
+properties), so instances are safe to share across threads. Besides the
+containers, the module holds what every other module builds on: ranking and
+coefficient normalization, and a sample set's weighted moments X'WX, X'WY
+and their eigendecomposition, which a set caches for all fits on it.
 """
 
 from __future__ import annotations
@@ -86,37 +87,25 @@ def rank_features(coefficients: Sequence[float] | np.ndarray) -> np.ndarray:
                                 "or a matrix of such rows")
     if not np.all(np.isfinite(c)):
         raise InvalidInputError("coefficients contain non-finite values")
-    m = c.shape[-1]
-    # lexsort: last key is primary. Sort by descending |c|, then by index.
-    if c.ndim == 2:
-        order = np.lexsort((np.broadcast_to(np.arange(m), c.shape),
-                            -np.abs(c)))
-        ranks = order.argsort(axis=1) + 1
-        ranks[~c.any(axis=1)] = 1
-        return ranks
-    if not c.any():
-        return np.ones(m, dtype=int)
-    order = np.lexsort((np.arange(m), -np.abs(c)))
-    ranks = np.empty(m, dtype=int)
-    ranks[order] = np.arange(1, m + 1)
+    # A stable sort by descending |c| keeps tied features in index order.
+    order = np.argsort(-np.abs(c), axis=-1, kind="stable")
+    ranks = order.argsort(axis=-1) + 1
+    ranks[~c.any(axis=-1)] = 1
     return ranks
 
 
 def normalize_coefficients(coefficients: Sequence[float] | np.ndarray) -> np.ndarray:
     """Scale a coefficient vector to unit Euclidean norm (zero stays zero).
 
-    A (k, m) matrix is scaled row by row. A row's norm is sqrt(row . row),
-    as ``numpy.linalg.norm`` takes it for a vector, so row i equals the
-    vector case bit for bit.
+    A (k, m) matrix is scaled row by row, and a vector is its one row. A
+    row's norm is sqrt(row . row), as ``numpy.linalg.norm`` takes it for a
+    vector, so row i equals the vector case bit for bit.
     """
     c = np.asarray(coefficients, dtype=float)
-    if c.ndim == 2:
-        norms = np.sqrt([row.dot(row) for row in c])[:, None]
-        return np.divide(c, norms, out=np.zeros_like(c), where=norms != 0.0)
-    norm = float(np.linalg.norm(c))
-    if norm == 0.0:
-        return np.zeros_like(c)
-    return c / norm
+    rows = np.atleast_2d(c)
+    norms = np.sqrt([row.dot(row) for row in rows])[:, None]
+    return np.divide(rows, norms, out=np.zeros_like(rows),
+                     where=norms != 0.0).reshape(c.shape)
 
 
 @dataclass(frozen=True)
@@ -288,11 +277,11 @@ class Explanation:
 
 
 class ExplanationEnsemble:
-    """k repeated explanations of one instance, identical apart from seeds.
+    """k >= 1 explanations of one instance, identical apart from seeds.
 
-    An ensemble is made from its runs, or by :meth:`of_rows` from the
-    (k, m) importance and rank matrices of its runs and a function that
-    makes run i. Then the runs are made on first access to ``runs``; the
+    An ensemble holds the (k, m) importance and rank matrices of its runs
+    and a function that makes run i, whose importances and ranks are row i
+    of the matrices. The runs are made on first access to ``runs``; the
     consistency metrics read only the matrices, so a sweep makes no
     per-run explanation. ``min_effective_sample_size``, when known, is the
     smallest Kish effective sample size the kernel left over the runs'
@@ -302,44 +291,18 @@ class ExplanationEnsemble:
     __slots__ = ("_importances", "_ranks", "_runs", "_make_run",
                  "_min_effective")
 
-    def __init__(self, runs: Sequence[Explanation], *,
+    def __init__(self, importances: np.ndarray, ranks: np.ndarray,
+                 make_run: Callable[[int], Explanation], *,
                  min_effective_sample_size: float | None = None):
-        runs = tuple(runs)
-        if len(runs) < 2:
-            raise InvalidInputError("an ensemble needs at least two runs")
-        m = runs[0].m
-        for run in runs[1:]:
-            if run.m != m:
-                raise ShapeError("all runs in an ensemble must share m")
-        self._fill(np.stack([run.importances for run in runs]),
-                   np.stack([run.ranks for run in runs]), runs, None,
-                   min_effective_sample_size)
-
-    @classmethod
-    def of_rows(cls, importances: np.ndarray, ranks: np.ndarray,
-                make_run: Callable[[int], Explanation], *,
-                min_effective_sample_size: float | None = None,
-                ) -> "ExplanationEnsemble":
-        """The ensemble of k runs with these importance and rank rows.
-
-        ``make_run(i)`` makes run i, whose importances and ranks must be
-        row i of the matrices; it is called on first access to ``runs``.
-        """
-        if np.ndim(importances) != 2 or len(importances) < 2:
-            raise InvalidInputError("an ensemble needs at least two runs")
+        if np.ndim(importances) != 2 or len(importances) < 1:
+            raise InvalidInputError("an ensemble needs at least one run")
         if np.shape(ranks) != np.shape(importances):
             raise ShapeError("importance and rank matrices must share shape")
-        ensemble = cls.__new__(cls)
-        ensemble._fill(importances, ranks, None, make_run,
-                       min_effective_sample_size)
-        return ensemble
-
-    def _fill(self, importances, ranks, runs, make_run, effective) -> None:
         self._importances = _frozen_array(importances)
         self._ranks = _frozen_array(ranks, dtype=int)
-        self._runs = runs
+        self._runs: tuple[Explanation, ...] | None = None
         self._make_run = make_run
-        self._min_effective = effective
+        self._min_effective = min_effective_sample_size
 
     @property
     def runs(self) -> tuple[Explanation, ...]:

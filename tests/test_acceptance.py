@@ -21,7 +21,6 @@ import pytest
 from baylime import (
     ExplainConfig,
     Explanation,
-    ExplanationEnsemble,
     KernelConfig,
     LimeRidge,
     PerturbConfig,
@@ -30,13 +29,12 @@ from baylime import (
     PriorSpec,
     decompose,
     explain,
-    fit_surrogate,
     inconsistency,
     kendalls_w,
-    ridge_fit,
 )
 from baylime.cli import main
 from baylime.types import Instance, NUMERICAL
+from conftest import ensemble_of, fit_surrogate, ridge_fit
 
 
 @pytest.fixture
@@ -166,13 +164,12 @@ def test_criterion_6_metric_oracles(verdict):
         return Explanation.from_coefficients(c, kernel_width=1.0,
                                              n_samples=10)
 
-    swap = ExplanationEnsemble((run([0.8, 0.6]), run([0.6, 0.8])))
+    swap = ensemble_of((run([0.8, 0.6]), run([0.6, 0.8])))
     hand_inconsistency = inconsistency(swap)
-    three = ExplanationEnsemble((run([0.9, 0.5, 0.2]), run([0.9, 0.5, 0.2]),
-                                 run([0.2, 0.9, 0.5])))
+    three = ensemble_of((run([0.9, 0.5, 0.2]), run([0.9, 0.5, 0.2]),
+                         run([0.2, 0.9, 0.5])))
     hand_w = kendalls_w(three)
-    identical = ExplanationEnsemble((run([0.9, 0.5, 0.2]),
-                                     run([0.9, 0.5, 0.2])))
+    identical = ensemble_of((run([0.9, 0.5, 0.2]), run([0.9, 0.5, 0.2])))
     ok = (abs(hand_inconsistency - 1.0 / 6.0) <= 1e-12
           and abs(hand_w - 1.0 / 3.0) <= 1e-12
           and inconsistency(identical) == 0.0

@@ -26,13 +26,13 @@ from baylime import (
     build_perturbation_set,
     explain,
     normalize_coefficients,
-    ridge_fit,
     width_pairs,
 )
 from baylime.cli import _parse_explainer_spec, build_parser, ingest_csv, main
 from baylime.errors import ConfigError
 from baylime.kernel import BINARY_HAMMING, effective_sample_size
 from baylime.types import NUMERICAL
+from conftest import ridge_fit
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "jsonl_predictor.py")
 README = Path(__file__).resolve().parents[1] / "README.md"

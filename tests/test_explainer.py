@@ -30,9 +30,9 @@ from baylime import (
     build_perturbation_set,
     elicit_prior,
     explain,
-    explain_from_pset,
-    explain_paired,
-    explain_repeated,
+    explain_block,
+    inconsistency,
+    kendalls_w,
     perturb_matrix,
 )
 from baylime import explainer
@@ -44,6 +44,7 @@ from baylime.types import (
     NUMERICAL,
     Instance,
 )
+from conftest import fit_surrogate, ridge_fit
 
 
 def numeric_problem(m: int, n: int, seed: int,
@@ -146,6 +147,35 @@ class TestExplain:
         assert any("same weight" in note for note in result.warnings)
         assert explain(instance, quadratic_predictor3(), config).warnings == ()
 
+    @pytest.mark.parametrize("surrogate", [
+        LimeRidge(0.5),
+        BayLime(PriorSpec.non_informative()),
+        BayLime(PriorSpec.partial(np.array([1.0, 0.5, -0.5]), 20.0)),
+        BayLime(PriorSpec.full(np.array([1.0, 0.5, -0.5]), 20.0, 2.0)),
+    ])
+    def test_equals_the_lone_fit_of_its_weighted_set(self, surrogate):
+        # explain is the one-run seed block; it must equal weighting the
+        # probed set and fitting it alone, bit for bit.
+        instance, config = numeric_problem(3, 200, 5, surrogate)
+        result = explain(instance, quadratic_predictor3(), config)
+        pset = apply_weights(build_perturbation_set(
+            instance, config.perturb, quadratic_predictor3()),
+            config.kernel, instance)
+        if isinstance(surrogate, LimeRidge):
+            coefficients = ridge_fit(pset, surrogate.r)
+        else:
+            posterior = fit_surrogate(pset, surrogate.prior)
+            coefficients = posterior.mu_n
+            assert ((result.posterior.lambda_used, result.posterior.alpha_used,
+                     result.posterior.iterations)
+                    == (posterior.lambda_used, posterior.alpha_used,
+                        posterior.iterations))
+        lone = Explanation.from_coefficients(
+            coefficients, kernel_width=result.kernel_width, n_samples=200)
+        assert result.coefficients.tobytes() == lone.coefficients.tobytes()
+        assert result.importances.tobytes() == lone.importances.tobytes()
+        assert result.ranks.tolist() == lone.ranks.tolist()
+
     def test_inputs_not_mutated(self):
         instance, config = numeric_problem(2, 50, 1, LimeRidge(1.0))
         values_before = instance.values.copy()
@@ -160,23 +190,33 @@ def quadratic_predictor3():
 
 
 class TestExplainRepeated:
+    """A seed block of one surrogate: k runs differing only in seed."""
+
     def test_runs_ordered_by_seed(self):
         instance, config = numeric_problem(2, 80, 0, LimeRidge(1.0))
-        ensemble = explain_repeated(instance, quadratic_predictor(), config,
-                                    k=4, seed_base=10)
+        (ensemble,) = explain_block(instance, quadratic_predictor(), config,
+                                    (config.surrogate,), 4, seed_base=10)
         assert [run.seed for run in ensemble.runs] == [10, 11, 12, 13]
 
     def test_distinct_seeds_vary_on_nonlinear_model(self):
         instance, config = numeric_problem(2, 80, 0, LimeRidge(1.0))
-        ensemble = explain_repeated(instance, quadratic_predictor(), config,
-                                    k=3, seed_base=0)
+        (ensemble,) = explain_block(instance, quadratic_predictor(), config,
+                                    (config.surrogate,), 3, seed_base=0)
         coefficient_sets = {tuple(run.coefficients) for run in ensemble.runs}
         assert len(coefficient_sets) == 3
 
     def test_needs_two_runs(self):
+        # One run is a block, but agreement across runs needs two.
         instance, config = numeric_problem(2, 80, 0, LimeRidge(1.0))
+        (ensemble,) = explain_block(instance, quadratic_predictor(), config,
+                                    (config.surrogate,), 1)
+        assert ensemble.k == 1
+        for metric in (inconsistency, kendalls_w):
+            with pytest.raises(InvalidInputError):
+                metric(ensemble)
         with pytest.raises(ConfigError):
-            explain_repeated(instance, quadratic_predictor(), config, k=1)
+            explain_block(instance, quadratic_predictor(), config,
+                          (config.surrogate,), 0)
 
 
 class CountingPredictor:
@@ -196,6 +236,8 @@ class CountingPredictor:
 
 
 class TestExplainPaired:
+    """A seed block of several surrogates, paired on shared sample sets."""
+
     SURROGATES = (
         LimeRidge(1.0),
         BayLime(PriorSpec.non_informative()),
@@ -205,16 +247,16 @@ class TestExplainPaired:
     def test_one_probe_per_seed_whatever_the_surrogate_count(self):
         instance, config = numeric_problem(3, 150, 0, LimeRidge(1.0))
         model = CountingPredictor()
-        ensembles = explain_paired(
+        ensembles = explain_block(
             instance, PredictorHandle.in_process(model, batch_limit=64),
             config, self.SURROGATES, 5, seed_base=20)
         # The seeds' rows share requests of batch_limit rows.
         assert (model.calls, model.rows) == (math.ceil(5 * 150 / 64), 5 * 150)
         assert len(ensembles) == len(self.SURROGATES)
         for surrogate, paired in zip(self.SURROGATES, ensembles):
-            alone = explain_repeated(
+            (alone,) = explain_block(
                 instance, PredictorHandle.in_process(CountingPredictor()),
-                config.with_surrogate(surrogate), 5, seed_base=20)
+                config, (surrogate,), 5, seed_base=20)
             for got, want in zip(paired.runs, alone.runs, strict=True):
                 assert got.coefficients.tobytes() == want.coefficients.tobytes()
                 assert got.ranks.tolist() == want.ranks.tolist()
@@ -229,7 +271,7 @@ class TestExplainPaired:
         pair = (LimeRidge(r),
                 BayLime(PriorSpec.full(np.zeros(3), lam=2.0 * r, alpha=2.0)))
         instance, config = numeric_problem(3, 120, 0, pair[0])
-        lime, bayes = explain_paired(
+        lime, bayes = explain_block(
             instance, PredictorHandle.in_process(CountingPredictor(noise=1.0)),
             config, pair, 4)
         for a, b in zip(lime.runs, bayes.runs):
@@ -240,11 +282,11 @@ class TestExplainPaired:
         instance, config = numeric_problem(3, 50, 0, LimeRidge(1.0))
         model = CountingPredictor()
         with pytest.raises(ConfigError):
-            explain_paired(instance, PredictorHandle.in_process(model),
-                           config, (LimeRidge(1.0), "ridge"), 3)
+            explain_block(instance, PredictorHandle.in_process(model),
+                          config, (LimeRidge(1.0), "ridge"), 3)
         with pytest.raises(ConfigError):
-            explain_paired(instance, PredictorHandle.in_process(model),
-                           config, (), 3)
+            explain_block(instance, PredictorHandle.in_process(model),
+                          config, (), 3)
         assert model.calls == 0
 
 
@@ -311,15 +353,13 @@ def row_model(constant: bool):
 
 
 def seed_by_seed(instance, model, config, surrogates, k, seed_base):
-    """The runs of a per-seed loop: probe a seed's set, fit each surrogate."""
+    """The runs of a per-seed loop: explain each seed with each surrogate."""
     runs = [[] for _ in surrogates]
     for seed in range(seed_base, seed_base + k):
         seeded = config.with_seed(seed)
-        pset = build_perturbation_set(instance, seeded.perturb,
-                                      PredictorHandle.in_process(model))
         for out, surrogate in zip(runs, surrogates):
-            out.append(explain_from_pset(pset, instance,
-                                         seeded.with_surrogate(surrogate)))
+            out.append(explain(instance, PredictorHandle.in_process(model),
+                               seeded.with_surrogate(surrogate)))
     return runs
 
 
@@ -340,16 +380,15 @@ class TestSeedBlock:
             return model(rows)
 
         with pytest.MonkeyPatch.context() as patch:
-            for name in ("fit_surrogate", "posterior_rows"):
-                patch.setattr(explainer, name, functools.partial(
-                    getattr(explainer, name), max_iter=case["max_iter"]))
+            patch.setattr(explainer, "posterior_rows", functools.partial(
+                explainer.posterior_rows, max_iter=case["max_iter"]))
             try:
                 want = seed_by_seed(instance, model, config, surrogates, k,
                                     case["seed_base"])
             except FitError as exc:
                 want = exc
             try:
-                got = explain_paired(
+                got = explain_block(
                     instance,
                     PredictorHandle.in_process(counting,
                                                batch_limit=case["limit"]),
@@ -422,18 +461,18 @@ class TestSeedBlock:
 
         monkeypatch.setattr(explainer, "ridge_rows", failing_rows)
         with pytest.raises(FitError, match=r"r=1.0 fails at seed 1"):
-            explain_paired(instance, quadratic_predictor3(), config,
-                           (first, second), 3)
+            explain_block(instance, quadratic_predictor3(), config,
+                          (first, second), 3)
         fail_at[first.r] = 2
         with pytest.raises(FitError, match=r"r=2.0 fails at seed 1"):
-            explain_paired(instance, quadratic_predictor3(), config,
-                           (first, second), 3)
+            explain_block(instance, quadratic_predictor3(), config,
+                          (first, second), 3)
 
     def test_runs_are_made_on_first_access(self):
         instance, config = numeric_problem(2, 60, 0, LimeRidge(1.0))
-        (ensemble,) = explain_paired(instance, quadratic_predictor(), config,
-                                     (BayLime(PriorSpec.non_informative()),),
-                                     3)
+        (ensemble,) = explain_block(instance, quadratic_predictor(), config,
+                                    (BayLime(PriorSpec.non_informative()),),
+                                    3)
         assert ensemble._runs is None
         runs = ensemble.runs
         assert ensemble.runs is runs
@@ -444,8 +483,8 @@ class TestSeedBlock:
         model = CountingPredictor()
         prior = BayLime(PriorSpec.partial(np.zeros(2), 1.0))
         with pytest.raises(ShapeError):
-            explain_paired(instance, PredictorHandle.in_process(model),
-                           config, (LimeRidge(1.0), prior), 3)
+            explain_block(instance, PredictorHandle.in_process(model),
+                          config, (LimeRidge(1.0), prior), 3)
         assert model.calls == 0
 
 

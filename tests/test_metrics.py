@@ -28,14 +28,10 @@ from baylime import (
     UndefinedMetricError,
     apply_weights,
     build_perturbation_set,
-    fit_surrogate,
     inconsistency,
     kendalls_w,
     normalize_coefficients,
-    ridge_fit,
     robustness,
-    robustness_from_pset,
-    robustness_paired,
     width_pairs,
 )
 from baylime.kernel import (
@@ -46,6 +42,7 @@ from baylime.kernel import (
     proximity_distances,
 )
 from baylime.types import Instance, NUMERICAL
+from conftest import ensemble_of, fit_surrogate, ridge_fit, sweep
 
 
 def run(coefficients) -> Explanation:
@@ -54,7 +51,7 @@ def run(coefficients) -> Explanation:
 
 
 def ensemble(*coefficient_sets) -> ExplanationEnsemble:
-    return ExplanationEnsemble(tuple(run(c) for c in coefficient_sets))
+    return ensemble_of(run(c) for c in coefficient_sets)
 
 
 class TestInconsistency:
@@ -167,8 +164,8 @@ class TestPairRatio:
         pset = build_perturbation_set(instance, perturb, handle)
 
         def ratio(pair):
-            report = robustness_from_pset(pset, instance, LimeRidge(1.0),
-                                          [pair])
+            (report,) = robustness(pset, instance, (LimeRidge(1.0),),
+                                   [pair])
             return report.robustness_samples[0][2]
 
         forward = ratio((0.5, 2.0))
@@ -183,8 +180,8 @@ class TestRobustness:
         config = ExplainConfig(perturb, KernelConfig(), LimeRidge(1.0))
         handle = PredictorHandle.in_process(
             lambda rows: np.zeros(rows.shape[0]))
-        report = robustness(instance, handle, config, pairs=10,
-                            bounds=(0.2, 5.0), seed=2)
+        report = sweep(instance, handle, config, pairs=10,
+                       bounds=(0.2, 5.0), seed=2)
         assert all(sample[2] == 0.0 for sample in report.robustness_samples)
         assert report.robustness_r == 0.0
 
@@ -199,8 +196,8 @@ class TestRobustness:
             BayLime(PriorSpec.full(np.array([3.0, -1.0]), 200.0, 1.0)),
         ):
             config = ExplainConfig(perturb, KernelConfig(), surrogate)
-            report = robustness(instance, handle, config, pairs=30,
-                                bounds=(0.2, 5.0), seed=3)
+            report = sweep(instance, handle, config, pairs=30,
+                           bounds=(0.2, 5.0), seed=3)
             assert report.robustness_r < 1e-6
 
     def test_median_is_lower_middle_sample(self):
@@ -208,8 +205,8 @@ class TestRobustness:
         handle = PredictorHandle.in_process(
             lambda rows: rows[:, 0] + 0.5 * (rows**2).sum(axis=1))
         config = ExplainConfig(perturb, KernelConfig(), LimeRidge(1.0))
-        report = robustness(instance, handle, config, pairs=10,
-                            bounds=(0.2, 5.0), seed=4)
+        report = sweep(instance, handle, config, pairs=10,
+                       bounds=(0.2, 5.0), seed=4)
         ratios = sorted(s[2] for s in report.robustness_samples)
         assert report.robustness_r == ratios[(len(ratios) - 1) // 2]
 
@@ -218,8 +215,8 @@ class TestRobustness:
         handle = PredictorHandle.in_process(
             lambda rows: rows[:, 0] ** 2)
         config = ExplainConfig(perturb, KernelConfig(), LimeRidge(1.0))
-        report = robustness(instance, handle, config, pairs=1,
-                            bounds=(0.2, 5.0), seed=5)
+        report = sweep(instance, handle, config, pairs=1,
+                       bounds=(0.2, 5.0), seed=5)
         assert len(report.robustness_samples) == 1
 
     def test_fit_failure_carries_partial_samples(self):
@@ -233,7 +230,7 @@ class TestRobustness:
             weights=pset.weights, seed=pset.seed)
         pairs = width_pairs(5, (0.2, 5.0), seed=1)
         with pytest.raises(FitError) as excinfo:
-            robustness_from_pset(degenerate, instance, LimeRidge(0.0), pairs)
+            robustness(degenerate, instance, (LimeRidge(0.0),), pairs)
         assert hasattr(excinfo.value, "partial_samples")
         assert excinfo.value.partial_samples == ()
 
@@ -265,6 +262,8 @@ def quadratic_pset(m: int, n: int, seed: int):
 
 
 class TestRobustnessPaired:
+    """Several surrogates swept over one probed set's width pairs."""
+
     SURROGATES = (
         LimeRidge(1.0),
         LimeRidge(0.0),
@@ -277,8 +276,8 @@ class TestRobustnessPaired:
     def test_bitwise_equal_to_reference_loop(self, distance):
         instance, pset = quadratic_pset(3, 300, 21)
         pairs = width_pairs(12, (0.5, 5.0), seed=4)
-        reports = robustness_paired(pset, instance, self.SURROGATES, pairs,
-                                    distance=distance)
+        reports = robustness(pset, instance, self.SURROGATES, pairs,
+                             distance=distance)
         assert len(reports) == len(self.SURROGATES)
         for surrogate, report in zip(self.SURROGATES, reports):
             samples, median = reference_robustness(pset, instance,
@@ -292,7 +291,7 @@ class TestRobustnessPaired:
         d = proximity_distances(pset, instance)
         smallest = min(effective_sample_size(floored_weights(d, width))
                        for pair in pairs for width in pair)
-        reports = robustness_paired(pset, instance, self.SURROGATES, pairs)
+        reports = robustness(pset, instance, self.SURROGATES, pairs)
         assert [r.min_effective_sample_size for r in reports] == (
             [smallest] * len(self.SURROGATES))
 
@@ -300,7 +299,7 @@ class TestRobustnessPaired:
         instance, pset = quadratic_pset(3, 200, 23)
         pairs = width_pairs(6, (0.5, 5.0), seed=6)
         first, second = LimeRidge(1.0), LimeRidge(2.0)
-        clean = robustness_from_pset(pset, instance, first, pairs)
+        (clean,) = robustness(pset, instance, (first,), pairs)
         # Widths are stacked l1, l2 of each pair in turn. The second
         # surrogate fails at row 0 (pair 0), the first at row 6 (the first
         # width of pair 3).
@@ -317,9 +316,9 @@ class TestRobustnessPaired:
 
         monkeypatch.setattr(explainer, "ridge_rows", failing_rows)
         with pytest.raises(FitError) as paired:
-            robustness_paired(pset, instance, (first, second), pairs)
+            robustness(pset, instance, (first, second), pairs)
         with pytest.raises(FitError) as alone:
-            robustness_from_pset(pset, instance, first, pairs)
+            robustness(pset, instance, (first,), pairs)
         assert str(paired.value) == str(alone.value) == f"{first} fails"
         assert paired.value.partial_samples == alone.value.partial_samples
         assert alone.value.partial_samples == clean.robustness_samples[:3]
@@ -331,10 +330,9 @@ class TestRobustnessPaired:
         pairs = width_pairs(6, (0.4, 0.5), seed=18)
         noninf = BayLime(PriorSpec.non_informative())
         with pytest.raises(ConvergenceError) as paired:
-            robustness_paired(pset, instance, (LimeRidge(1.0), noninf),
-                              pairs)
+            robustness(pset, instance, (LimeRidge(1.0), noninf), pairs)
         with pytest.raises(ConvergenceError) as alone:
-            robustness_from_pset(pset, instance, noninf, pairs)
+            robustness(pset, instance, (noninf,), pairs)
         got, want = paired.value, alone.value
         assert got.partial_samples == want.partial_samples
         assert ((got.alpha, got.lam, got.iterations)
@@ -364,19 +362,19 @@ class TestRobustnessPaired:
         monkeypatch.setattr(metrics, "fit", counting_fit)
         wrong = BayLime(PriorSpec.partial(np.array([1.0, 2.0]), 50.0))
         with pytest.raises(ShapeError):
-            robustness_paired(pset, instance, (LimeRidge(1.0), wrong),
-                              [(0.5, 1.0)])
+            robustness(pset, instance, (LimeRidge(1.0), wrong),
+                       [(0.5, 1.0)])
         assert fits == []
 
     def test_needs_a_surrogate(self):
         instance, pset = quadratic_pset(3, 50, 24)
         with pytest.raises(ConfigError):
-            robustness_paired(pset, instance, (), [(0.5, 1.0)])
+            robustness(pset, instance, (), [(0.5, 1.0)])
 
     def test_needs_a_width_pair(self):
         instance, pset = quadratic_pset(3, 50, 24)
         with pytest.raises(ConfigError):
-            robustness_paired(pset, instance, (LimeRidge(1.0),), [])
+            robustness(pset, instance, (LimeRidge(1.0),), [])
 
 
 class TestRobustnessConfig:
@@ -390,8 +388,8 @@ class TestRobustnessConfig:
         for distance in (EUCLIDEAN, BINARY_HAMMING):
             config = ExplainConfig(perturb, KernelConfig(distance=distance),
                                    LimeRidge(1.0))
-            reports[distance] = robustness(instance, handle, config,
-                                           pairs=5, seed=7)
+            reports[distance] = sweep(instance, handle, config, pairs=5,
+                                      seed=7)
             samples, _ = reference_robustness(pset, instance, LimeRidge(1.0),
                                               pairs, distance)
             assert reports[distance].robustness_samples == samples
@@ -408,11 +406,10 @@ class TestRobustnessConfig:
                                           score(rows)]))
         config = ExplainConfig(perturb, KernelConfig(), LimeRidge(1.0),
                                target_class=1)
-        selected = robustness(instance, two_class, config, pairs=4, seed=8)
-        direct = robustness(instance, PredictorHandle.in_process(score),
-                            ExplainConfig(perturb, KernelConfig(),
-                                          LimeRidge(1.0)),
-                            pairs=4, seed=8)
+        selected = sweep(instance, two_class, config, pairs=4, seed=8)
+        direct = sweep(instance, PredictorHandle.in_process(score),
+                       ExplainConfig(perturb, KernelConfig(), LimeRidge(1.0)),
+                       pairs=4, seed=8)
         assert selected == direct
 
 

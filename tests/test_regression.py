@@ -28,10 +28,9 @@ from baylime import (
     ShapeError,
     SingularityError,
     decompose,
-    fit_surrogate,
-    ridge_fit,
 )
-from baylime.regression import WeightedStack, posterior_rows, ridge_rows
+from baylime.regression import posterior_rows, ridge_rows
+from conftest import fit_surrogate, ridge_fit, stack_sets, stack_weights
 
 
 def random_problem(rng, m=None, n=None):
@@ -487,7 +486,7 @@ class TestStackedRows:
     def test_every_row_equals_its_lone_fit(self, case):
         base, weights, mu0, max_iter = case
         s = len(weights)
-        stack = WeightedStack.of_weights(base, lambda i: weights[i], s)
+        stack = stack_weights(base, weights)
         for surrogate in (1.0, 0.0, PriorSpec.non_informative(),
                           PriorSpec.partial(mu0, 10.0),
                           PriorSpec.full(mu0, 10.0, 2.0)):
@@ -526,7 +525,7 @@ class TestStackedRows:
                                weights=np.ones(200), seed=0)
         weights = (rng.uniform(0.01, 1.0, (4, 200))
                    ** (1 + 4 * rng.random((4, 1))))
-        stack = WeightedStack.of_weights(base, lambda i: weights[i], 4)
+        stack = stack_weights(base, weights)
         result = posterior_rows(stack, PriorSpec.non_informative())
         assert len(set(result.iterations.tolist())) > 1
         for i, w in enumerate(weights):
@@ -538,7 +537,7 @@ class TestStackedRows:
 
     def test_spectrum_is_the_one_row_stack(self):
         pset = random_problem(np.random.default_rng(73), m=6, n=80)
-        stack = WeightedStack.of_weights(pset, lambda i: pset.weights, 1)
+        stack = stack_weights(pset, [pset.weights])
         for stacked, alone in zip(stack.spectrum, pset.spectrum):
             assert stacked[0].tobytes() == alone.tobytes()
 
@@ -554,8 +553,8 @@ class TestStackedSets:
         rng = np.random.default_rng(seed)
         sets = [random_problem(rng, m=m, n=n) for _ in range(s)]
         mu0 = rng.normal(size=m)
-        stacks = {True: WeightedStack.of_sets(iter(sets)),
-                  False: WeightedStack.of_sets(iter(sets), evidence=False)}
+        stacks = {True: stack_sets(sets),
+                  False: stack_sets(sets, evidence=False)}
         for evidence, stack in stacks.items():
             for i, pset in enumerate(sets):
                 for stacked, alone in zip(stack.spectrum, pset.spectrum):
@@ -586,18 +585,9 @@ class TestStackedSets:
                             sets[i], surrogate,
                             max_iter=max_iter).n_effective_data
 
-    def test_sets_must_share_their_size(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(ShapeError):
-            WeightedStack.of_sets([random_problem(rng, m=2, n=10),
-                                   random_problem(rng, m=2, n=11)])
-        with pytest.raises(ShapeError):
-            WeightedStack.of_sets([])
-
     def test_stack_without_evidence_inputs_refuses_evidence_fits(self):
         rng = np.random.default_rng(4)
-        stack = WeightedStack.of_sets(
-            [random_problem(rng, m=3, n=30) for _ in range(2)],
-            evidence=False)
+        stack = stack_sets([random_problem(rng, m=3, n=30)
+                            for _ in range(2)], evidence=False)
         with pytest.raises(ConfigError):
             posterior_rows(stack, PriorSpec.non_informative())

@@ -14,10 +14,13 @@ from baylime import (
     InvalidInputError,
     PerturbationSet,
     ShapeError,
+    inconsistency,
+    kendalls_w,
     normalize_coefficients,
     rank_features,
 )
 from baylime.types import BINARY_MASK, CATEGORICAL, NUMERICAL
+from conftest import ensemble_of
 
 
 class TestRankFeatures:
@@ -182,19 +185,24 @@ class TestExplanationEnsemble:
                                              n_samples=10)
 
     def test_matrices(self):
-        ensemble = ExplanationEnsemble((self._run([0.8, 0.6]),
-                                        self._run([0.6, 0.8])))
+        ensemble = ensemble_of((self._run([0.8, 0.6]), self._run([0.6, 0.8])))
         assert ensemble.k == 2 and ensemble.m == 2
         assert ensemble.rank_matrix().tolist() == [[1, 2], [2, 1]]
         np.testing.assert_allclose(ensemble.importance_matrix(),
                                    [[0.8, 0.6], [0.6, 0.8]])
 
     def test_needs_two_runs(self):
+        # An ensemble needs one run; agreement across runs needs two.
         with pytest.raises(InvalidInputError):
-            ExplanationEnsemble((self._run([1.0]),))
+            ExplanationEnsemble(np.ones((0, 2)), np.ones((0, 2)),
+                                lambda i: None)
         with pytest.raises(InvalidInputError):
-            ExplanationEnsemble.of_rows(np.ones((1, 2)), np.ones((1, 2)),
-                                        lambda i: None)
+            ExplanationEnsemble(np.ones(2), np.ones(2), lambda i: None)
+        single = ensemble_of((self._run([1.0, 2.0]),))
+        assert single.k == 1
+        for metric in (inconsistency, kendalls_w):
+            with pytest.raises(InvalidInputError):
+                metric(single)
 
     def test_rows_make_their_runs_once_on_demand(self):
         runs = (self._run([0.8, 0.6]), self._run([0.6, 0.8]))
@@ -204,7 +212,7 @@ class TestExplanationEnsemble:
             made.append(i)
             return runs[i]
 
-        ensemble = ExplanationEnsemble.of_rows(
+        ensemble = ExplanationEnsemble(
             np.stack([r.importances for r in runs]),
             np.stack([r.ranks for r in runs]), make_run,
             min_effective_sample_size=3.5)
@@ -215,8 +223,9 @@ class TestExplanationEnsemble:
         assert ensemble.runs == runs
         assert made == [0, 1]
         assert ensemble.min_effective_sample_size == 3.5
-        assert ExplanationEnsemble(runs).min_effective_sample_size is None
+        assert ensemble_of(runs).min_effective_sample_size is None
 
     def test_rejects_mixed_m(self):
         with pytest.raises(ShapeError):
-            ExplanationEnsemble((self._run([1.0]), self._run([1.0, 2.0])))
+            ExplanationEnsemble(np.ones((2, 1)), np.ones((2, 2)),
+                                lambda i: None)
