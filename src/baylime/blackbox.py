@@ -15,11 +15,11 @@ one numeric output per row. Two transports are provided:
   decimals that parse back to the same doubles, so the child sees every
   input bit for bit.
 
-:func:`probe` splits large batches into chunks of ``batch_limit`` rows, so
-one probe call may translate into several requests on the same transport.
-:class:`PackedProbe` labels many blocks of rows (the seeds of a repeated
-explanation) in shared requests of ``batch_limit`` rows, so one request
-may carry rows of several blocks.
+:func:`label_blocks` labels a stream of (tag, rows) blocks, such as the
+seeds of a seed block, in shared requests of ``batch_limit`` rows and
+yields (tag, labels) in block order, so one request may carry rows of
+several blocks. :func:`probe` is its one-block case, so one probe call may
+translate into several requests on the same transport.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -78,6 +78,26 @@ class PredictorHandle:
         transport = SubprocessPredictor(command, timeout=timeout)
         return cls(transport, batch_limit=batch_limit)
 
+    def predict(self, rows: np.ndarray) -> np.ndarray:
+        """One request: the model's outputs, checked to be one per row."""
+        raw = self.predict_fn(rows)
+        out = np.asarray(raw, dtype=float)
+        if out.ndim == 2 and out.shape[1] == 1:
+            out = out[:, 0]
+        if out.ndim != 1:
+            raise ContractViolationError(
+                f"predictor returned shape {out.shape}; expected one value "
+                f"per row (use select_class for per-class matrices)",
+                payload=raw,
+            )
+        if out.shape[0] != rows.shape[0]:
+            raise ContractViolationError(
+                f"predictor returned {out.shape[0]} outputs for "
+                f"{rows.shape[0]} rows",
+                payload=raw,
+            )
+        return out
+
     def close(self) -> None:
         closer = getattr(self.predict_fn, "close", None)
         if closer is not None:
@@ -96,7 +116,7 @@ def probe(handle: PredictorHandle, rows: np.ndarray) -> np.ndarray:
     Rows are submitted in input order, split transparently into chunks of at
     most ``handle.batch_limit`` rows, so the model sees exactly
     ceil(n / batch_limit) calls. This is the one-block case of
-    :class:`PackedProbe`.
+    :func:`label_blocks`.
 
     Raises:
         ProbeError: the transport failed (exit, malformed response, timeout).
@@ -104,100 +124,90 @@ def probe(handle: PredictorHandle, rows: np.ndarray) -> np.ndarray:
             outputs, a shape that cannot be narrowed to one value per row,
             or a non-finite prediction (the offending row index is named).
     """
-    packed = PackedProbe(handle)
-    labels = packed.add(rows) + packed.finish()
-    return labels[0]
+    ((_, labels),) = label_blocks(handle, [(None, rows)])
+    return labels
 
 
-class PackedProbe:
-    """Label a stream of row blocks in shared requests of ``batch_limit`` rows.
+def label_blocks(handle: PredictorHandle,
+                 blocks: Iterable[tuple[object, np.ndarray]],
+                 ) -> Iterator[tuple[object, np.ndarray]]:
+    """Label a stream of (tag, rows) blocks in shared requests.
 
-    Blocks are queued in order by :meth:`add`, and a request goes out as
-    soon as ``batch_limit`` rows wait. A block may therefore share requests
-    with the blocks before and after it, and the model sees
-    ceil(total rows / batch_limit) calls for all blocks together, with the
-    rows in block order. :meth:`add` returns the labels of the blocks its
-    requests completed, in block order; :meth:`finish` sends the rows still
-    waiting and returns the labels of the remaining blocks. Only the rows
-    of blocks not yet labelled are held.
+    Rows go out in block order, in requests of ``batch_limit`` rows, so a
+    block may share requests with the blocks before and after it and the
+    model sees ceil(total rows / batch_limit) calls for all blocks
+    together. Yields (tag, labels) for each block once its last row is
+    answered, in block order. A block's rows are checked as :func:`probe`
+    checks them, and a non-finite prediction is reported by its row index
+    within its block.
 
-    Each block is checked as :func:`probe` checks its rows, and a
-    non-finite prediction is reported by its row index within its block.
+    Only the rows still waiting for a request are held: the unsent tail of
+    a partly sent block is copied, and a block's matrix is dropped before
+    the blocks its requests completed are yielded. The next block is taken
+    from ``blocks`` only when those are consumed.
     """
-
-    def __init__(self, handle: PredictorHandle):
-        self.handle = handle
-        # Row slices of the next request, and how many rows they hold.
-        self._waiting: list[np.ndarray] = []
-        self._count = 0
-        # Per block not yet fully labelled: [rows without labels, labels].
-        self._blocks: deque[list] = deque()
-
-    def add(self, rows: np.ndarray) -> list[np.ndarray]:
-        """Queue a block; returns the labels of every block now complete."""
+    limit = handle.batch_limit
+    # Row slices of the next request, and how many rows they hold.
+    waiting: list[np.ndarray] = []
+    count = 0
+    # Per block not yet fully labelled: [tag, rows without labels, labels].
+    pending: deque[list] = deque()
+    done: deque[tuple[object, np.ndarray]] = deque()
+    for tag, rows in blocks:
         matrix = np.asarray(rows, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] == 0:
             raise ConfigError("probe needs a non-empty n-by-m matrix")
         if not np.all(np.isfinite(matrix)):
             raise ConfigError("probe rows must be finite")
-        self._blocks.append([matrix.shape[0], []])
-        limit = self.handle.batch_limit
-        done: list[np.ndarray] = []
+        pending.append([tag, matrix.shape[0], []])
+        # From here only the queues hold the block, so it dies once used.
+        del tag, rows
         start = 0
         while start < matrix.shape[0]:
-            stop = min(start + limit - self._count, matrix.shape[0])
-            self._waiting.append(matrix[start:stop])
-            self._count += stop - start
-            if self._count == limit:
-                done += self._send()
+            stop = min(start + limit - count, matrix.shape[0])
+            waiting.append(matrix[start:stop])
+            count += stop - start
+            if count == limit:
+                done += _answer(handle, waiting, pending)
+                count = 0
             elif start:
-                # Only the unsent tail of a partly sent block is kept.
-                self._waiting[-1] = self._waiting[-1].copy()
+                waiting[-1] = waiting[-1].copy()
             start = stop
-        return done
+        del matrix
+        while done:
+            yield done.popleft()
+    if count:
+        yield from _answer(handle, waiting, pending)
 
-    def finish(self) -> list[np.ndarray]:
-        """Send the rows still waiting; returns the remaining blocks' labels."""
-        return self._send() if self._count else []
 
-    def _send(self) -> list[np.ndarray]:
-        waiting = self._waiting
-        chunk = waiting[0] if len(waiting) == 1 else np.concatenate(waiting)
-        self._waiting, self._count = [], 0
-        raw = self.handle.predict_fn(chunk)
-        out = np.asarray(raw, dtype=float)
-        if out.ndim == 2 and out.shape[1] == 1:
-            out = out[:, 0]
-        if out.ndim != 1:
-            raise ContractViolationError(
-                f"predictor returned shape {out.shape}; expected one value "
-                f"per row (use select_class for per-class matrices)",
-                payload=raw,
-            )
-        if out.shape[0] != chunk.shape[0]:
-            raise ContractViolationError(
-                f"predictor returned {out.shape[0]} outputs for "
-                f"{chunk.shape[0]} rows",
-                payload=raw,
-            )
-        done = []
-        start = 0
-        while start < out.shape[0]:
-            block = self._blocks[0]
-            stop = min(start + block[0], out.shape[0])
-            block[1].append(out[start:stop])
-            block[0] -= stop - start
-            start = stop
-            if block[0] == 0:
-                self._blocks.popleft()
-                result = np.concatenate(block[1])
-                bad = np.flatnonzero(~np.isfinite(result))
-                if bad.size:
-                    raise ContractViolationError(
-                        f"non-finite prediction at row {int(bad[0])}",
-                        payload=result)
-                done.append(result)
-        return done
+def _answer(handle: PredictorHandle, waiting: list[np.ndarray],
+            pending: deque[list]) -> list[tuple[object, np.ndarray]]:
+    """Send and clear the waiting row slices as one request.
+
+    The outputs go to the pending blocks in order; returns (tag, labels)
+    of the blocks the request completed.
+    """
+    chunk = waiting[0] if len(waiting) == 1 else np.concatenate(waiting)
+    waiting.clear()
+    out = handle.predict(chunk)
+    done = []
+    start = 0
+    while start < out.shape[0]:
+        block = pending[0]
+        stop = min(start + block[1], out.shape[0])
+        block[2].append(out[start:stop])
+        block[1] -= stop - start
+        start = stop
+        if block[1] == 0:
+            pending.popleft()
+            labels = np.concatenate(block[2])
+            bad = np.flatnonzero(~np.isfinite(labels))
+            if bad.size:
+                raise ContractViolationError(
+                    f"non-finite prediction at row {int(bad[0])}",
+                    payload=labels)
+            done.append((block[0], labels))
+    return done
 
 
 def select_class(fn: Callable[[np.ndarray], np.ndarray],

@@ -6,13 +6,13 @@ into a prior for the next one.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .blackbox import PackedProbe, PredictorHandle, with_class
+from .blackbox import PredictorHandle, label_blocks, with_class
 from .errors import ConfigError, InvalidInputError, ShapeError
 from .kernel import (
     KernelConfig,
@@ -28,7 +28,8 @@ from .regression import (
     PriorSpec,
     StackFit,
     WeightedStack,
-    evidence_inputs,
+    _rank_tol,
+    _rotate,
     posterior_rows,
     ridge_rows,
 )
@@ -80,14 +81,8 @@ class ExplainConfig:
         if self.target_class is not None and self.target_class < 0:
             raise ConfigError("target_class must be non-negative")
 
-    def with_seed(self, seed: int) -> "ExplainConfig":
-        return replace(self, perturb=replace(self.perturb, seed=seed))
-
     def with_n(self, n: int) -> "ExplainConfig":
         return replace(self, perturb=replace(self.perturb, n=n))
-
-    def with_surrogate(self, surrogate: LimeRidge | BayLime) -> "ExplainConfig":
-        return replace(self, surrogate=surrogate)
 
 
 def fit(stack: WeightedStack, surrogate: LimeRidge | BayLime) -> StackFit:
@@ -100,6 +95,55 @@ def fit(stack: WeightedStack, surrogate: LimeRidge | BayLime) -> StackFit:
     if isinstance(surrogate, LimeRidge):
         return ridge_rows(stack, surrogate.r)
     return posterior_rows(stack, surrogate.prior)
+
+
+def reduce_set(rows: np.ndarray, labels: np.ndarray,
+               weights: Callable[[int], np.ndarray], s: int, evidence: bool,
+               ) -> tuple[tuple[np.ndarray, ...], list[float]]:
+    """Reduce one labelled set under s weightings to its rows of a stack.
+
+    Row i weights the samples by ``weights(i)``: a seed's set is one row, a
+    kernel-width sweep one row per width. Returns the stack columns, X'WX
+    and X'WY, and each row's Kish effective sample size. With ``evidence``
+    the columns add what evidence fits need from the samples: the spectrum
+    (eig, V, V'X'WY) of all s rows from one batched ``eigh``, and the
+    inputs :attr:`WeightedStack.evidence` holds. ``weights`` is called
+    again for those, so one weight vector is held at a time.
+    """
+    m = rows.shape[1]
+    grams, moments = np.empty((s, m, m)), np.empty((s, m))
+    effective = []
+    for i in range(s):
+        w = weights(i)
+        effective.append(effective_sample_size(w))
+        grams[i], moments[i] = _weighted_moments(rows, labels, w)
+    if not evidence:
+        return (grams, moments), effective
+    eig, vectors, b = spectrum = _spectra(grams, moments)
+    c_ls = np.divide(b, eig, out=np.zeros_like(b),
+                     where=eig > _rank_tol(eig)[:, None])
+    rss_ls = np.empty(s)
+    for i, beta in enumerate(_rotate(vectors, c_ls)):
+        residual = labels - rows @ beta
+        rss_ls[i] = (weights(i) * residual * residual).sum()
+    var = float(np.var(labels))
+    alpha = np.full(s, 1.0 / var if var > 0 else 1.0)
+    return (grams, moments, *spectrum, c_ls, rss_ls, alpha), effective
+
+
+def join_sets(parts: Sequence[tuple[np.ndarray, ...]],
+              n: int) -> WeightedStack:
+    """The stack of several sets' columns from :func:`reduce_set`, in order.
+
+    A lone set's columns are the stack's, uncopied. Without evidence
+    inputs, every row's X'WX is decomposed here, in one batched ``eigh``.
+    """
+    grams, moments, *inputs = (column[0] if len(parts) == 1
+                               else np.concatenate(column)
+                               for column in zip(*parts))
+    spectrum = tuple(inputs[:3]) if inputs else _spectra(grams, moments)
+    return WeightedStack((grams, moments), spectrum, n,
+                         tuple(inputs[3:]) or None)
 
 
 def check_surrogates(surrogates: Sequence[LimeRidge | BayLime],
@@ -146,11 +190,6 @@ def _notes(n: int, effective: float, instance: Instance,
     return notes
 
 
-def _join(rows: list[np.ndarray]) -> np.ndarray:
-    """Stack rows given as (1, ...) arrays; a lone row is its own stack."""
-    return rows[0] if len(rows) == 1 else np.concatenate(rows)
-
-
 def _class_handle(predictor: PredictorHandle,
                   target_class: int | None) -> PredictorHandle:
     """The handle an explanation probes: one class's output, if chosen."""
@@ -181,17 +220,18 @@ def explain_block(instance: Instance, predictor: PredictorHandle,
     """One seed block: k >= 1 seeded runs of several surrogates, paired.
 
     The seeds seed_base, ..., seed_base+k-1 draw their sample sets in
-    order; ``config.surrogate`` and the configured seed are not used. The
-    sets are labelled in shared requests of ``batch_limit`` rows
-    (:class:`~baylime.blackbox.PackedProbe`), so the predictor sees
-    ceil(k * n / batch_limit) calls whatever the number of surrogates, and
-    a request may carry rows of several seeds. Every surrogate therefore
-    sees identical labels, even from a stochastic predictor, and the
-    comparison is exactly paired. Once a set is labelled it is weighted
-    and reduced to its fit inputs, and its rows are dropped; only the rows
-    still waiting for labels are held. Each surrogate is then fitted on
-    all k sets in one stacked call (:class:`WeightedStack`), and its
-    importances and ranks are taken for all k runs at once.
+    order; ``config.surrogate`` and the configured seed are not used. Each
+    seed's draw is one block of :func:`~baylime.blackbox.label_blocks`, so
+    the sets are labelled in shared requests of ``batch_limit`` rows, the
+    predictor sees ceil(k * n / batch_limit) calls whatever the number of
+    surrogates, and a request may carry rows of several seeds. Every
+    surrogate therefore sees identical labels, even from a stochastic
+    predictor, and the comparison is exactly paired. As each set comes
+    back labelled it is weighted and reduced to its one stack row
+    (:func:`reduce_set`), and its rows are dropped; only the rows still
+    waiting for labels are held. :func:`join_sets` stacks the k rows, each
+    surrogate is fitted on all of them in one call (:class:`WeightedStack`),
+    and its importances and ranks are taken for all k runs at once.
 
     Returns one ensemble per surrogate, in the given order, with runs
     ordered by seed; each carries the smallest Kish effective sample size
@@ -210,49 +250,23 @@ def explain_block(instance: Instance, predictor: PredictorHandle,
     kernel = config.kernel
     reference = interpretable_reference(instance)
     width = kernel.resolved_width(instance.m)
-    n = config.perturb.n
-    packed = PackedProbe(_class_handle(predictor, config.target_class))
-    waiting: deque[tuple[int, np.ndarray]] = deque()
-    seeds: list[int] = []
-    notes: list[list[str]] = []
-    effective: list[float] = []
-    parts: list[tuple[np.ndarray, ...]] = []
-
-    def reduce(labels: list[np.ndarray]) -> None:
-        """Weight each labelled set and reduce it to its row of the stack."""
-        for values in labels:
-            seed, rows = waiting.popleft()
-            weights = floored_weights(
-                distances(rows, reference, kernel.distance), width)
-            seeds.append(seed)
-            effective.append(effective_sample_size(weights))
-            notes.append(_notes(n, effective[-1], instance, kernel))
-            gram, moment = _weighted_moments(rows, values, weights)
-            row = (gram[None], moment[None])
-            if evidence:
-                # Evidence fits need the set's spectrum and least-squares
-                # terms, taken while its rows are alive.
-                spectrum = _spectra(*row)
-                row += spectrum + evidence_inputs(spectrum, rows, values,
-                                                  lambda _: weights)
-            parts.append(row)
-
-    for seed in range(seed_base, seed_base + k):
-        # The configured seed draws from the config as given, uncopied.
-        perturb = config.perturb
-        if seed != perturb.seed:
-            perturb = replace(perturb, seed=seed)
-        rows, original = perturb_matrix(instance, perturb)
-        waiting.append((seed, rows))
-        labelled = packed.add(original)
-        del rows, original
-        reduce(labelled)
-    reduce(packed.finish())
-    grams, moments, *inputs = [_join(column) for column in zip(*parts)]
-    # Without evidence fits, every set is decomposed in one batched eigh.
-    spectrum = tuple(inputs[:3]) if evidence else _spectra(grams, moments)
-    stack = WeightedStack((grams, moments), spectrum, n,
-                          tuple(inputs[3:]) or None)
+    n, perturb = config.perturb.n, config.perturb
+    # Each seed's draw is a block tagged with its interpretable rows. The
+    # configured seed draws from the config as given, uncopied.
+    draws = map(partial(perturb_matrix, instance),
+                (perturb if seed == perturb.seed
+                 else replace(perturb, seed=seed)
+                 for seed in range(seed_base, seed_base + k)))
+    parts, effective = [], []
+    for rows, labels in label_blocks(
+            _class_handle(predictor, config.target_class), draws):
+        weights = floored_weights(distances(rows, reference, kernel.distance),
+                                  width)
+        columns, (size,) = reduce_set(rows, labels, lambda _: weights, 1,
+                                      evidence)
+        parts.append(columns)
+        effective.append(size)
+    stack = join_sets(parts, n)
     fits = [fit(stack, surrogate) for surrogate in surrogates]
     # min keeps the first of equal rows: the first surrogate in order.
     first_failure = min(fits, key=lambda result: result.failed)
@@ -269,7 +283,9 @@ def explain_block(instance: Instance, predictor: PredictorHandle,
                          else stack.surrogate_fit(result, i))
             return Explanation(result.coefficients[i], importances[i],
                                ranks[i], width, n, posterior=posterior,
-                               seed=seeds[i], warnings=notes[i])
+                               seed=seed_base + i,
+                               warnings=_notes(n, effective[i], instance,
+                                               kernel))
 
         # Frozen here, the matrices are shared by the ensemble, not copied.
         importances.setflags(write=False)

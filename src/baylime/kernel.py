@@ -14,7 +14,7 @@ at 1 for binary and categorical ones (mask on, category matched).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -144,7 +144,8 @@ def apply_weights(pset: PerturbationSet, config: KernelConfig,
     """Replace the set's weights with kernel weights around the instance.
 
     Weights are overwritten, not multiplied in, so reapplying with a new
-    width is safe.
+    width is safe. The new set shares the rows and labels.
     """
     d = proximity_distances(pset, instance, config.distance)
-    return pset.with_weights(floored_weights(d, config.resolved_width(pset.m)))
+    return replace(pset, weights=floored_weights(
+        d, config.resolved_width(pset.m)))

@@ -23,19 +23,19 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, UndefinedMetricError
-from .explainer import BayLime, LimeRidge, check_surrogates, fit
-from .kernel import (
-    EUCLIDEAN,
-    effective_sample_size,
-    floored_weights,
-    proximity_distances,
+from .explainer import (
+    BayLime,
+    LimeRidge,
+    check_surrogates,
+    fit,
+    join_sets,
+    reduce_set,
 )
-from .regression import WeightedStack, evidence_inputs
+from .kernel import EUCLIDEAN, floored_weights, proximity_distances
 from .types import (
     ExplanationEnsemble,
     Instance,
     PerturbationSet,
-    _spectra,
     normalize_coefficients,
 )
 
@@ -172,14 +172,14 @@ def robustness(pset: PerturbationSet, instance: Instance,
                distance: str = EUCLIDEAN) -> tuple[MetricReport, ...]:
     """Robustness of several surrogates over one probed set and width pairs.
 
-    The set's own weights play no role. The samples' distances from the
-    instance are computed once and every width of every pair is weighted
-    once, in width order l1, l2 of each pair. The widths form one
-    :class:`WeightedStack` (one batched ``eigh``), and each surrogate is
-    fitted on all of its rows in one call, each row bit for bit the fit at
-    that width alone. Returns one report per surrogate, in the given
-    order, each with the smallest Kish effective sample size over the
-    widths.
+    The set's own weights play no role, and its rows must be finite. The
+    samples' distances from the instance are computed once, and the set is
+    reduced under every width of every pair, in width order l1, l2 of each
+    pair, to one stack row per width (:func:`~baylime.explainer.reduce_set`,
+    one batched ``eigh``). Each surrogate is fitted on all of its rows in
+    one call, each row bit for bit the fit at that width alone. Returns
+    one report per surrogate, in the given order, each with the smallest
+    Kish effective sample size over the widths.
 
     A prior mean whose length is not the set's feature count raises
     ShapeError before any fit. A fit failure ends that surrogate's sweep;
@@ -194,22 +194,13 @@ def robustness(pset: PerturbationSet, instance: Instance,
         raise ConfigError("robustness needs at least one width pair")
     evidence = check_surrogates(surrogates, pset.m)
     d = proximity_distances(pset, instance, distance)
+    if not np.all(np.isfinite(pset.rows)):
+        raise InvalidInputError("perturbation set rows must be finite")
     widths = [width for pair in pair_list for width in pair]
-    m = pset.m
-    grams, moments = np.empty((len(widths), m, m)), np.empty((len(widths), m))
-    effective = []
-    for i, width in enumerate(widths):
-        weights = floored_weights(d, width)
-        effective.append(effective_sample_size(weights))
-        grams[i], moments[i] = pset.with_weights(weights).moments
-    spectrum = _spectra(grams, moments)
-    inputs = None
-    if evidence:
-        # Each width's weights are made again, so the sweep never holds
-        # more than one weight vector.
-        inputs = evidence_inputs(spectrum, pset.rows, pset.labels,
-                                 lambda i: floored_weights(d, widths[i]))
-    stack = WeightedStack((grams, moments), spectrum, pset.n, inputs)
+    columns, effective = reduce_set(
+        pset.rows, pset.labels, lambda i: floored_weights(d, widths[i]),
+        len(widths), evidence)
+    stack = join_sets([columns], pset.n)
     reports = []
     for surrogate in surrogates:
         result = fit(stack, surrogate)

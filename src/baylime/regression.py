@@ -15,17 +15,16 @@ compromise between the prior mean and the maximum-likelihood solution:
 mu_n = A mu0 + B beta_mle with A + B = I (:func:`decompose`).
 
 Every fit is a diagonal solve in the eigenbasis X'WX = V diag(eig) V',
-which a perturbation set computes once for all its fits
-(:attr:`~baylime.types.PerturbationSet.spectrum`). The math is written
-once, over a leading stack axis: a :class:`WeightedStack` holds s weighted
+computed once for all fits on a weighted set. The math is written once,
+over a leading stack axis: a :class:`WeightedStack` holds s weighted
 sample sets, and :func:`ridge_rows` and :func:`posterior_rows` fit every
-row in one call. The sets are either one set under s weightings (a
-kernel-width sweep has one per width, decomposed in one batched ``eigh``)
-or s different sets (the seeds of a seed block, each reduced to its fit
-inputs as soon as it is labelled); the fit code does not tell the two
-apart, and a single explanation is the one-row stack. Row i of a stacked
-fit equals the fit of row i's set alone, bit for bit. With b = V'X'WY and
-s = alpha eig:
+row in one call. One reducer, :func:`~baylime.explainer.reduce_set`, turns
+a labelled set under one or more weightings into stack rows while its
+samples are alive: one row per seed in a seed block, one per kernel width
+in a robustness sweep, whose widths share one batched ``eigh``. The fit
+code does not tell the layouts apart, and a single explanation is the
+one-row stack. Row i of a stacked fit equals the fit of row i's set
+alone, bit for bit. With b = V'X'WY and s = alpha eig:
 
     ridge      V (b / (r + eig))
     mu_n       V c,  c = (lambda V'mu0 + alpha b) / (lambda + s)
@@ -52,7 +51,8 @@ where each step evaluates gamma and mu_n at the previous (lambda, alpha).
 Each step costs O(m): wsse = rss_ls + sum_i eig_i (c_i - c_ls_i)^2, where
 c_ls = b / eig is the least-squares solution with directions under the
 rank tolerance set to 0, and rss_ls its weighted residual, computed once
-per fit. Both terms are non-negative, so the sum does not cancel.
+per stack row from the set's samples. Both terms are non-negative, so
+the sum does not cancel.
 Estimates are clamped to [1e-10, 1e10]; a row stops when the relative
 change of every fitted hyperparameter drops to 1e-6, and the returned fit
 is recomputed at the converged values. The rows of a stack iterate
@@ -66,7 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -202,29 +202,6 @@ def _rotate(vectors: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.matmul(vectors, c[..., None])[..., 0]
 
 
-def evidence_inputs(spectrum: tuple[np.ndarray, np.ndarray, np.ndarray],
-                    rows: np.ndarray, labels: np.ndarray,
-                    weights: Callable[[int], np.ndarray],
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(c_ls, rss_ls, initial alpha) for every row of a spectrum stack.
-
-    The rows of the stack share one design (``rows``, ``labels``) and row
-    i is weighted by ``weights(i)``. c_ls is the least-squares solution in
-    the eigenbasis with the directions under the rank tolerance set to 0,
-    and rss_ls its explicit weighted residual sum of squares. Evidence fits
-    need these terms, and they need the set's rows.
-    """
-    eig, vectors, b = spectrum
-    c_ls = np.divide(b, eig, out=np.zeros_like(b),
-                     where=eig > _rank_tol(eig)[:, None])
-    rss_ls = np.empty(len(eig))
-    for i, beta in enumerate(_rotate(vectors, c_ls)):
-        residual = labels - rows @ beta
-        rss_ls[i] = (weights(i) * residual * residual).sum()
-    var = float(np.var(labels))
-    return c_ls, rss_ls, np.full(len(eig), 1.0 / var if var > 0 else 1.0)
-
-
 @dataclass(frozen=True)
 class WeightedStack:
     """s weighted sample sets of n samples each, in their own eigenbases.
@@ -233,10 +210,12 @@ class WeightedStack:
     weightings, a seed block s different sets, one per seed. ``moments``
     stacks every row's X'WX and X'WY and ``spectrum`` its (eig, V, V'X'WY),
     each on a leading axis of length s. ``evidence`` holds each row's
-    (c_ls, rss_ls, initial alpha) from :func:`evidence_inputs`; only
-    partial and non-informative fits read it, and a stack built for none
-    leaves it None. A stack holds O(s m^2) numbers, never the rows of its
-    sets. The arrays are frozen.
+    least-squares solution c_ls in the eigenbasis, with the directions
+    under the rank tolerance set to 0, its weighted residual sum of squares
+    rss_ls, and the initial alpha; only partial and non-informative fits
+    read it, and a stack built for none leaves it None. The rows are built
+    by :func:`~baylime.explainer.reduce_set`. A stack holds O(s m^2)
+    numbers, never the rows of its sets. The arrays are frozen.
     """
 
     moments: tuple[np.ndarray, np.ndarray]

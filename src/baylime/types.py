@@ -189,10 +189,6 @@ class PerturbationSet:
     def m(self) -> int:
         return self.rows.shape[1]
 
-    def with_weights(self, weights: np.ndarray) -> "PerturbationSet":
-        """This set with new weights; rows and labels are shared."""
-        return PerturbationSet(self.rows, self.labels, weights, self.seed)
-
     @cached_property
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
         """X'WX and X'WY, computed on first use and shared by every fit.

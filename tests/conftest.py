@@ -2,7 +2,8 @@
 
 The package fits only stacks of weighted sets (``ridge_rows`` and
 ``posterior_rows``); a single explanation is the one-row stack of a seed
-block. These helpers build the stacks the tests need: one set alone, s
+block. These helpers build the stacks the tests need with the package's
+one reducer (``reduce_set`` and ``join_sets``): one set alone, s
 different sets (a seed block's layout) and one set under s weightings (a
 robustness sweep's layout), and wrap the one-row fits as plain functions.
 Test modules import them with ``from conftest import ...``.
@@ -20,53 +21,34 @@ from baylime import (
     width_pairs,
     with_class,
 )
-from baylime.regression import (
-    MAX_ITER,
-    TOL,
-    WeightedStack,
-    evidence_inputs,
-    posterior_rows,
-    ridge_rows,
-)
-from baylime.types import _spectra
+from baylime.explainer import join_sets, reduce_set
+from baylime.regression import (MAX_ITER, TOL, WeightedStack, posterior_rows,
+                                ridge_rows)
 
 
 def one_row_stack(pset) -> WeightedStack:
-    """The one-row stack of a weighted set, sharing its spectrum."""
-    gram, moment = pset.moments
-    spectrum = tuple(arr[None] for arr in pset.spectrum)
-    return WeightedStack(
-        (gram[None], moment[None]), spectrum, pset.n,
-        evidence_inputs(spectrum, pset.rows, pset.labels,
-                        lambda i: pset.weights))
+    """The one-row stack of a weighted set."""
+    return stack_sets([pset])
 
 
 def stack_sets(sets, *, evidence: bool = True) -> WeightedStack:
     """Different weighted sets of one size, one row each, in order.
 
-    As a seed block lays its seeds out: with ``evidence`` each row is its
-    set's one-row stack; without, the stack carries no evidence inputs and
-    every row's X'WX is decomposed in one batched ``eigh``.
+    As a seed block lays its seeds out: with ``evidence`` each set is
+    decomposed as it is reduced; without, the stack carries no evidence
+    inputs and every row's X'WX is decomposed in one batched ``eigh``.
     """
-    rows = [one_row_stack(pset) for pset in sets]
-    joined = [np.concatenate(column) for column in zip(
-        *(row.moments + row.spectrum + row.evidence for row in rows))]
-    if not evidence:
-        return WeightedStack(tuple(joined[:2]), _spectra(*joined[:2]),
-                             rows[0].n)
-    return WeightedStack(tuple(joined[:2]), tuple(joined[2:5]), rows[0].n,
-                         tuple(joined[5:]))
+    return join_sets([reduce_set(pset.rows, pset.labels,
+                                 lambda _, w=pset.weights: w, 1, evidence)[0]
+                      for pset in sets], sets[0].n)
 
 
 def stack_weights(base, weights) -> WeightedStack:
     """One set under each row of ``weights``, as a robustness sweep stacks
     its widths: every row's X'WX decomposed in one batched ``eigh``."""
-    grams, moments = (np.stack(column) for column in zip(
-        *(base.with_weights(w).moments for w in weights)))
-    spectrum = _spectra(grams, moments)
-    return WeightedStack((grams, moments), spectrum, base.n,
-                         evidence_inputs(spectrum, base.rows, base.labels,
-                                         lambda i: weights[i]))
+    columns, _ = reduce_set(base.rows, base.labels, weights.__getitem__,
+                            len(weights), True)
+    return join_sets([columns], base.n)
 
 
 def ridge_fit(pset, r: float = 0.0) -> np.ndarray:

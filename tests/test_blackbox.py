@@ -108,7 +108,7 @@ class TestProbeInProcess:
             PredictorHandle.in_process(lambda rows: rows, batch_limit=0)
 
 
-class TestPackedProbe:
+class TestLabelBlocks:
     @staticmethod
     def model(chunk):
         return np.sin(chunk[:, 0]) + chunk[:, -1] ** 2
@@ -121,26 +121,29 @@ class TestPackedProbe:
         rng = np.random.default_rng(seed)
         blocks = [rng.normal(size=(n, m)) for n in sizes]
         requests = []
+        labelled = []
 
         def model(chunk):
             requests.append(chunk.copy())
             return self.model(chunk)
 
-        packed = blackbox.PackedProbe(
-            PredictorHandle.in_process(model, batch_limit=limit))
-        labels = []
-        for block in blocks:
-            labels += packed.add(block)
-            # A block is returned once its last row has been answered.
-            sent = sum(len(r) for r in requests)
-            assert len(labels) == sum(np.cumsum(sizes[:len(labels) + 1])
-                                      <= sent)
-        labels += packed.finish()
+        def stream():
+            for j, block in enumerate(blocks):
+                # A block is yielded once its last row has been answered,
+                # before the next block is taken.
+                sent = sum(len(r) for r in requests)
+                assert len(labelled) == sum(np.cumsum(sizes[:j]) <= sent)
+                yield f"block {j}", block
+
+        handle = PredictorHandle.in_process(model, batch_limit=limit)
+        for tag, labels in blackbox.label_blocks(handle, stream()):
+            labelled.append((tag, labels))
         assert len(requests) == -(-sum(sizes) // limit)
         assert all(len(r) == limit for r in requests[:-1])
         assert np.vstack(requests).tobytes() == np.vstack(blocks).tobytes()
-        assert len(labels) == len(blocks)
-        for block, got in zip(blocks, labels):
+        assert [tag for tag, _ in labelled] == [
+            f"block {j}" for j in range(len(blocks))]
+        for block, (_, got) in zip(blocks, labelled):
             assert got.tobytes() == self.model(block).tobytes()
 
     def test_non_finite_prediction_names_row_within_its_block(self):
@@ -151,14 +154,15 @@ class TestPackedProbe:
 
         second = np.zeros((3, 1))
         second[1, 0] = 1.0
-        packed = blackbox.PackedProbe(
-            PredictorHandle.in_process(bad, batch_limit=4))
-        assert packed.add(np.zeros((2, 1))) == []
+        labelled = blackbox.label_blocks(
+            PredictorHandle.in_process(bad, batch_limit=4),
+            iter([("first", np.zeros((2, 1))), ("second", second)]))
         # The first request carries both blocks' rows but completes only
         # the first block.
-        assert [len(done) for done in packed.add(second)] == [2]
+        tag, labels = next(labelled)
+        assert (tag, len(labels)) == ("first", 2)
         with pytest.raises(ContractViolationError, match="row 1"):
-            packed.finish()
+            next(labelled)
 
 
 class TestClassSelection:

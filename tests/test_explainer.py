@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -98,7 +99,7 @@ class TestExplain:
         r = 0.7
         instance, lime_config = numeric_problem(3, 300, 4, LimeRidge(r))
         prior = PriorSpec.full(np.zeros(3), lam=2.0 * r, alpha=2.0)
-        bayes_config = lime_config.with_surrogate(BayLime(prior))
+        bayes_config = replace(lime_config, surrogate=BayLime(prior))
         predictor = PredictorHandle.in_process(
             lambda rows: rows @ np.array([1.0, -2.0, 0.5])
             + 0.3 * rows[:, 0] ** 2)
@@ -356,10 +357,11 @@ def seed_by_seed(instance, model, config, surrogates, k, seed_base):
     """The runs of a per-seed loop: explain each seed with each surrogate."""
     runs = [[] for _ in surrogates]
     for seed in range(seed_base, seed_base + k):
-        seeded = config.with_seed(seed)
+        perturb = replace(config.perturb, seed=seed)
         for out, surrogate in zip(runs, surrogates):
             out.append(explain(instance, PredictorHandle.in_process(model),
-                               seeded.with_surrogate(surrogate)))
+                               replace(config, perturb=perturb,
+                                       surrogate=surrogate)))
     return runs
 
 
@@ -399,9 +401,10 @@ class TestSeedBlock:
         # Every seed's rows reach the model in seed order, packed.
         n = config.perturb.n
         assert len(requests) == math.ceil(k * n / case["limit"])
-        originals = [perturb_matrix(instance, config.with_seed(seed).perturb)
-                     [1] for seed in range(case["seed_base"],
-                                           case["seed_base"] + k)]
+        originals = [perturb_matrix(instance,
+                                    replace(config.perturb, seed=seed))[1]
+                     for seed in range(case["seed_base"],
+                                       case["seed_base"] + k)]
         assert (np.vstack(requests).tobytes()
                 == np.vstack(originals).tobytes())
         if isinstance(want, FitError):
@@ -413,7 +416,8 @@ class TestSeedBlock:
             return
         assert not isinstance(got, FitError)
         weights = [apply_weights(
-            build_perturbation_set(instance, config.with_seed(seed).perturb,
+            build_perturbation_set(instance,
+                                   replace(config.perturb, seed=seed),
                                    PredictorHandle.in_process(model)),
             config.kernel, instance).weights
             for seed in range(case["seed_base"], case["seed_base"] + k)]
@@ -467,6 +471,38 @@ class TestSeedBlock:
         with pytest.raises(FitError, match=r"r=2.0 fails at seed 1"):
             explain_block(instance, quadratic_predictor3(), config,
                           (first, second), 3)
+
+    @pytest.mark.parametrize("limit", [7, 20, 1000])
+    def test_no_drawn_matrix_is_alive_while_sets_are_fitted(self, monkeypatch,
+                                                            limit):
+        # A seed's original-space rows are dropped once they are sent, so
+        # no drawn matrix outlives its requests.
+        instance, config = numeric_problem(3, 20, 0, LimeRidge(1.0))
+        drawn, alive = [], []
+        real_draw = explainer.perturb_matrix
+
+        def draw(*args):
+            rows, original = real_draw(*args)
+            drawn.append(weakref.ref(original))
+            return rows, original
+
+        def watched(name):
+            real = getattr(explainer, name)
+
+            def call(*args):
+                alive.append((name, sum(ref() is not None for ref in drawn)))
+                return real(*args)
+
+            monkeypatch.setattr(explainer, name, call)
+
+        monkeypatch.setattr(explainer, "perturb_matrix", draw)
+        watched("reduce_set")
+        watched("fit")
+        surrogates = (LimeRidge(1.0), BayLime(PriorSpec.non_informative()))
+        explain_block(instance, PredictorHandle.in_process(
+            CountingPredictor(), batch_limit=limit), config, surrogates, 3)
+        assert len(drawn) == 3
+        assert alive == [("reduce_set", 0)] * 3 + [("fit", 0)] * 2
 
     def test_runs_are_made_on_first_access(self):
         instance, config = numeric_problem(2, 60, 0, LimeRidge(1.0))

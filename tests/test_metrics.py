@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from baylime import (
     Explanation,
     ExplanationEnsemble,
     FitError,
+    InvalidInputError,
     KernelConfig,
     LimeRidge,
     MetricReport,
@@ -365,6 +367,28 @@ class TestRobustnessPaired:
             robustness(pset, instance, (LimeRidge(1.0), wrong),
                        [(0.5, 1.0)])
         assert fits == []
+
+    def test_builds_no_set_per_width(self, monkeypatch):
+        instance, pset = quadratic_pset(3, 100, 21)
+        built = []
+        real = PerturbationSet.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(PerturbationSet, "__post_init__", counting)
+        robustness(pset, instance, self.SURROGATES,
+                   width_pairs(4, (0.5, 5.0), seed=4))
+        assert built == []
+
+    def test_non_finite_rows_are_refused(self):
+        instance, pset = quadratic_pset(3, 50, 24)
+        rows = pset.rows.copy()
+        rows[3, 1] = np.nan
+        with pytest.raises(InvalidInputError):
+            robustness(replace(pset, rows=rows), instance, (LimeRidge(1.0),),
+                       [(0.5, 1.0)])
 
     def test_needs_a_surrogate(self):
         instance, pset = quadratic_pset(3, 50, 24)

@@ -11,6 +11,7 @@ Python arithmetic.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from baylime import regression, types
+from baylime import explainer, regression, types
 from baylime import (
     ConfigError,
     ConvergenceError,
@@ -30,7 +31,8 @@ from baylime import (
     decompose,
 )
 from baylime.regression import posterior_rows, ridge_rows
-from conftest import fit_surrogate, ridge_fit, stack_sets, stack_weights
+from conftest import (fit_surrogate, one_row_stack, ridge_fit, stack_sets,
+                      stack_weights)
 
 
 def random_problem(rng, m=None, n=None):
@@ -187,19 +189,27 @@ def counted(monkeypatch, owner, name: str) -> list:
 
 class TestSharedMoments:
     def test_fits_on_one_set_compute_moments_once(self, monkeypatch):
+        # Every fit on a set's stack shares its one reduction, and the set
+        # caches its own moments and spectrum for decompose.
+        reductions = counted(monkeypatch, explainer, "_weighted_moments")
         moments = counted(monkeypatch, types, "_weighted_moments")
         eighs = counted(monkeypatch, np.linalg, "eigh")
         rng = np.random.default_rng(41)
         for weighted in range(1, 3):
             pset = random_problem(rng, m=4, n=200)
-            ridge_fit(pset, 1.0)
-            ridge_fit(pset, 0.0)
-            fit = fit_surrogate(pset, PriorSpec.non_informative())
-            fit_surrogate(pset, PriorSpec.partial(np.ones(4), 10.0))
-            fit_surrogate(pset, PriorSpec.full(np.ones(4), 10.0, 1.0))
+            stack = one_row_stack(pset)
+            ridge_rows(stack, 1.0)
+            ridge_rows(stack, 0.0)
+            for prior in (PriorSpec.partial(np.ones(4), 10.0),
+                          PriorSpec.full(np.ones(4), 10.0, 1.0),
+                          PriorSpec.non_informative()):
+                result = posterior_rows(stack, prior)
+            fit = stack.surrogate_fit(result, 0)
+            decompose(fit, pset)
             decompose(fit, pset)
             assert fit.beta_mle is not None
-            assert len(moments) == len(eighs) == weighted
+            assert len(reductions) == len(moments) == weighted
+            assert len(eighs) == 2 * weighted
 
     def test_moments_are_frozen_and_exact(self):
         pset = random_problem(np.random.default_rng(42), m=3, n=50)
@@ -208,7 +218,7 @@ class TestSharedMoments:
         assert np.array_equal(g, x.T @ (x * w[:, None]))
         assert np.array_equal(b, x.T @ (w * pset.labels))
         assert not g.flags.writeable and not b.flags.writeable
-        assert pset.with_weights(w / 2).moments is not pset.moments
+        assert replace(pset, weights=w / 2).moments is not pset.moments
 
 
 class TestLazyDerivedMatrices:
@@ -496,7 +506,7 @@ class TestStackedRows:
                 result = posterior_rows(stack, surrogate, max_iter=max_iter)
             assert len(result.coefficients) == result.failed
             for i in range(min(result.failed + 1, s)):
-                lone = lone_fit(base.with_weights(weights[i]), surrogate,
+                lone = lone_fit(replace(base, weights=weights[i]), surrogate,
                                 max_iter)
                 if i == result.failed:
                     assert type(lone) is type(result.error)
@@ -529,7 +539,7 @@ class TestStackedRows:
         result = posterior_rows(stack, PriorSpec.non_informative())
         assert len(set(result.iterations.tolist())) > 1
         for i, w in enumerate(weights):
-            lone = fit_surrogate(base.with_weights(w),
+            lone = fit_surrogate(replace(base, weights=w),
                                  PriorSpec.non_informative())
             assert result.coefficients[i].tobytes() == lone.mu_n.tobytes()
             assert ((result.lam[i], result.alpha[i], result.iterations[i])

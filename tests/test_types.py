@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,10 +138,10 @@ class TestPerturbationSet:
             PerturbationSet(rows=[[1.0], [2.0]], labels=[1.0],
                             weights=[1.0, 1.0], seed=0)
 
-    def test_with_weights_replaces(self):
+    def test_reweighted_set_shares_rows_and_labels(self):
         pset = PerturbationSet(rows=[[1.0], [2.0]], labels=[1.0, 2.0],
                                weights=[1.0, 1.0], seed=0)
-        reweighted = pset.with_weights([0.25, 0.5])
+        reweighted = replace(pset, weights=[0.25, 0.5])
         assert reweighted.weights.tolist() == [0.25, 0.5]
         assert pset.weights.tolist() == [1.0, 1.0]
         assert reweighted.rows is pset.rows
