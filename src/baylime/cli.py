@@ -8,10 +8,14 @@ runs without an external model) or from a subprocess command speaking the
 JSON-lines protocol (``--predictor-cmd`` or the BAYLIME_PREDICTOR_CMD
 environment variable).
 
-Every file output gets a sibling ``<name>.manifest.json`` recording the
-command, all resolved parameters, the toolkit version and a timestamp;
-rerunning with the manifest's parameters reproduces the output bytes
-exactly (the timestamp lives only in the manifest).
+The three share one setup, which checks every flag before the predictor
+starts and closes the predictor however the command ends. Flags must be
+spelled in full. Every file output gets a sibling ``<name>.manifest.json``
+recording the command, every flag's parsed value under what the run
+resolved (parsed lists, kernel width, predictor and explainer records),
+the toolkit version and a timestamp; rerunning with the manifest's
+parameters reproduces the output bytes exactly (the timestamp lives only
+in the manifest).
 
 Exit codes: 0 success, 2 configuration or input error, 3 probe/transport
 error, 4 surrogate fit error.
@@ -24,13 +28,15 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .blackbox import PREDICTOR_CMD_ENV, PredictorHandle
+from .blackbox import PREDICTOR_CMD_ENV, PredictorHandle, with_class
 from .errors import (
     ConfigError,
     FitError,
@@ -42,7 +48,6 @@ from .explainer import (
     BayLime,
     ExplainConfig,
     LimeRidge,
-    _class_handle,
     elicit_prior,
     explain,
     explain_block,
@@ -64,19 +69,13 @@ DEFAULT_R = 1.0
 ELICIT_SEED_OFFSET = 1_000_000
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_list(text: str, kind: type = float) -> list:
+    """A comma-separated list of ``kind`` values (float or int)."""
     try:
-        return [float(part) for part in text.split(",")]
+        return [kind(part) for part in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got "
-                          f"{text!r}") from exc
-
-
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got "
+        noun = "integers" if kind is int else "numbers"
+        raise ConfigError(f"expected comma-separated {noun}, got "
                           f"{text!r}") from exc
 
 
@@ -139,8 +138,9 @@ def ingest_csv(path: str, categorical: list[str],
     return matrix, kinds, names, codes
 
 
-def _load_problem(args) -> tuple[Instance, PerturbConfig, dict]:
-    """Build the instance and perturbation statistics from the data flags.
+def _load_problem(args, n: int) -> tuple[Instance, PerturbConfig, dict]:
+    """Build the instance and its n-sample perturbation statistics from the
+    data flags, plus the parsed lists the manifest records.
 
     Either ``--data`` (CSV plus ``--instance`` row index) or ``--m``
     (synthetic all-numerical problem with identity scaling, instance at
@@ -158,16 +158,15 @@ def _load_problem(args) -> tuple[Instance, PerturbConfig, dict]:
             raise ConfigError(f"--instance {args.instance} out of range for "
                               f"{matrix.shape[0]} rows")
         instance = Instance(matrix[args.instance], kinds, names)
-        perturb = config_from_data(matrix, kinds, n=args.n, seed=args.seed)
-        source = {"data": args.data, "instance": args.instance,
-                  "categorical": categorical, "drop_columns": drop}
-        return instance, perturb, source
+        perturb = config_from_data(matrix, kinds, n=n, seed=args.seed)
+        return instance, perturb, {"categorical": categorical,
+                                   "drop_columns": drop}
     if args.m is None:
         raise ConfigError("provide either --data or --m")
     if args.m < 1:
         raise ConfigError("--m must be at least 1")
     if args.instance_values is not None:
-        values = np.asarray(_parse_floats(args.instance_values))
+        values = np.asarray(_parse_list(args.instance_values))
         if values.size != args.m:
             raise ConfigError(f"--instance-values has {values.size} entries, "
                               f"--m is {args.m}")
@@ -177,11 +176,10 @@ def _load_problem(args) -> tuple[Instance, PerturbConfig, dict]:
     names = tuple(f"f{j}" for j in range(args.m))
     instance = Instance(values, kinds, names)
     perturb = PerturbConfig(
-        n=args.n, seed=args.seed,
+        n=n, seed=args.seed,
         numeric_scale={j: (0.0, 1.0) for j in range(args.m)},
     )
-    source = {"m": args.m, "instance_values": values.tolist()}
-    return instance, perturb, source
+    return instance, perturb, {"instance_values": values.tolist()}
 
 
 def _split_names(text: str | None) -> list[str]:
@@ -199,7 +197,7 @@ def _fixture_terms(text: str | None, flag: str,
     """A fixture's per-feature terms: the flag's values, else the default."""
     if text is None:
         return default
-    values = np.asarray(_parse_floats(text))
+    values = np.asarray(_parse_list(text))
     if values.size != default.size:
         raise ConfigError(f"{flag} has {values.size} entries for "
                           f"{default.size} features")
@@ -219,27 +217,22 @@ def _resolve_predictor(args, m: int) -> tuple[PredictorHandle, dict]:
         handle = PredictorHandle.spawn(command, batch_limit=args.batch_limit,
                                        timeout=args.timeout)
         return handle, {"predictor": "subprocess", "command": command}
+    record: dict = {"predictor": args.predictor}
     if args.predictor == "constant":
-        value = args.predictor_constant
-        handle = PredictorHandle.in_process(
-            lambda rows: np.full(rows.shape[0], value),
-            batch_limit=args.batch_limit,
-        )
-        return handle, {"predictor": "constant", "value": value}
-    c = _fixture_terms(args.predictor_coefficients, "--predictor-coefficients",
-                       np.array([(m - j) / m for j in range(m)]))
-    if args.predictor == "linear":
-        handle = PredictorHandle.in_process(lambda rows: rows @ c,
-                                            batch_limit=args.batch_limit)
-        return handle, {"predictor": "linear", "coefficients": c.tolist()}
-    q = _fixture_terms(args.predictor_quad, "--predictor-quad",
-                       np.full(m, 0.5))
-    handle = PredictorHandle.in_process(
-        lambda rows: rows @ c + (rows * rows) @ q,
-        batch_limit=args.batch_limit,
-    )
-    return handle, {"predictor": "quadratic", "coefficients": c.tolist(),
-                    "quadratic_terms": q.tolist()}
+        record["value"] = value = args.predictor_constant
+        fn = lambda rows: np.full(rows.shape[0], value)
+    else:
+        c = _fixture_terms(args.predictor_coefficients,
+                           "--predictor-coefficients",
+                           np.array([(m - j) / m for j in range(m)]))
+        record["coefficients"] = c.tolist()
+        fn = lambda rows: rows @ c
+        if args.predictor == "quadratic":
+            q = _fixture_terms(args.predictor_quad, "--predictor-quad",
+                               np.full(m, 0.5))
+            record["quadratic_terms"] = q.tolist()
+            fn = lambda rows: rows @ c + (rows * rows) @ q
+    return PredictorHandle.in_process(fn, batch_limit=args.batch_limit), record
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +279,7 @@ def _parse_explainer_spec(spec: str) -> tuple[str, dict]:
                               f"{spec!r}; {name} accepts "
                               f"{sorted(allowed) or 'no options'}")
         try:
-            options[key] = (_parse_floats(value) if key == "mu0"
+            options[key] = (_parse_list(value) if key == "mu0"
                             else float(value))
         except ValueError:
             raise ConfigError(f"bad number in option {part!r} of explainer "
@@ -329,34 +322,79 @@ def _build_surrogate(spec: str, name: str, options: dict, m: int,
     return BayLime(PriorSpec.full(mu0, lam, record["alpha"])), record
 
 
-def _resolve_sweep_explainers(args, instance: Instance,
-                              handle: PredictorHandle,
-                              perturb: PerturbConfig,
-                              kernel: KernelConfig,
-                              ) -> list[tuple[LimeRidge | BayLime, dict]]:
-    """Build the sweep's surrogates and records, eliciting a prior on demand.
+class _Run(NamedTuple):
+    """What a command runs on, set up by :func:`_setup`."""
 
-    Informative explainers without an explicit mu0 share one prior mean
-    and lambda, elicited from a few baseline runs on the same instance
-    (with dedicated seeds, so sweep cells are unaffected).
+    instance: Instance
+    perturb: PerturbConfig
+    kernel: KernelConfig
+    handle: PredictorHandle
+    surrogates: tuple[LimeRidge | BayLime, ...]
+    records: tuple[dict, ...]
+    resolved: dict
+
+
+@contextmanager
+def _setup(args, n: int, **lists) -> Iterator[_Run]:
+    """Check every flag, then start the predictor and yield the run.
+
+    The problem (at n samples), the kernel, each explainer spec (against a
+    stand-in of any prior a sweep will elicit), the prior file and the
+    elicitation counts are checked first. The predictor closes when the
+    ``with`` block ends and is probed through ``--target-class``.
+    ``resolved`` is what the manifest lays over the flags: parsed lists (a
+    command's own ``lists`` too), kernel width, predictor and explainers.
     """
-    parsed = [(spec, *_parse_explainer_spec(spec))
-              for spec in args.explainer or ["lime"]]
+    sweep = args.command != "explain"
+    instance, perturb, resolved = _load_problem(args, n)
+    kernel = KernelConfig(width=args.kernel_width, distance=args.distance)
+    if args.target_class is not None and args.target_class < 0:
+        raise ConfigError("target_class must be non-negative")
+    parsed = [(spec, *_parse_explainer_spec(spec)) for spec in
+              ((args.explainer or ["lime"]) if sweep else [args.explainer])]
+    elicit = sweep and any(name in ("partial", "full") and "mu0" not in opts
+                           for _, name, opts in parsed)
     fallback: dict = {}
-    if any(name in ("partial", "full") and "mu0" not in options
-           for _, name, options in parsed):
-        if args.elicit_runs < 1:
-            raise ConfigError("--elicit-runs must be at least 1")
-        base = ExplainConfig(perturb, kernel, LimeRidge(args.r),
-                             args.target_class).with_n(args.elicit_n)
-        (runs,) = explain_block(instance, handle, base, (base.surrogate,),
-                                args.elicit_runs,
-                                seed_base=args.seed + ELICIT_SEED_OFFSET)
-        elicited = elicit_prior(runs)
-        fallback = {"mu0": elicited.mu0, "lambda": elicited.lam}
-    return [_build_surrogate(spec, name, options, instance.m, args.r,
-                             fallback)
-            for spec, name, options in parsed]
+    if elicit:
+        for flag, value in (("--elicit-runs", args.elicit_runs),
+                            ("--elicit-n", args.elicit_n)):
+            if value < 1:
+                raise ConfigError(f"{flag} must be at least 1")
+        fallback = {"mu0": np.zeros(instance.m), "lambda": 1.0}
+    elif not sweep and args.prior_file is not None:
+        if parsed[0][1] in ("lime", "non_informative"):
+            raise ConfigError(f"explainer {args.explainer!r} takes no prior "
+                              f"file")
+        fallback = _load_prior_file(args.prior_file)
+    default_r = args.r if sweep else DEFAULT_R
+
+    def resolve(fallback: dict) -> list[tuple[LimeRidge | BayLime, dict]]:
+        return [_build_surrogate(*spec, instance.m, default_r, fallback)
+                for spec in parsed]
+
+    explainers = resolve(fallback)
+    predictor, predictor_record = _resolve_predictor(args, instance.m)
+    with predictor:
+        handle = (predictor if args.target_class is None
+                  else with_class(predictor, args.target_class))
+        note = distance_note(instance, kernel.distance) if sweep else None
+        if note is not None:
+            print(f"warning: {note}", file=sys.stderr)
+        if elicit:
+            base = ExplainConfig(perturb, kernel,
+                                 LimeRidge(args.r)).with_n(args.elicit_n)
+            (runs,) = explain_block(instance, handle, base, (base.surrogate,),
+                                    args.elicit_runs,
+                                    seed_base=args.seed + ELICIT_SEED_OFFSET)
+            prior = elicit_prior(runs)
+            explainers = resolve({"mu0": prior.mu0, "lambda": prior.lam})
+        surrogates, records = zip(*explainers)
+        resolved.update(lists, **predictor_record,
+                        kernel_width=kernel.resolved_width(instance.m))
+        resolved.update({"explainers": records} if sweep
+                        else {"surrogate": records[0]})
+        yield _Run(instance, perturb, kernel, handle, surrogates, records,
+                   resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -367,34 +405,50 @@ def _manifest_path(out: str) -> str:
     return str(Path(out).with_suffix(".manifest.json"))
 
 
-def _write_manifest(out: str, command: str, parameters: dict,
-                    **results) -> str:
-    """Write the run's manifest; ``results`` become top-level keys."""
-    path = _manifest_path(out)
+def _write_manifest(args, run: _Run, **results) -> None:
+    """Write the manifest of ``--out``: every flag as parsed, defaults
+    included, under the run's resolved values; ``results`` are top-level
+    keys."""
+    parameters = {key: value for key, value in vars(args).items()
+                  if key not in ("func", "command")}
     manifest = {
-        "command": command,
-        "parameters": parameters,
+        "command": args.command,
+        "parameters": {**parameters, **run.resolved},
         **results,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "outputs": [out],
+        "outputs": [args.out],
     }
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(_manifest_path(args.out), "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    return path
 
 
-def _metric_cell(value: float | None) -> str:
-    return "nan" if value is None else repr(value)
+def _write_csv(args, run: _Run, header: list[str], rows: list[tuple],
+               **results) -> None:
+    """Write a sweep's CSV to ``--out``, then its manifest."""
+    with open(args.out, "w", newline="", encoding="utf-8") as out:
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(rows)
+    _write_manifest(args, run, **results)
 
 
-def _warn_distance(instance: Instance, kernel: KernelConfig) -> None:
-    """One stderr line per sweep when the distance cannot tell samples
-    apart."""
-    note = distance_note(instance, kernel.distance)
-    if note is not None:
-        print(f"warning: {note}", file=sys.stderr)
+def _metric_cell(metric, ensemble) -> str:
+    """A consistency metric's CSV cell: ``nan`` where it is undefined."""
+    try:
+        return repr(metric(ensemble))
+    except UndefinedMetricError:
+        return "nan"
+
+
+def _warn_effective(effective: float, m: int, consequence: str) -> None:
+    """One stderr line per sweep when the kernel leaves fewer effective
+    samples than features somewhere."""
+    if effective < m:
+        print(f"warning: the kernel leaves an effective sample size as low "
+              f"as {effective:.3g} for {m} features; {consequence}",
+              file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -402,157 +456,88 @@ def _warn_distance(instance: Instance, kernel: KernelConfig) -> None:
 
 
 def cmd_explain(args) -> int:
-    instance, perturb, source = _load_problem(args)
-    kernel = KernelConfig(width=args.kernel_width, distance=args.distance)
-    name, options = _parse_explainer_spec(args.explainer)
-    if args.prior_file is not None and name in ("lime", "non_informative"):
-        raise ConfigError(f"explainer {args.explainer!r} takes no prior file")
-    fallback = (_load_prior_file(args.prior_file)
-                if args.prior_file is not None else {})
-    surrogate, surrogate_info = _build_surrogate(
-        args.explainer, name, options, instance.m, DEFAULT_R, fallback)
-    handle, predictor_info = _resolve_predictor(args, instance.m)
-    with handle:
-        result = explain(instance, handle,
-                         ExplainConfig(perturb, kernel, surrogate,
-                                       args.target_class))
-    manifest_ref = _manifest_path(args.out) if args.out else None
+    with _setup(args, args.n) as run:
+        result = explain(run.instance, run.handle,
+                         ExplainConfig(run.perturb, run.kernel,
+                                       run.surrogates[0]))
     posterior = result.posterior
     payload = {
         "coefficients": result.coefficients.tolist(),
         "importances": result.importances.tolist(),
         "ranks": result.ranks.tolist(),
-        "feature_names": list(instance.feature_names),
-        "mode": name,
+        "feature_names": list(run.instance.feature_names),
+        "mode": run.records[0]["name"],
         "alpha": None if posterior is None else posterior.alpha_used,
         "lambda": None if posterior is None else posterior.lambda_used,
-        "r": surrogate_info.get("r"),
+        "r": run.records[0].get("r"),
         "kernel_width": result.kernel_width,
         "n": result.n_samples,
         "seed": result.seed,
         "warnings": list(result.warnings),
-        "manifest": manifest_ref,
+        "manifest": _manifest_path(args.out) if args.out else None,
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as out:
             out.write(text)
-        parameters = {
-            **source,
-            "n": args.n, "seed": args.seed,
-            "kernel_width": result.kernel_width, "distance": args.distance,
-            "target_class": args.target_class,
-            "surrogate": surrogate_info, **predictor_info,
-        }
-        _write_manifest(args.out, "explain", parameters)
+        _write_manifest(args, run)
     return 0
 
 
 def cmd_consistency(args) -> int:
-    instance, perturb, source = _load_problem(args)
-    kernel = KernelConfig(width=args.kernel_width, distance=args.distance)
-    handle, predictor_info = _resolve_predictor(args, instance.m)
-    n_grid = (_parse_ints(args.n_grid) if args.n_grid
+    n_grid = (_parse_list(args.n_grid, int) if args.n_grid
               else list(DEFAULT_N_GRID))
     if any(n < 2 for n in n_grid) or not n_grid:
         raise ConfigError("--n-grid needs values >= 2")
     if args.k < 2:
         raise ConfigError("--k must be at least 2")
-    _warn_distance(instance, kernel)
     rows: list[tuple] = []
     effective = []
-    with handle:
-        surrogates, records = zip(*_resolve_sweep_explainers(
-            args, instance, handle, perturb, kernel))
-        base = ExplainConfig(perturb, kernel, surrogates[0],
-                             args.target_class)
+    with _setup(args, n_grid[0], n_grid=n_grid) as run:
+        base = ExplainConfig(run.perturb, run.kernel, run.surrogates[0])
         for cell, n in enumerate(n_grid):
             # Explainers share each cell's seed block, and each seed's
             # probed sample set, for an exactly paired comparison.
-            ensembles = explain_block(instance, handle, base.with_n(n),
-                                      surrogates, args.k,
+            ensembles = explain_block(run.instance, run.handle, base.with_n(n),
+                                      run.surrogates, args.k,
                                       seed_base=args.seed + cell * args.k)
             effective.append(ensembles[0].min_effective_sample_size)
-            for record, ensemble in zip(records, ensembles):
-                try:
-                    inc = inconsistency(ensemble)
-                except UndefinedMetricError:
-                    inc = None
-                try:
-                    w = kendalls_w(ensemble)
-                except UndefinedMetricError:
-                    w = None
-                rows.append((n, record["spec"], inc, w))
+            rows.extend((n, record["spec"],
+                         _metric_cell(inconsistency, ensemble),
+                         _metric_cell(kendalls_w, ensemble))
+                        for record, ensemble in zip(run.records, ensembles))
     effective = min(effective)
-    if effective < instance.m:
-        print(f"warning: the kernel leaves an effective sample size as low "
-              f"as {effective:.3g} for {instance.m} features; coefficients "
-              f"in those cells lean on the prior or regularizer, so widen "
-              f"the kernel", file=sys.stderr)
-    with open(args.out, "w", newline="", encoding="utf-8") as out:
-        writer = csv.writer(out)
-        writer.writerow(["n", "explainer", "inconsistency", "kendalls_w"])
-        for n, label, inc, w in rows:
-            writer.writerow([n, label, _metric_cell(inc), _metric_cell(w)])
-    parameters = {
-        **source,
-        "n_grid": list(n_grid), "k": args.k, "seed": args.seed,
-        "kernel_width": args.kernel_width, "distance": args.distance,
-        "target_class": args.target_class, "explainers": records,
-        "elicit_runs": args.elicit_runs, "elicit_n": args.elicit_n,
-        **predictor_info,
-    }
-    _write_manifest(args.out, "consistency", parameters,
-                    min_effective_sample_size=effective)
+    _warn_effective(effective, run.instance.m,
+                    "coefficients in those cells lean on the prior or "
+                    "regularizer, so widen the kernel")
+    _write_csv(args, run, ["n", "explainer", "inconsistency", "kendalls_w"],
+               rows, min_effective_sample_size=effective)
     return 0
 
 
 def cmd_robustness(args) -> int:
-    instance, perturb, source = _load_problem(args)
-    kernel = KernelConfig(width=args.kernel_width, distance=args.distance)
-    handle, predictor_info = _resolve_predictor(args, instance.m)
     if not args.l_lo < args.l_up:
         raise ConfigError("--l-lo must be below --l-up")
-    _warn_distance(instance, kernel)
-    rows: list[tuple] = []
-    with handle:
-        surrogates, records = zip(*_resolve_sweep_explainers(
-            args, instance, handle, perturb, kernel))
+    pair_list = width_pairs(args.pairs, (args.l_lo, args.l_up), args.seed)
+    with _setup(args, args.n) as run:
         # One perturbation set serves every pair and every explainer, and
         # each width is weighted once for all explainers.
-        pset = build_perturbation_set(
-            instance, perturb, _class_handle(handle, args.target_class))
-        pair_list = width_pairs(args.pairs, (args.l_lo, args.l_up), args.seed)
-        reports = robustness(pset, instance, surrogates, pair_list,
-                             distance=kernel.distance)
-        effective = reports[0].min_effective_sample_size
-        if effective < instance.m:
-            print(f"warning: the kernel leaves an effective sample size "
-                  f"as low as {effective:.3g} for {instance.m} features; "
-                  f"ratios at those widths measure the prior or "
-                  f"regularizer, not the model, so raise --l-lo",
-                  file=sys.stderr)
-        for record, report in zip(records, reports):
-            label = record["spec"]
-            for l1, l2, ratio in report.robustness_samples:
-                rows.append((label, "sample", repr(l1), repr(l2), repr(ratio)))
-            rows.append((label, "median", "", "",
-                         repr(report.robustness_r)))
-    with open(args.out, "w", newline="", encoding="utf-8") as out:
-        writer = csv.writer(out)
-        writer.writerow(["explainer", "record", "l1", "l2", "value"])
-        writer.writerows(rows)
-    parameters = {
-        **source,
-        "n": args.n, "pairs": args.pairs, "l_lo": args.l_lo,
-        "l_up": args.l_up, "seed": args.seed,
-        "distance": args.distance, "target_class": args.target_class,
-        "explainers": records, "elicit_runs": args.elicit_runs,
-        "elicit_n": args.elicit_n, **predictor_info,
-    }
-    _write_manifest(args.out, "robustness", parameters,
-                    min_effective_sample_size=effective)
+        pset = build_perturbation_set(run.instance, run.perturb, run.handle)
+        reports = robustness(pset, run.instance, run.surrogates, pair_list,
+                             distance=run.kernel.distance)
+    effective = reports[0].min_effective_sample_size
+    _warn_effective(effective, run.instance.m,
+                    "ratios at those widths measure the prior or "
+                    "regularizer, not the model, so raise --l-lo")
+    rows: list[tuple] = []
+    for record, report in zip(run.records, reports):
+        label = record["spec"]
+        rows.extend((label, "sample", repr(l1), repr(l2), repr(ratio))
+                    for l1, l2, ratio in report.robustness_samples)
+        rows.append((label, "median", "", "", repr(report.robustness_r)))
+    _write_csv(args, run, ["explainer", "record", "l1", "l2", "value"], rows,
+               min_effective_sample_size=effective)
     return 0
 
 
@@ -574,8 +559,6 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--instance-values",
                         help="comma-separated instance for --m (default "
                              "origin)")
-    parser.add_argument("--n", type=int, default=1000,
-                        help="perturbed samples per explanation")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--kernel-width", type=float, default=None,
                         help="kernel width (default 0.75*sqrt(m))")
@@ -627,7 +610,7 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="baylime",
+        prog="baylime", allow_abbrev=False,
         description="Local surrogate explanations with Bayesian priors, "
                     "plus consistency and robustness sweeps.",
     )
@@ -635,10 +618,15 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    explain_cmd = commands.add_parser(
-        "explain", help="explain one instance, JSON to stdout")
-    _add_problem_flags(explain_cmd)
-    _add_predictor_flags(explain_cmd)
+    def subcommand(name: str, func, help: str) -> argparse.ArgumentParser:
+        command = commands.add_parser(name, help=help, allow_abbrev=False)
+        command.set_defaults(func=func)
+        _add_problem_flags(command)
+        _add_predictor_flags(command)
+        return command
+
+    explain_cmd = subcommand("explain", cmd_explain,
+                             "explain one instance, JSON to stdout")
     explain_cmd.add_argument("--explainer", default="lime",
                              help="explainer spec, as for the sweeps "
                                   "(default lime, with r=1)")
@@ -649,30 +637,27 @@ def build_parser() -> argparse.ArgumentParser:
                                   "override file fields")
     explain_cmd.add_argument("--out", help="also write the JSON here "
                                            "(with a manifest)")
-    explain_cmd.set_defaults(func=cmd_explain)
 
-    consistency_cmd = commands.add_parser(
-        "consistency",
-        help="repeated-explanation agreement across perturbation sizes")
-    _add_problem_flags(consistency_cmd)
-    _add_predictor_flags(consistency_cmd)
+    consistency_cmd = subcommand(
+        "consistency", cmd_consistency,
+        "repeated-explanation agreement across perturbation sizes")
     _add_sweep_flags(consistency_cmd)
     consistency_cmd.add_argument(
         "--n-grid", help="comma-separated perturbation sizes (default "
                          + ",".join(str(n) for n in DEFAULT_N_GRID) + ")")
     consistency_cmd.add_argument("--k", type=int, default=200,
                                  help="repeated explanations per cell")
-    consistency_cmd.set_defaults(func=cmd_consistency)
 
-    robustness_cmd = commands.add_parser(
-        "robustness", help="explanation sensitivity to the kernel width")
-    _add_problem_flags(robustness_cmd)
-    _add_predictor_flags(robustness_cmd)
+    robustness_cmd = subcommand("robustness", cmd_robustness,
+                                "explanation sensitivity to the kernel width")
     _add_sweep_flags(robustness_cmd)
     robustness_cmd.add_argument("--pairs", type=int, default=100)
     robustness_cmd.add_argument("--l-lo", type=float, default=0.2)
     robustness_cmd.add_argument("--l-up", type=float, default=5.0)
-    robustness_cmd.set_defaults(func=cmd_robustness)
+    # Consistency sweeps take their sample counts from --n-grid.
+    for command in (explain_cmd, robustness_cmd):
+        command.add_argument("--n", type=int, default=1000,
+                             help="perturbed samples per explanation")
     return parser
 
 

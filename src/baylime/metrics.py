@@ -46,7 +46,7 @@ PAIR_GAP_FRACTION = 1e-6
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Computed metric values; unset halves stay None/empty.
+    """One surrogate's width-robustness result.
 
     ``robustness_r`` is the lower-middle order statistic of the sample
     ratios (for an even count the smaller of the two central values), so
@@ -55,18 +55,11 @@ class MetricReport:
     swept widths.
     """
 
-    inconsistency: float | None = None
-    kendalls_w: float | None = None
     robustness_samples: tuple[tuple[float, float, float], ...] = ()
     robustness_r: float | None = None
     min_effective_sample_size: float | None = None
 
     def __post_init__(self):
-        if self.inconsistency is not None and self.inconsistency < 0:
-            raise ConfigError("inconsistency cannot be negative")
-        if self.kendalls_w is not None and not (
-                -1e-9 <= self.kendalls_w <= 1 + 1e-9):
-            raise ConfigError("kendalls_w must lie in [0, 1]")
         if self.robustness_r is not None and self.robustness_samples:
             ratios = [s[2] for s in self.robustness_samples]
             if self.robustness_r not in ratios:

@@ -1,4 +1,4 @@
-"""One-row and stacked fit helpers shared by the test modules.
+"""Helpers and fixtures shared by the test modules.
 
 The package fits only stacks of weighted sets (``ridge_rows`` and
 ``posterior_rows``); a single explanation is the one-row stack of a seed
@@ -6,12 +6,17 @@ block. These helpers build the stacks the tests need with the package's
 one reducer (``reduce_set`` and ``join_sets``): one set alone, s
 different sets (a seed block's layout) and one set under s weightings (a
 robustness sweep's layout), and wrap the one-row fits as plain functions.
-Test modules import them with ``from conftest import ...``.
+``manifest_argv`` rebuilds a CLI command from its manifest. Test modules
+import them with ``from conftest import ...``. Every test runs under
+``predictor_children``, which fails it if a predictor child outlives it.
 """
 
 from __future__ import annotations
 
+import argparse
+
 import numpy as np
+import pytest
 
 from baylime import (
     ExplanationEnsemble,
@@ -21,6 +26,8 @@ from baylime import (
     width_pairs,
     with_class,
 )
+from baylime.blackbox import SubprocessPredictor
+from baylime.cli import build_parser
 from baylime.explainer import join_sets, reduce_set
 from baylime.regression import (MAX_ITER, TOL, WeightedStack, posterior_rows,
                                 ridge_rows)
@@ -94,3 +101,58 @@ def sweep(instance, handle, config, *, pairs: int,
                            width_pairs(pairs, bounds, seed),
                            distance=config.kernel.distance)
     return report
+
+
+@pytest.fixture(autouse=True)
+def predictor_children(monkeypatch):
+    """Every :class:`SubprocessPredictor` the test starts, in order.
+
+    A child still running when the test ends is killed, and the test fails.
+    """
+    started = []
+    start = SubprocessPredictor.__init__
+
+    def recording(self, *args, **kwargs):
+        start(self, *args, **kwargs)
+        started.append(self)
+
+    monkeypatch.setattr(SubprocessPredictor, "__init__", recording)
+    yield started
+    running = [p for p in started if p._proc.poll() is None]
+    for predictor in running:
+        predictor._proc.kill()
+        predictor._proc.wait()
+    assert not running, ("predictor children left running: "
+                         f"{[p.command for p in running]}")
+
+
+def command_parser(command: str) -> argparse.ArgumentParser:
+    """The CLI's parser for one subcommand."""
+    (commands,) = (action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    return commands.choices[command]
+
+
+def manifest_argv(manifest: dict) -> list[str]:
+    """The CLI argv that reruns a manifest's command from its parameters.
+
+    Every flag gets its recorded value, a list as comma-separated values
+    or, for a repeatable flag, one flag per entry. A subprocess predictor's
+    record is no ``--predictor`` choice and is left out: its command is
+    ``--predictor-cmd`` or the environment's.
+    """
+    parameters = manifest["parameters"]
+    argv = [manifest["command"]]
+    for action in command_parser(manifest["command"])._actions:
+        value = parameters.get(action.dest)
+        flag = action.option_strings[0]
+        if value is None or (action.dest, value) == ("predictor",
+                                                     "subprocess"):
+            continue
+        if isinstance(action, argparse._AppendAction):
+            argv += [f"{flag}={entry}" for entry in value]
+        elif isinstance(value, list):
+            argv.append(f"{flag}={','.join(map(str, value))}")
+        else:
+            argv.append(f"{flag}={value}")
+    return argv

@@ -32,9 +32,10 @@ from baylime.cli import _parse_explainer_spec, build_parser, ingest_csv, main
 from baylime.errors import ConfigError
 from baylime.kernel import BINARY_HAMMING, effective_sample_size
 from baylime.types import NUMERICAL
-from conftest import ridge_fit
+from conftest import command_parser, manifest_argv, ridge_fit
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "jsonl_predictor.py")
+SUM_PREDICTOR = f"{sys.executable} {FIXTURE} sum"
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -497,12 +498,100 @@ def test_hamming_distance_on_a_numerical_problem_warns_once(
     assert sum("same weight" in line for line in lines) == 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["consistency", "--k", "1"], "--k must be at least 2"),
+    (["consistency", "--n-grid", "1"], "--n-grid needs values >= 2"),
+    (["robustness", "--l-lo", "3", "--l-up", "1"],
+     "--l-lo must be below --l-up"),
+    (["consistency", "--explainer", "partial:lambda=5:mu0"],
+     "bad option 'mu0'"),
+    (["consistency", "--explainer", "full:lambda=10"], "needs alpha="),
+    (["robustness", "--explainer", "partial:lambda=5", "--elicit-runs", "0"],
+     "--elicit-runs must be at least 1"),
+    (["consistency", "--explainer", "full:lambda=5:alpha=1",
+      "--elicit-n", "0"], "--elicit-n must be at least 1"),
+])
+def test_config_error_starts_no_predictor(tmp_path, capsys,
+                                          predictor_children, flags, message):
+    code = main([*flags, "--m", "2", "--predictor-cmd", SUM_PREDICTOR,
+                 "--out", str(tmp_path / "out.csv")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert predictor_children == []
+
+
+def test_elicitation_counts_are_checked_only_when_it_runs(tmp_path):
+    assert main(["consistency", "--m", "2", "--predictor", "linear",
+                 "--explainer", "full:mu0=1,0:lambda=5:alpha=1",
+                 "--elicit-runs", "0", "--elicit-n", "0", "--n-grid", "20",
+                 "--k", "2", "--out", str(tmp_path / "out.csv")]) == 0
+
+
+class TestManifest:
+    @pytest.mark.parametrize("argv", [
+        ["explain", "--m", "2", "--predictor", "linear", "--n", "50"],
+        ["consistency", "--m", "2", "--predictor", "linear",
+         "--n-grid", "20", "--k", "2"],
+        ["robustness", "--m", "2", "--predictor", "linear", "--n", "50",
+         "--pairs", "1"],
+    ])
+    def test_records_every_flag(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+        manifest = json.loads(
+            (tmp_path / "out.manifest.json").read_text(encoding="utf-8"))
+        dests = {action.dest for action in command_parser(argv[0])._actions
+                 if action.dest != "help"}
+        assert dests <= manifest["parameters"].keys()
+
+    @pytest.mark.parametrize("argv", [
+        ["explain", "--m", "3", "--predictor", "quadratic",
+         "--explainer", "full:alpha=2", "--prior-file", "PRIOR",
+         "--n", "300", "--seed", "4", "--out", "OUT.json"],
+        ["consistency", "--m", "3", "--predictor", "linear",
+         "--instance-values=-1,0.5,2", "--explainer", "lime",
+         "--explainer", "partial:lambda=20", "--explainer", "full:alpha=2",
+         "--elicit-runs", "3", "--elicit-n", "100", "--r", "0.3",
+         "--n-grid", "30,60", "--k", "3", "--seed", "5", "--out", "OUT.csv"],
+        ["robustness", "--m", "3", "--predictor", "quadratic",
+         "--kernel-width", "0.9", "--r", "0.5", "--explainer", "lime",
+         "--explainer", "partial:lambda=20", "--pairs", "5", "--n", "200",
+         "--out", "OUT.csv"],
+    ])
+    def test_rerun_from_manifest_reproduces_output(self, tmp_path, capsys,
+                                                   argv):
+        prior = tmp_path / "prior.json"
+        prior.write_text(json.dumps({"mu0": [1.0, 0.5, 0.0], "lambda": 20}),
+                         encoding="utf-8")
+        argv = [str(prior) if arg == "PRIOR"
+                else arg.replace("OUT", str(tmp_path / "out")) for arg in argv]
+        out = Path(argv[-1])
+        assert main(argv) == 0
+        first = out.read_bytes(), capsys.readouterr()
+        manifest = json.loads(out.with_suffix(".manifest.json")
+                              .read_text(encoding="utf-8"))
+        out.unlink()
+        assert main(manifest_argv(manifest)) == 0
+        assert (out.read_bytes(), capsys.readouterr()) == first
+
+
 class TestParsing:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
     def test_unknown_flag_exits_two(self, capsys):
         assert main(["explain", "--nonsense"]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["consistency", "--n", "50"],
+        ["robustness", "--pair", "3"],
+        ["explain", "--predictor-qu", "1,1"],
+    ])
+    def test_dead_or_abbreviated_flag_exits_two(self, tmp_path, capsys,
+                                                flags):
+        code = main([*flags, "--m", "2", "--predictor", "linear",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0
@@ -518,7 +607,7 @@ class TestParsing:
     ])
     def test_empty_list_entry_exits_two(self, tmp_path, capsys, flags,
                                         message):
-        code = main([*flags, "--predictor", "linear", "--n", "50",
+        code = main([*flags, "--predictor", "linear",
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert message in capsys.readouterr().err

@@ -439,11 +439,8 @@ class TestRobustnessConfig:
 
 class TestMetricReport:
     def test_validation(self):
-        MetricReport(inconsistency=0.0, kendalls_w=1.0)
-        with pytest.raises(ConfigError):
-            MetricReport(inconsistency=-0.5)
-        with pytest.raises(ConfigError):
-            MetricReport(kendalls_w=1.5)
+        MetricReport(robustness_samples=((0.5, 1.0, 0.1), (0.2, 0.9, 0.3)),
+                     robustness_r=0.1)
         with pytest.raises(ConfigError):
             MetricReport(robustness_samples=((0.5, 1.0, 0.1),),
                          robustness_r=0.2)
