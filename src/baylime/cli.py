@@ -12,7 +12,7 @@ The three share one setup, which checks every flag before the predictor
 starts and closes the predictor however the command ends. Flags must be
 spelled in full. Every file output gets a sibling ``<name>.manifest.json``
 recording the command, every flag's parsed value under what the run
-resolved (parsed lists, kernel width, predictor and explainer records),
+resolved (parsed lists, kernel width, predictor values, explainer records),
 the toolkit version and a timestamp; rerunning with the manifest's
 parameters reproduces the output bytes exactly (the timestamp lives only
 in the manifest).
@@ -29,6 +29,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -205,7 +206,8 @@ def _fixture_terms(text: str | None, flag: str,
 
 
 def _resolve_predictor(args, m: int) -> tuple[PredictorHandle, dict]:
-    """Turn the predictor flags into a handle plus its manifest record."""
+    """Turn the predictor flags into a handle plus the values it resolved,
+    each under its own flag's manifest key."""
     command = args.predictor_cmd or os.environ.get(PREDICTOR_CMD_ENV)
     if args.predictor is not None and command:
         raise ConfigError("choose either a built-in --predictor or a "
@@ -216,23 +218,23 @@ def _resolve_predictor(args, m: int) -> tuple[PredictorHandle, dict]:
     if command:
         handle = PredictorHandle.spawn(command, batch_limit=args.batch_limit,
                                        timeout=args.timeout)
-        return handle, {"predictor": "subprocess", "command": command}
-    record: dict = {"predictor": args.predictor}
+        return handle, {"predictor_cmd": command}
+    values: dict = {}
     if args.predictor == "constant":
-        record["value"] = value = args.predictor_constant
+        value = args.predictor_constant
         fn = lambda rows: np.full(rows.shape[0], value)
     else:
         c = _fixture_terms(args.predictor_coefficients,
                            "--predictor-coefficients",
                            np.array([(m - j) / m for j in range(m)]))
-        record["coefficients"] = c.tolist()
+        values["predictor_coefficients"] = c.tolist()
         fn = lambda rows: rows @ c
         if args.predictor == "quadratic":
             q = _fixture_terms(args.predictor_quad, "--predictor-quad",
                                np.full(m, 0.5))
-            record["quadratic_terms"] = q.tolist()
+            values["predictor_quad"] = q.tolist()
             fn = lambda rows: rows @ c + (rows * rows) @ q
-    return PredictorHandle.in_process(fn, batch_limit=args.batch_limit), record
+    return PredictorHandle.in_process(fn, batch_limit=args.batch_limit), values
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +375,7 @@ def _setup(args, n: int, **lists) -> Iterator[_Run]:
                 for spec in parsed]
 
     explainers = resolve(fallback)
-    predictor, predictor_record = _resolve_predictor(args, instance.m)
+    predictor, predictor_values = _resolve_predictor(args, instance.m)
     with predictor:
         handle = (predictor if args.target_class is None
                   else with_class(predictor, args.target_class))
@@ -381,15 +383,14 @@ def _setup(args, n: int, **lists) -> Iterator[_Run]:
         if note is not None:
             print(f"warning: {note}", file=sys.stderr)
         if elicit:
-            base = ExplainConfig(perturb, kernel,
-                                 LimeRidge(args.r)).with_n(args.elicit_n)
-            (runs,) = explain_block(instance, handle, base, (base.surrogate,),
-                                    args.elicit_runs,
-                                    seed_base=args.seed + ELICIT_SEED_OFFSET)
+            plan = replace(perturb, n=args.elicit_n,
+                           seed=args.seed + ELICIT_SEED_OFFSET)
+            (runs,) = explain_block(instance, handle, plan, kernel,
+                                    (LimeRidge(args.r),), args.elicit_runs)
             prior = elicit_prior(runs)
             explainers = resolve({"mu0": prior.mu0, "lambda": prior.lam})
         surrogates, records = zip(*explainers)
-        resolved.update(lists, **predictor_record,
+        resolved.update(lists, **predictor_values,
                         kernel_width=kernel.resolved_width(instance.m))
         resolved.update({"explainers": records} if sweep
                         else {"surrogate": records[0]})
@@ -495,13 +496,12 @@ def cmd_consistency(args) -> int:
     rows: list[tuple] = []
     effective = []
     with _setup(args, n_grid[0], n_grid=n_grid) as run:
-        base = ExplainConfig(run.perturb, run.kernel, run.surrogates[0])
         for cell, n in enumerate(n_grid):
             # Explainers share each cell's seed block, and each seed's
             # probed sample set, for an exactly paired comparison.
-            ensembles = explain_block(run.instance, run.handle, base.with_n(n),
-                                      run.surrogates, args.k,
-                                      seed_base=args.seed + cell * args.k)
+            plan = replace(run.perturb, n=n, seed=args.seed + cell * args.k)
+            ensembles = explain_block(run.instance, run.handle, plan,
+                                      run.kernel, run.surrogates, args.k)
             effective.append(ensembles[0].min_effective_sample_size)
             rows.extend((n, record["spec"],
                          _metric_cell(inconsistency, ensemble),

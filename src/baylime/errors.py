@@ -55,7 +55,8 @@ class ConvergenceError(FitError):
 
 
 class DecompositionError(FitError):
-    """The prior/data weight decomposition is unavailable (no MLE solution)."""
+    """The prior/data split of a posterior mean is unavailable: the
+    posterior precision is not positive definite."""
 
 
 class UndefinedMetricError(BaylimeError):

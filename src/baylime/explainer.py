@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .blackbox import PredictorHandle, label_blocks, with_class
+from .blackbox import PredictorHandle, label_blocks
 from .errors import ConfigError, InvalidInputError, ShapeError
 from .kernel import (
     KernelConfig,
@@ -73,16 +73,10 @@ class ExplainConfig:
     perturb: PerturbConfig
     kernel: KernelConfig
     surrogate: LimeRidge | BayLime
-    target_class: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.surrogate, (LimeRidge, BayLime)):
             raise ConfigError("surrogate must be LimeRidge or BayLime")
-        if self.target_class is not None and self.target_class < 0:
-            raise ConfigError("target_class must be non-negative")
-
-    def with_n(self, n: int) -> "ExplainConfig":
-        return replace(self, perturb=replace(self.perturb, n=n))
 
 
 def fit(stack: WeightedStack, surrogate: LimeRidge | BayLime) -> StackFit:
@@ -190,14 +184,6 @@ def _notes(n: int, effective: float, instance: Instance,
     return notes
 
 
-def _class_handle(predictor: PredictorHandle,
-                  target_class: int | None) -> PredictorHandle:
-    """The handle an explanation probes: one class's output, if chosen."""
-    if target_class is None:
-        return predictor
-    return with_class(predictor, target_class)
-
-
 def explain(instance: Instance, predictor: PredictorHandle,
             config: ExplainConfig) -> Explanation:
     """Explain one instance: sample, probe, weight, fit, rank.
@@ -207,38 +193,38 @@ def explain(instance: Instance, predictor: PredictorHandle,
     calls. The perturbation seed fully determines the run given the
     config, so repeating the call reproduces the explanation bit for bit.
     """
-    (ensemble,) = explain_block(instance, predictor, config,
-                                (config.surrogate,), 1,
-                                seed_base=config.perturb.seed)
+    (ensemble,) = explain_block(instance, predictor, config.perturb,
+                                config.kernel, (config.surrogate,), 1)
     return ensemble.runs[0]
 
 
 def explain_block(instance: Instance, predictor: PredictorHandle,
-                  config: ExplainConfig,
-                  surrogates: Sequence[LimeRidge | BayLime], k: int, *,
-                  seed_base: int = 0) -> tuple[ExplanationEnsemble, ...]:
+                  perturb: PerturbConfig, kernel: KernelConfig,
+                  surrogates: Sequence[LimeRidge | BayLime],
+                  k: int) -> tuple[ExplanationEnsemble, ...]:
     """One seed block: k >= 1 seeded runs of several surrogates, paired.
 
-    The seeds seed_base, ..., seed_base+k-1 draw their sample sets in
-    order; ``config.surrogate`` and the configured seed are not used. Each
-    seed's draw is one block of :func:`~baylime.blackbox.label_blocks`, so
-    the sets are labelled in shared requests of ``batch_limit`` rows, the
-    predictor sees ceil(k * n / batch_limit) calls whatever the number of
-    surrogates, and a request may carry rows of several seeds. Every
-    surrogate therefore sees identical labels, even from a stochastic
-    predictor, and the comparison is exactly paired. As each set comes
-    back labelled it is weighted and reduced to its one stack row
-    (:func:`reduce_set`), and its rows are dropped; only the rows still
-    waiting for labels are held. :func:`join_sets` stacks the k rows, each
-    surrogate is fitted on all of them in one call (:class:`WeightedStack`),
-    and its importances and ranks are taken for all k runs at once.
+    The seeds perturb.seed, ..., perturb.seed+k-1 each draw a sample set
+    of ``perturb.n`` rows, in order; the first draws from ``perturb``
+    itself. Each seed's draw is one block of
+    :func:`~baylime.blackbox.label_blocks`, so the sets are labelled in
+    shared requests of ``batch_limit`` rows, the predictor sees
+    ceil(k * n / batch_limit) calls whatever the number of surrogates, and
+    a request may carry rows of several seeds. Every surrogate therefore
+    sees identical labels, even from a stochastic predictor, and the
+    comparison is exactly paired. As each set comes back labelled it is
+    weighted and reduced to its one stack row (:func:`reduce_set`), and
+    its rows are dropped; only the rows still waiting for labels are held.
+    :func:`join_sets` stacks the k rows, each surrogate is fitted on all
+    of them in one call (:class:`WeightedStack`), and its importances and
+    ranks are taken for all k runs at once.
 
     Returns one ensemble per surrogate, in the given order, with runs
     ordered by seed; each carries the smallest Kish effective sample size
     the kernel left over the k sets. For a predictor whose output for a
     row does not depend on the other rows of its request, run i of a
     surrogate equals :func:`explain` with that surrogate at seed
-    seed_base+i, bit for bit. A fit failure raises the error a
+    perturb.seed+i, bit for bit. A fit failure raises the error a
     seed-by-seed loop would: that of the earliest failing seed, and
     within it of the first failing surrogate in the given order.
     """
@@ -247,19 +233,16 @@ def explain_block(instance: Instance, predictor: PredictorHandle,
     if not surrogates:
         raise ConfigError("a seed block needs at least one surrogate")
     evidence = check_surrogates(surrogates, instance.m)
-    kernel = config.kernel
     reference = interpretable_reference(instance)
     width = kernel.resolved_width(instance.m)
-    n, perturb = config.perturb.n, config.perturb
+    n = perturb.n
     # Each seed's draw is a block tagged with its interpretable rows. The
-    # configured seed draws from the config as given, uncopied.
+    # first seed draws from the plan as given, uncopied.
     draws = map(partial(perturb_matrix, instance),
-                (perturb if seed == perturb.seed
-                 else replace(perturb, seed=seed)
-                 for seed in range(seed_base, seed_base + k)))
+                (replace(perturb, seed=perturb.seed + i) if i else perturb
+                 for i in range(k)))
     parts, effective = [], []
-    for rows, labels in label_blocks(
-            _class_handle(predictor, config.target_class), draws):
+    for rows, labels in label_blocks(predictor, draws):
         weights = floored_weights(distances(rows, reference, kernel.distance),
                                   width)
         columns, (size,) = reduce_set(rows, labels, lambda _: weights, 1,
@@ -283,7 +266,7 @@ def explain_block(instance: Instance, predictor: PredictorHandle,
                          else stack.surrogate_fit(result, i))
             return Explanation(result.coefficients[i], importances[i],
                                ranks[i], width, n, posterior=posterior,
-                               seed=seed_base + i,
+                               seed=perturb.seed + i,
                                warnings=_notes(n, effective[i], instance,
                                                kernel))
 

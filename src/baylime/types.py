@@ -255,18 +255,6 @@ class Explanation:
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "warnings", tuple(self.warnings))
 
-    @classmethod
-    def from_coefficients(cls, coefficients, *, kernel_width: float,
-                          n_samples: int, posterior=None, seed=None,
-                          warnings: Sequence[str] = ()) -> "Explanation":
-        """Build an explanation, deriving importances and ranks."""
-        coeffs = np.asarray(coefficients, dtype=float)
-        importances = np.abs(normalize_coefficients(coeffs))
-        ranks = rank_features(coeffs)
-        return cls(coeffs, importances, ranks, float(kernel_width),
-                   int(n_samples), posterior=posterior, seed=seed,
-                   warnings=tuple(warnings))
-
     @property
     def m(self) -> int:
         return self.coefficients.size

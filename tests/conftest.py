@@ -6,8 +6,9 @@ block. These helpers build the stacks the tests need with the package's
 one reducer (``reduce_set`` and ``join_sets``): one set alone, s
 different sets (a seed block's layout) and one set under s weightings (a
 robustness sweep's layout), and wrap the one-row fits as plain functions.
-``manifest_argv`` rebuilds a CLI command from its manifest. Test modules
-import them with ``from conftest import ...``. Every test runs under
+``explanation`` builds a run from its coefficients; ``manifest_argv``
+rebuilds a CLI command from its manifest. Test modules import them with
+``from conftest import ...``. Every test runs under
 ``predictor_children``, which fails it if a predictor child outlives it.
 """
 
@@ -19,12 +20,14 @@ import numpy as np
 import pytest
 
 from baylime import (
+    Explanation,
     ExplanationEnsemble,
     MetricReport,
     build_perturbation_set,
+    normalize_coefficients,
+    rank_features,
     robustness,
     width_pairs,
-    with_class,
 )
 from baylime.blackbox import SubprocessPredictor
 from baylime.cli import build_parser
@@ -76,6 +79,16 @@ def fit_surrogate(pset, prior, *, max_iter: int = MAX_ITER,
     return stack.surrogate_fit(fit, 0)
 
 
+def explanation(coefficients, **fields) -> Explanation:
+    """The explanation of these raw coefficients, its importances and ranks
+    derived as a fit's are; ``fields`` default to width 1 and 10 samples."""
+    coefficients = np.asarray(coefficients, dtype=float)
+    fields = {"kernel_width": 1.0, "n_samples": 10, **fields}
+    return Explanation(coefficients,
+                       np.abs(normalize_coefficients(coefficients)),
+                       rank_features(coefficients), **fields)
+
+
 def ensemble_of(runs) -> ExplanationEnsemble:
     """The ensemble of these explanations, in order."""
     runs = tuple(runs)
@@ -89,13 +102,10 @@ def sweep(instance, handle, config, *, pairs: int,
           seed: int = 0) -> MetricReport:
     """Draw and probe one set as ``config`` says, then sweep its surrogate.
 
-    The set is drawn with the seed in ``config.perturb`` through the class
-    ``config.target_class`` picks, and refit at both widths of every
-    sampled pair with the configured distance; ``seed`` drives only the
-    width sampling.
+    The set is drawn with the seed in ``config.perturb`` and refit at both
+    widths of every sampled pair with the configured distance; ``seed``
+    drives only the width sampling.
     """
-    if config.target_class is not None:
-        handle = with_class(handle, config.target_class)
     pset = build_perturbation_set(instance, config.perturb, handle)
     (report,) = robustness(pset, instance, (config.surrogate,),
                            width_pairs(pairs, bounds, seed),
@@ -137,17 +147,14 @@ def manifest_argv(manifest: dict) -> list[str]:
     """The CLI argv that reruns a manifest's command from its parameters.
 
     Every flag gets its recorded value, a list as comma-separated values
-    or, for a repeatable flag, one flag per entry. A subprocess predictor's
-    record is no ``--predictor`` choice and is left out: its command is
-    ``--predictor-cmd`` or the environment's.
+    or, for a repeatable flag, one flag per entry.
     """
     parameters = manifest["parameters"]
     argv = [manifest["command"]]
     for action in command_parser(manifest["command"])._actions:
         value = parameters.get(action.dest)
         flag = action.option_strings[0]
-        if value is None or (action.dest, value) == ("predictor",
-                                                     "subprocess"):
+        if value is None:
             continue
         if isinstance(action, argparse._AppendAction):
             argv += [f"{flag}={entry}" for entry in value]

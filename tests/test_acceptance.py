@@ -20,7 +20,6 @@ import pytest
 
 from baylime import (
     ExplainConfig,
-    Explanation,
     KernelConfig,
     LimeRidge,
     PerturbConfig,
@@ -34,7 +33,8 @@ from baylime import (
 )
 from baylime.cli import main
 from baylime.types import Instance, NUMERICAL
-from conftest import ensemble_of, fit_surrogate, manifest_argv, ridge_fit
+from conftest import (ensemble_of, explanation, fit_surrogate, manifest_argv,
+                      ridge_fit)
 
 
 @pytest.fixture
@@ -160,16 +160,13 @@ def test_criterion_5_evidence_recovers_noise_precision(verdict):
 
 
 def test_criterion_6_metric_oracles(verdict):
-    def run(c):
-        return Explanation.from_coefficients(c, kernel_width=1.0,
-                                             n_samples=10)
-
-    swap = ensemble_of((run([0.8, 0.6]), run([0.6, 0.8])))
+    swap = ensemble_of(map(explanation, ([0.8, 0.6], [0.6, 0.8])))
     hand_inconsistency = inconsistency(swap)
-    three = ensemble_of((run([0.9, 0.5, 0.2]), run([0.9, 0.5, 0.2]),
-                         run([0.2, 0.9, 0.5])))
+    three = ensemble_of(map(explanation, ([0.9, 0.5, 0.2], [0.9, 0.5, 0.2],
+                                          [0.2, 0.9, 0.5])))
     hand_w = kendalls_w(three)
-    identical = ensemble_of((run([0.9, 0.5, 0.2]), run([0.9, 0.5, 0.2])))
+    identical = ensemble_of(map(explanation, ([0.9, 0.5, 0.2],
+                                              [0.9, 0.5, 0.2])))
     ok = (abs(hand_inconsistency - 1.0 / 6.0) <= 1e-12
           and abs(hand_w - 1.0 / 3.0) <= 1e-12
           and inconsistency(identical) == 0.0

@@ -28,6 +28,7 @@ from baylime import (
     normalize_coefficients,
     width_pairs,
 )
+from baylime.blackbox import PREDICTOR_CMD_ENV
 from baylime.cli import _parse_explainer_spec, build_parser, ingest_csv, main
 from baylime.errors import ConfigError
 from baylime.kernel import BINARY_HAMMING, effective_sample_size
@@ -556,9 +557,15 @@ class TestManifest:
          "--kernel-width", "0.9", "--r", "0.5", "--explainer", "lime",
          "--explainer", "partial:lambda=20", "--pairs", "5", "--n", "200",
          "--out", "OUT.csv"],
+        # No predictor flag: the first run takes its command from the
+        # environment, and the rerun, without it, from the manifest.
+        ["explain", "--m", "3", "--explainer", "non_informative",
+         "--n", "100", "--seed", "2", "--out", "OUT.json"],
     ])
     def test_rerun_from_manifest_reproduces_output(self, tmp_path, capsys,
-                                                   argv):
+                                                   monkeypatch, argv):
+        if "--predictor" not in argv:
+            monkeypatch.setenv(PREDICTOR_CMD_ENV, SUM_PREDICTOR)
         prior = tmp_path / "prior.json"
         prior.write_text(json.dumps({"mu0": [1.0, 0.5, 0.0], "lambda": 20}),
                          encoding="utf-8")
@@ -570,6 +577,7 @@ class TestManifest:
         manifest = json.loads(out.with_suffix(".manifest.json")
                               .read_text(encoding="utf-8"))
         out.unlink()
+        monkeypatch.delenv(PREDICTOR_CMD_ENV, raising=False)
         assert main(manifest_argv(manifest)) == 0
         assert (out.read_bytes(), capsys.readouterr()) == first
 

@@ -17,7 +17,6 @@ from baylime import (
     ConfigError,
     ConvergenceError,
     ExplainConfig,
-    Explanation,
     FitError,
     InvalidInputError,
     KernelConfig,
@@ -34,7 +33,9 @@ from baylime import (
     explain_block,
     inconsistency,
     kendalls_w,
+    normalize_coefficients,
     perturb_matrix,
+    rank_features,
 )
 from baylime import explainer
 from baylime.kernel import BINARY_HAMMING, DISTANCES, effective_sample_size
@@ -45,7 +46,7 @@ from baylime.types import (
     NUMERICAL,
     Instance,
 )
-from conftest import fit_surrogate, ridge_fit
+from conftest import explanation, fit_surrogate, ridge_fit
 
 
 def numeric_problem(m: int, n: int, seed: int,
@@ -171,11 +172,10 @@ class TestExplain:
                      result.posterior.iterations)
                     == (posterior.lambda_used, posterior.alpha_used,
                         posterior.iterations))
-        lone = Explanation.from_coefficients(
-            coefficients, kernel_width=result.kernel_width, n_samples=200)
-        assert result.coefficients.tobytes() == lone.coefficients.tobytes()
-        assert result.importances.tobytes() == lone.importances.tobytes()
-        assert result.ranks.tolist() == lone.ranks.tolist()
+        importances = np.abs(normalize_coefficients(coefficients))
+        assert result.coefficients.tobytes() == coefficients.tobytes()
+        assert result.importances.tobytes() == importances.tobytes()
+        assert result.ranks.tolist() == rank_features(coefficients).tolist()
 
     def test_inputs_not_mutated(self):
         instance, config = numeric_problem(2, 50, 1, LimeRidge(1.0))
@@ -194,30 +194,33 @@ class TestExplainRepeated:
     """A seed block of one surrogate: k runs differing only in seed."""
 
     def test_runs_ordered_by_seed(self):
-        instance, config = numeric_problem(2, 80, 0, LimeRidge(1.0))
-        (ensemble,) = explain_block(instance, quadratic_predictor(), config,
-                                    (config.surrogate,), 4, seed_base=10)
+        instance, config = numeric_problem(2, 80, 10, LimeRidge(1.0))
+        (ensemble,) = explain_block(instance, quadratic_predictor(),
+                                    config.perturb, config.kernel,
+                                    (config.surrogate,), 4)
         assert [run.seed for run in ensemble.runs] == [10, 11, 12, 13]
 
     def test_distinct_seeds_vary_on_nonlinear_model(self):
         instance, config = numeric_problem(2, 80, 0, LimeRidge(1.0))
-        (ensemble,) = explain_block(instance, quadratic_predictor(), config,
-                                    (config.surrogate,), 3, seed_base=0)
+        (ensemble,) = explain_block(instance, quadratic_predictor(),
+                                    config.perturb, config.kernel,
+                                    (config.surrogate,), 3)
         coefficient_sets = {tuple(run.coefficients) for run in ensemble.runs}
         assert len(coefficient_sets) == 3
 
     def test_needs_two_runs(self):
         # One run is a block, but agreement across runs needs two.
         instance, config = numeric_problem(2, 80, 0, LimeRidge(1.0))
-        (ensemble,) = explain_block(instance, quadratic_predictor(), config,
+        (ensemble,) = explain_block(instance, quadratic_predictor(),
+                                    config.perturb, config.kernel,
                                     (config.surrogate,), 1)
         assert ensemble.k == 1
         for metric in (inconsistency, kendalls_w):
             with pytest.raises(InvalidInputError):
                 metric(ensemble)
         with pytest.raises(ConfigError):
-            explain_block(instance, quadratic_predictor(), config,
-                          (config.surrogate,), 0)
+            explain_block(instance, quadratic_predictor(), config.perturb,
+                          config.kernel, (config.surrogate,), 0)
 
 
 class CountingPredictor:
@@ -246,18 +249,18 @@ class TestExplainPaired:
     )
 
     def test_one_probe_per_seed_whatever_the_surrogate_count(self):
-        instance, config = numeric_problem(3, 150, 0, LimeRidge(1.0))
+        instance, config = numeric_problem(3, 150, 20, LimeRidge(1.0))
         model = CountingPredictor()
         ensembles = explain_block(
             instance, PredictorHandle.in_process(model, batch_limit=64),
-            config, self.SURROGATES, 5, seed_base=20)
+            config.perturb, config.kernel, self.SURROGATES, 5)
         # The seeds' rows share requests of batch_limit rows.
         assert (model.calls, model.rows) == (math.ceil(5 * 150 / 64), 5 * 150)
         assert len(ensembles) == len(self.SURROGATES)
         for surrogate, paired in zip(self.SURROGATES, ensembles):
             (alone,) = explain_block(
                 instance, PredictorHandle.in_process(CountingPredictor()),
-                config, (surrogate,), 5, seed_base=20)
+                config.perturb, config.kernel, (surrogate,), 5)
             for got, want in zip(paired.runs, alone.runs, strict=True):
                 assert got.coefficients.tobytes() == want.coefficients.tobytes()
                 assert got.ranks.tolist() == want.ranks.tolist()
@@ -274,7 +277,7 @@ class TestExplainPaired:
         instance, config = numeric_problem(3, 120, 0, pair[0])
         lime, bayes = explain_block(
             instance, PredictorHandle.in_process(CountingPredictor(noise=1.0)),
-            config, pair, 4)
+            config.perturb, config.kernel, pair, 4)
         for a, b in zip(lime.runs, bayes.runs):
             np.testing.assert_allclose(a.coefficients, b.coefficients,
                                        rtol=1e-8)
@@ -284,10 +287,11 @@ class TestExplainPaired:
         model = CountingPredictor()
         with pytest.raises(ConfigError):
             explain_block(instance, PredictorHandle.in_process(model),
-                          config, (LimeRidge(1.0), "ridge"), 3)
+                          config.perturb, config.kernel,
+                          (LimeRidge(1.0), "ridge"), 3)
         with pytest.raises(ConfigError):
             explain_block(instance, PredictorHandle.in_process(model),
-                          config, (), 3)
+                          config.perturb, config.kernel, (), 3)
         assert model.calls == 0
 
 
@@ -326,7 +330,7 @@ def seed_blocks(draw):
     instance = Instance(np.array(values), kinds,
                         tuple(f"f{j}" for j in range(m)))
     perturb = PerturbConfig(
-        n=draw(st.integers(1, 40)), seed=0,
+        n=draw(st.integers(1, 40)), seed=draw(st.integers(0, 10**6)),
         numeric_scale={j: (0.5, 2.0) for j in range(m)
                        if kinds[j] == NUMERICAL},
         categorical_frequencies={j: {0.0: 0.3, 1.0: 0.5, 2.0: 0.2}
@@ -336,10 +340,8 @@ def seed_blocks(draw):
                           distance=draw(st.sampled_from(DISTANCES)))
     surrogates = tuple(surrogate_of(entry, m) for entry in draw(
         st.lists(st.sampled_from(POOL), min_size=1, max_size=4)))
-    return dict(instance=instance,
-                config=ExplainConfig(perturb, kernel, surrogates[0]),
+    return dict(instance=instance, perturb=perturb, kernel=kernel,
                 surrogates=surrogates, k=draw(st.integers(2, 5)),
-                seed_base=draw(st.integers(0, 10**6)),
                 limit=draw(st.integers(1, 64)),
                 constant=draw(st.booleans()),
                 max_iter=draw(st.sampled_from((3, 6, 300))))
@@ -353,15 +355,18 @@ def row_model(constant: bool):
                          - rows[:, rows.shape[1] // 2])
 
 
-def seed_by_seed(instance, model, config, surrogates, k, seed_base):
+def seeds_of(perturb, k):
+    """The plans of a block's k seeds, in order."""
+    return [replace(perturb, seed=perturb.seed + i) for i in range(k)]
+
+
+def seed_by_seed(instance, model, perturb, kernel, surrogates, k):
     """The runs of a per-seed loop: explain each seed with each surrogate."""
     runs = [[] for _ in surrogates]
-    for seed in range(seed_base, seed_base + k):
-        perturb = replace(config.perturb, seed=seed)
+    for plan in seeds_of(perturb, k):
         for out, surrogate in zip(runs, surrogates):
             out.append(explain(instance, PredictorHandle.in_process(model),
-                               replace(config, perturb=perturb,
-                                       surrogate=surrogate)))
+                               ExplainConfig(plan, kernel, surrogate)))
     return runs
 
 
@@ -372,7 +377,8 @@ class TestSeedBlock:
               database=None)
     @given(seed_blocks())
     def test_block_equals_the_per_seed_loop(self, case):
-        instance, config = case["instance"], case["config"]
+        instance, perturb, kernel = (case["instance"], case["perturb"],
+                                     case["kernel"])
         surrogates, k = case["surrogates"], case["k"]
         model = row_model(case["constant"])
         requests = []
@@ -385,8 +391,8 @@ class TestSeedBlock:
             patch.setattr(explainer, "posterior_rows", functools.partial(
                 explainer.posterior_rows, max_iter=case["max_iter"]))
             try:
-                want = seed_by_seed(instance, model, config, surrogates, k,
-                                    case["seed_base"])
+                want = seed_by_seed(instance, model, perturb, kernel,
+                                    surrogates, k)
             except FitError as exc:
                 want = exc
             try:
@@ -394,17 +400,14 @@ class TestSeedBlock:
                     instance,
                     PredictorHandle.in_process(counting,
                                                batch_limit=case["limit"]),
-                    config, surrogates, k, seed_base=case["seed_base"])
+                    perturb, kernel, surrogates, k)
             except FitError as exc:
                 got = exc
 
         # Every seed's rows reach the model in seed order, packed.
-        n = config.perturb.n
-        assert len(requests) == math.ceil(k * n / case["limit"])
-        originals = [perturb_matrix(instance,
-                                    replace(config.perturb, seed=seed))[1]
-                     for seed in range(case["seed_base"],
-                                       case["seed_base"] + k)]
+        assert len(requests) == math.ceil(k * perturb.n / case["limit"])
+        originals = [perturb_matrix(instance, plan)[1]
+                     for plan in seeds_of(perturb, k)]
         assert (np.vstack(requests).tobytes()
                 == np.vstack(originals).tobytes())
         if isinstance(want, FitError):
@@ -416,11 +419,10 @@ class TestSeedBlock:
             return
         assert not isinstance(got, FitError)
         weights = [apply_weights(
-            build_perturbation_set(instance,
-                                   replace(config.perturb, seed=seed),
+            build_perturbation_set(instance, plan,
                                    PredictorHandle.in_process(model)),
-            config.kernel, instance).weights
-            for seed in range(case["seed_base"], case["seed_base"] + k)]
+            kernel, instance).weights
+            for plan in seeds_of(perturb, k)]
         for ensemble, runs in zip(got, want, strict=True):
             assert ensemble.min_effective_sample_size == min(
                 effective_sample_size(w) for w in weights)
@@ -465,12 +467,12 @@ class TestSeedBlock:
 
         monkeypatch.setattr(explainer, "ridge_rows", failing_rows)
         with pytest.raises(FitError, match=r"r=1.0 fails at seed 1"):
-            explain_block(instance, quadratic_predictor3(), config,
-                          (first, second), 3)
+            explain_block(instance, quadratic_predictor3(), config.perturb,
+                          config.kernel, (first, second), 3)
         fail_at[first.r] = 2
         with pytest.raises(FitError, match=r"r=2.0 fails at seed 1"):
-            explain_block(instance, quadratic_predictor3(), config,
-                          (first, second), 3)
+            explain_block(instance, quadratic_predictor3(), config.perturb,
+                          config.kernel, (first, second), 3)
 
     @pytest.mark.parametrize("limit", [7, 20, 1000])
     def test_no_drawn_matrix_is_alive_while_sets_are_fitted(self, monkeypatch,
@@ -500,13 +502,15 @@ class TestSeedBlock:
         watched("fit")
         surrogates = (LimeRidge(1.0), BayLime(PriorSpec.non_informative()))
         explain_block(instance, PredictorHandle.in_process(
-            CountingPredictor(), batch_limit=limit), config, surrogates, 3)
+            CountingPredictor(), batch_limit=limit), config.perturb,
+            config.kernel, surrogates, 3)
         assert len(drawn) == 3
         assert alive == [("reduce_set", 0)] * 3 + [("fit", 0)] * 2
 
     def test_runs_are_made_on_first_access(self):
         instance, config = numeric_problem(2, 60, 0, LimeRidge(1.0))
-        (ensemble,) = explain_block(instance, quadratic_predictor(), config,
+        (ensemble,) = explain_block(instance, quadratic_predictor(),
+                                    config.perturb, config.kernel,
                                     (BayLime(PriorSpec.non_informative()),),
                                     3)
         assert ensemble._runs is None
@@ -520,50 +524,46 @@ class TestSeedBlock:
         prior = BayLime(PriorSpec.partial(np.zeros(2), 1.0))
         with pytest.raises(ShapeError):
             explain_block(instance, PredictorHandle.in_process(model),
-                          config, (LimeRidge(1.0), prior), 3)
+                          config.perturb, config.kernel,
+                          (LimeRidge(1.0), prior), 3)
         assert model.calls == 0
 
 
 class TestElicitPrior:
-    @staticmethod
-    def _exp(coefficients):
-        return Explanation.from_coefficients(coefficients, kernel_width=1.0,
-                                             n_samples=10)
-
     def test_single_explanation(self):
-        prior = elicit_prior([self._exp([2.0, -1.0])])
+        prior = elicit_prior([explanation([2.0, -1.0])])
         assert prior.mode == "partial"
         assert prior.mu0.tolist() == [2.0, -1.0]
         assert prior.lam == 1.0
 
     def test_mean_and_count(self):
-        prior = elicit_prior([self._exp([1.0, 0.0]), self._exp([3.0, 0.0]),
-                              self._exp([2.0, 0.0])])
+        prior = elicit_prior([explanation([1.0, 0.0]), explanation([3.0, 0.0]),
+                              explanation([2.0, 0.0])])
         assert prior.mu0.tolist() == [2.0, 0.0]
         assert prior.lam == 3.0
 
     def test_mean_is_on_raw_scale(self):
         # Coefficients [3, 4] normalize to [0.6, 0.8]; the prior mean must
         # keep the raw scale.
-        prior = elicit_prior([self._exp([3.0, 4.0])])
+        prior = elicit_prior([explanation([3.0, 4.0])])
         assert prior.mu0.tolist() == [3.0, 4.0]
 
     def test_permutation_invariant(self):
-        runs = [self._exp([1.0, 2.0]), self._exp([5.0, -2.0]),
-                self._exp([0.0, 3.0])]
+        runs = [explanation([1.0, 2.0]), explanation([5.0, -2.0]),
+                explanation([0.0, 3.0])]
         forward = elicit_prior(runs)
         backward = elicit_prior(list(reversed(runs)))
         np.testing.assert_array_equal(forward.mu0, backward.mu0)
         assert forward.lam == backward.lam
 
     def test_alpha_override_gives_full_mode(self):
-        prior = elicit_prior([self._exp([1.0])], alpha=4.0)
+        prior = elicit_prior([explanation([1.0])], alpha=4.0)
         assert prior.mode == "full"
         assert prior.alpha == 4.0
 
     def test_mixed_m_rejected(self):
         with pytest.raises(ShapeError):
-            elicit_prior([self._exp([1.0]), self._exp([1.0, 2.0])])
+            elicit_prior([explanation([1.0]), explanation([1.0, 2.0])])
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):

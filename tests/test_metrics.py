@@ -14,7 +14,6 @@ from baylime import (
     ConfigError,
     ConvergenceError,
     ExplainConfig,
-    Explanation,
     ExplanationEnsemble,
     FitError,
     InvalidInputError,
@@ -35,6 +34,7 @@ from baylime import (
     normalize_coefficients,
     robustness,
     width_pairs,
+    with_class,
 )
 from baylime.kernel import (
     BINARY_HAMMING,
@@ -44,16 +44,12 @@ from baylime.kernel import (
     proximity_distances,
 )
 from baylime.types import Instance, NUMERICAL
-from conftest import ensemble_of, fit_surrogate, ridge_fit, sweep
-
-
-def run(coefficients) -> Explanation:
-    return Explanation.from_coefficients(coefficients, kernel_width=1.0,
-                                         n_samples=10)
+from conftest import (ensemble_of, explanation, fit_surrogate, ridge_fit,
+                      sweep)
 
 
 def ensemble(*coefficient_sets) -> ExplanationEnsemble:
-    return ensemble_of(run(c) for c in coefficient_sets)
+    return ensemble_of(explanation(c) for c in coefficient_sets)
 
 
 class TestInconsistency:
@@ -428,11 +424,10 @@ class TestRobustnessConfig:
         two_class = PredictorHandle.in_process(
             lambda rows: np.column_stack([np.zeros(rows.shape[0]),
                                           score(rows)]))
-        config = ExplainConfig(perturb, KernelConfig(), LimeRidge(1.0),
-                               target_class=1)
-        selected = sweep(instance, two_class, config, pairs=4, seed=8)
-        direct = sweep(instance, PredictorHandle.in_process(score),
-                       ExplainConfig(perturb, KernelConfig(), LimeRidge(1.0)),
+        config = ExplainConfig(perturb, KernelConfig(), LimeRidge(1.0))
+        selected = sweep(instance, with_class(two_class, 1), config, pairs=4,
+                         seed=8)
+        direct = sweep(instance, PredictorHandle.in_process(score), config,
                        pairs=4, seed=8)
         assert selected == direct
 

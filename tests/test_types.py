@@ -22,7 +22,7 @@ from baylime import (
     rank_features,
 )
 from baylime.types import BINARY_MASK, CATEGORICAL, NUMERICAL
-from conftest import ensemble_of
+from conftest import ensemble_of, explanation
 
 
 class TestRankFeatures:
@@ -159,16 +159,18 @@ class TestPerturbationSet:
 
 
 class TestExplanation:
-    def test_from_coefficients_derives_fields(self):
-        exp = Explanation.from_coefficients([3.0, -4.0], kernel_width=0.75,
-                                            n_samples=100, seed=9)
+    def test_holds_derived_importances_and_ranks(self):
+        coefficients = np.array([3.0, -4.0])
+        exp = Explanation(coefficients,
+                          np.abs(normalize_coefficients(coefficients)),
+                          rank_features(coefficients), kernel_width=0.75,
+                          n_samples=100, seed=9)
         assert exp.importances.tolist() == [0.6, 0.8]
         assert exp.ranks.tolist() == [2, 1]
         assert exp.seed == 9
 
     def test_zero_coefficients_allowed(self):
-        exp = Explanation.from_coefficients([0.0, 0.0], kernel_width=1.0,
-                                            n_samples=10)
+        exp = explanation([0.0, 0.0])
         assert exp.importances.tolist() == [0.0, 0.0]
         assert exp.ranks.tolist() == [1, 1]
 
@@ -181,13 +183,8 @@ class TestExplanation:
 
 
 class TestExplanationEnsemble:
-    @staticmethod
-    def _run(coefficients):
-        return Explanation.from_coefficients(coefficients, kernel_width=1.0,
-                                             n_samples=10)
-
     def test_matrices(self):
-        ensemble = ensemble_of((self._run([0.8, 0.6]), self._run([0.6, 0.8])))
+        ensemble = ensemble_of(map(explanation, ([0.8, 0.6], [0.6, 0.8])))
         assert ensemble.k == 2 and ensemble.m == 2
         assert ensemble.rank_matrix().tolist() == [[1, 2], [2, 1]]
         np.testing.assert_allclose(ensemble.importance_matrix(),
@@ -200,14 +197,14 @@ class TestExplanationEnsemble:
                                 lambda i: None)
         with pytest.raises(InvalidInputError):
             ExplanationEnsemble(np.ones(2), np.ones(2), lambda i: None)
-        single = ensemble_of((self._run([1.0, 2.0]),))
+        single = ensemble_of((explanation([1.0, 2.0]),))
         assert single.k == 1
         for metric in (inconsistency, kendalls_w):
             with pytest.raises(InvalidInputError):
                 metric(single)
 
     def test_rows_make_their_runs_once_on_demand(self):
-        runs = (self._run([0.8, 0.6]), self._run([0.6, 0.8]))
+        runs = (explanation([0.8, 0.6]), explanation([0.6, 0.8]))
         made = []
 
         def make_run(i):
