@@ -49,6 +49,7 @@ from .explainer import (
     BayLime,
     ExplainConfig,
     LimeRidge,
+    check_surrogates,
     elicit_prior,
     explain,
     explain_block,
@@ -56,13 +57,11 @@ from .explainer import (
 from .kernel import DISTANCES, EUCLIDEAN, KernelConfig, distance_note
 from .metrics import inconsistency, kendalls_w, robustness, width_pairs
 from .perturb import PerturbConfig, build_perturbation_set, config_from_data
-from .regression import PriorSpec
+from .regression import PRIOR_KEYS, PriorSpec
 from .types import CATEGORICAL, Instance, NUMERICAL
 
 # Explainer spec names and the keys each accepts.
-EXPLAINER_KEYS = {"lime": ("r",), "non_informative": (),
-                  "partial": ("lambda", "mu0"),
-                  "full": ("lambda", "alpha", "mu0")}
+EXPLAINER_KEYS = {"lime": ("r",), **PRIOR_KEYS}
 DEFAULT_N_GRID = (50, 100, 200, 400, 800, 1600)
 DEFAULT_R = 1.0
 
@@ -150,6 +149,8 @@ def _load_problem(args, n: int) -> tuple[Instance, PerturbConfig, dict]:
     if args.data is not None and args.m is not None:
         raise ConfigError("--data and --m are mutually exclusive")
     if args.data is not None:
+        _refuse_unused({"--instance-values": args.instance_values},
+                       "with --data")
         categorical = _split_names(args.categorical)
         drop = _split_names(args.drop_columns)
         matrix, kinds, names, _ = ingest_csv(args.data, categorical, drop)
@@ -166,6 +167,9 @@ def _load_problem(args, n: int) -> tuple[Instance, PerturbConfig, dict]:
         raise ConfigError("provide either --data or --m")
     if args.m < 1:
         raise ConfigError("--m must be at least 1")
+    _refuse_unused({"--instance": args.instance,
+                    "--categorical": args.categorical,
+                    "--drop-columns": args.drop_columns}, "without --data")
     if args.instance_values is not None:
         values = np.asarray(_parse_list(args.instance_values))
         if values.size != args.m:
@@ -181,6 +185,13 @@ def _load_problem(args, n: int) -> tuple[Instance, PerturbConfig, dict]:
         numeric_scale={j: (0.0, 1.0) for j in range(args.m)},
     )
     return instance, perturb, {"instance_values": values.tolist()}
+
+
+def _refuse_unused(flags: dict, reason: str) -> None:
+    """Refuse each flag given a value: the run ignores it, ``reason`` why."""
+    for flag, value in flags.items():
+        if value is not None:
+            raise ConfigError(f"{flag} does not apply {reason}")
 
 
 def _split_names(text: str | None) -> list[str]:
@@ -202,6 +213,8 @@ def _fixture_terms(text: str | None, flag: str,
     if values.size != default.size:
         raise ConfigError(f"{flag} has {values.size} entries for "
                           f"{default.size} features")
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{flag} must be finite")
     return values
 
 
@@ -215,6 +228,13 @@ def _resolve_predictor(args, m: int) -> tuple[PredictorHandle, dict]:
     if args.predictor is None and not command:
         raise ConfigError("no predictor configured; use --predictor or "
                           f"--predictor-cmd (or {PREDICTOR_CMD_ENV})")
+    if not np.isfinite(args.predictor_constant):
+        raise ConfigError("--predictor-constant must be finite")
+    terms = (("--predictor-coefficients", args.predictor_coefficients),
+             ("--predictor-quad", args.predictor_quad))
+    kind = "subprocess" if command else args.predictor
+    reads = {"linear": 1, "quadratic": 2}.get(kind, 0)
+    _refuse_unused(dict(terms[reads:]), f"to a {kind} predictor")
     if command:
         handle = PredictorHandle.spawn(command, batch_limit=args.batch_limit,
                                        timeout=args.timeout)
@@ -289,39 +309,27 @@ def _parse_explainer_spec(spec: str) -> tuple[str, dict]:
     return name, options
 
 
-def _build_surrogate(spec: str, name: str, options: dict, m: int,
-                     default_r: float, fallback: dict,
-                     ) -> tuple[LimeRidge | BayLime, dict]:
+def _build_surrogate(spec: str, name: str, options: dict, default_r: float,
+                     fallback: dict) -> tuple[LimeRidge | BayLime, dict]:
     """Turn a parsed explainer spec into a surrogate and its manifest record.
 
-    ``fallback`` supplies the ``mu0``, ``lambda`` and ``alpha`` a partial
-    or full spec leaves out; keys in the spec override it.
+    ``fallback`` supplies the ``mu0`` (a list), ``lambda`` and ``alpha`` a
+    spec that takes a prior leaves out; keys in the spec override it.
+    :class:`PriorSpec` judges the values, and its error names the spec.
     """
     record: dict = {"spec": spec, "name": name}
     if name == "lime":
         record["r"] = options.get("r", default_r)
         return LimeRidge(record["r"]), record
-    if name == "non_informative":
-        return BayLime(PriorSpec.non_informative()), record
-    values = {**fallback, **options}
-    if name == "partial" and "alpha" in values:
-        raise ConfigError(f"explainer {spec!r} fits alpha; do not supply it")
-    if "mu0" not in values:
-        raise ConfigError(f"explainer {spec!r} needs mu0=")
-    mu0 = np.asarray(values["mu0"], dtype=float)
-    if mu0.size != m:
-        raise ConfigError(f"explainer {spec!r}: mu0 has {mu0.size} "
-                          f"entries for {m} features")
-    if "lambda" not in values:
-        raise ConfigError(f"explainer {spec!r} needs lambda=")
-    lam = values["lambda"]
-    record.update(mu0=mu0.tolist(), **{"lambda": lam})
-    if name == "partial":
-        return BayLime(PriorSpec.partial(mu0, lam)), record
-    if "alpha" not in values:
-        raise ConfigError(f"explainer {spec!r} needs alpha=")
-    record["alpha"] = values["alpha"]
-    return BayLime(PriorSpec.full(mu0, lam, record["alpha"])), record
+    values = ({**fallback, **options} if "mu0" in EXPLAINER_KEYS[name]
+              else options)
+    try:
+        prior = PriorSpec(name, values.get("mu0"), values.get("lambda"),
+                          values.get("alpha"))
+    except ConfigError as exc:
+        raise ConfigError(f"explainer {spec!r}: {exc}") from None
+    record.update(values)
+    return BayLime(prior), record
 
 
 class _Run(NamedTuple):
@@ -342,8 +350,8 @@ def _setup(args, n: int, **lists) -> Iterator[_Run]:
 
     The problem (at n samples), the kernel, each explainer spec (against a
     stand-in of any prior a sweep will elicit), the prior file and the
-    elicitation counts are checked first. The predictor closes when the
-    ``with`` block ends and is probed through ``--target-class``.
+    elicitation's counts and ridge are checked first. The predictor closes
+    when the ``with`` block ends and is probed through ``--target-class``.
     ``resolved`` is what the manifest lays over the flags: parsed lists (a
     command's own ``lists`` too), kernel width, predictor and explainers.
     """
@@ -354,7 +362,7 @@ def _setup(args, n: int, **lists) -> Iterator[_Run]:
         raise ConfigError("target_class must be non-negative")
     parsed = [(spec, *_parse_explainer_spec(spec)) for spec in
               ((args.explainer or ["lime"]) if sweep else [args.explainer])]
-    elicit = sweep and any(name in ("partial", "full") and "mu0" not in opts
+    elicit = sweep and any("mu0" in EXPLAINER_KEYS[name] and "mu0" not in opts
                            for _, name, opts in parsed)
     fallback: dict = {}
     if elicit:
@@ -362,19 +370,21 @@ def _setup(args, n: int, **lists) -> Iterator[_Run]:
                             ("--elicit-n", args.elicit_n)):
             if value < 1:
                 raise ConfigError(f"{flag} must be at least 1")
-        fallback = {"mu0": np.zeros(instance.m), "lambda": 1.0}
+        fallback = {"mu0": [0.0] * instance.m, "lambda": 1.0}
+        baseline = (LimeRidge(args.r),)
     elif not sweep and args.prior_file is not None:
-        if parsed[0][1] in ("lime", "non_informative"):
+        if "mu0" not in EXPLAINER_KEYS[parsed[0][1]]:
             raise ConfigError(f"explainer {args.explainer!r} takes no prior "
                               f"file")
         fallback = _load_prior_file(args.prior_file)
     default_r = args.r if sweep else DEFAULT_R
 
     def resolve(fallback: dict) -> list[tuple[LimeRidge | BayLime, dict]]:
-        return [_build_surrogate(*spec, instance.m, default_r, fallback)
+        return [_build_surrogate(*spec, default_r, fallback)
                 for spec in parsed]
 
     explainers = resolve(fallback)
+    check_surrogates([surrogate for surrogate, _ in explainers], instance.m)
     predictor, predictor_values = _resolve_predictor(args, instance.m)
     with predictor:
         handle = (predictor if args.target_class is None
@@ -386,9 +396,10 @@ def _setup(args, n: int, **lists) -> Iterator[_Run]:
             plan = replace(perturb, n=args.elicit_n,
                            seed=args.seed + ELICIT_SEED_OFFSET)
             (runs,) = explain_block(instance, handle, plan, kernel,
-                                    (LimeRidge(args.r),), args.elicit_runs)
+                                    baseline, args.elicit_runs)
             prior = elicit_prior(runs)
-            explainers = resolve({"mu0": prior.mu0, "lambda": prior.lam})
+            explainers = resolve({"mu0": prior.mu0.tolist(),
+                                  "lambda": prior.lam})
         surrogates, records = zip(*explainers)
         resolved.update(lists, **predictor_values,
                         kernel_width=kernel.resolved_width(instance.m))
@@ -517,8 +528,6 @@ def cmd_consistency(args) -> int:
 
 
 def cmd_robustness(args) -> int:
-    if not args.l_lo < args.l_up:
-        raise ConfigError("--l-lo must be below --l-up")
     pair_list = width_pairs(args.pairs, (args.l_lo, args.l_up), args.seed)
     with _setup(args, args.n) as run:
         # One perturbation set serves every pair and every explainer, and

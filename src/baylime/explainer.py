@@ -74,10 +74,6 @@ class ExplainConfig:
     kernel: KernelConfig
     surrogate: LimeRidge | BayLime
 
-    def __post_init__(self):
-        if not isinstance(self.surrogate, (LimeRidge, BayLime)):
-            raise ConfigError("surrogate must be LimeRidge or BayLime")
-
 
 def fit(stack: WeightedStack, surrogate: LimeRidge | BayLime) -> StackFit:
     """Fit the surrogate on every row of a stack.
@@ -144,7 +140,8 @@ def check_surrogates(surrogates: Sequence[LimeRidge | BayLime],
                      m: int) -> bool:
     """Refuse a surrogate of the wrong type, or a prior mean not of length m.
 
-    Sweeps call this before they probe, so a bad spec costs no model call.
+    The one check of both rules: the seed block and the robustness sweep
+    call it before they probe, and the CLI before it starts the predictor.
     Returns whether any surrogate maximizes the evidence (a BayLime prior
     not in full mode), whose fits need each set's rows while they are
     alive.

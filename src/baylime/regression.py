@@ -35,11 +35,9 @@ X'WX is rank deficient when eig_min <= eig_max * m * eps, the default
 tolerance of ``numpy.linalg.matrix_rank``; then an unregularized ridge fit
 (r = 0) is refused and ``beta_mle`` is None.
 
-Three prior-knowledge modes differ in which hyperparameters are fixed:
-
-* full: mu0, lambda, alpha all supplied;
-* partial: mu0 and lambda supplied, alpha fitted by evidence maximization;
-* non-informative: mu0 = 0, both lambda and alpha fitted.
+Three prior-knowledge modes differ in which of mu0, lambda and alpha the
+user supplies (:data:`PRIOR_KEYS`); evidence maximization fits the others,
+around mu0 = 0 in non-informative mode.
 
 Evidence maximization iterates
 
@@ -75,7 +73,6 @@ from .errors import (
     ConvergenceError,
     DecompositionError,
     FitError,
-    ShapeError,
     SingularityError,
 )
 from .types import PerturbationSet, _frozen_array
@@ -83,7 +80,10 @@ from .types import PerturbationSet, _frozen_array
 NON_INFORMATIVE = "non_informative"
 PARTIAL = "partial"
 FULL = "full"
-PRIOR_MODES = (NON_INFORMATIVE, PARTIAL, FULL)
+# The hyperparameters the user supplies in each prior mode, named as in the
+# CLI's explainer specs and prior files.
+PRIOR_KEYS = {NON_INFORMATIVE: (), PARTIAL: ("mu0", "lambda"),
+              FULL: ("mu0", "lambda", "alpha")}
 
 # Clamp range for evidence-fitted hyperparameters. User-supplied values in
 # full mode are taken as given and never clamped.
@@ -100,9 +100,9 @@ _EPS = float(np.finfo(float).eps)
 class PriorSpec:
     """Which prior knowledge is available, and its values.
 
-    ``lam`` is the prior precision (how strongly coefficients are pulled
-    toward ``mu0``), ``alpha`` the observation noise precision. Fields a
-    mode fits from data must be left as None.
+    ``lam`` is the prior precision lambda (how strongly coefficients are
+    pulled toward ``mu0``), ``alpha`` the observation noise precision. A
+    mode takes the fields :data:`PRIOR_KEYS` names, and leaves the rest None.
     """
 
     mode: str
@@ -111,27 +111,25 @@ class PriorSpec:
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.mode not in PRIOR_MODES:
+        if self.mode not in PRIOR_KEYS:
             raise ConfigError(
                 f"unknown prior mode {self.mode!r}; expected one of "
-                f"{PRIOR_MODES}"
+                f"{tuple(PRIOR_KEYS)}"
             )
         if self.mu0 is not None:
             mu0 = _frozen_array(self.mu0)
             if mu0.ndim != 1 or mu0.size == 0 or not np.all(np.isfinite(mu0)):
                 raise ConfigError("mu0 must be a non-empty finite vector")
             object.__setattr__(self, "mu0", mu0)
-        for name, value, wanted in (
-            ("lam", self.lam, self.mode in (PARTIAL, FULL)),
-            ("alpha", self.alpha, self.mode == FULL),
-            ("mu0", self.mu0, self.mode in (PARTIAL, FULL)),
-        ):
-            if wanted and value is None:
+        supplied = PRIOR_KEYS[self.mode]
+        for name, value in (("mu0", self.mu0), ("lambda", self.lam),
+                            ("alpha", self.alpha)):
+            if name in supplied and value is None:
                 raise ConfigError(f"{self.mode} mode requires {name}")
-            if not wanted and value is not None:
+            if name not in supplied and value is not None:
                 raise ConfigError(f"{self.mode} mode fits {name} from data; "
                                   f"do not supply it")
-        for name, value in (("lam", self.lam), ("alpha", self.alpha)):
+        for name, value in (("lambda", self.lam), ("alpha", self.alpha)):
             if value is not None and not (np.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive")
 
@@ -263,11 +261,10 @@ class StackFit(NamedTuple):
 def ridge_rows(stack: WeightedStack, r: float) -> StackFit:
     """Weighted ridge coefficients (X'WX + rI)^-1 X'WY for every row.
 
-    At r = 0 a row whose X'WX is rank deficient fails with
+    ``r`` is finite and >= 0, as :class:`~baylime.explainer.LimeRidge`
+    checks. At r = 0 a row whose X'WX is rank deficient fails with
     SingularityError.
     """
-    if not (np.isfinite(r) and r >= 0):
-        raise ConfigError("ridge regularizer must be finite and >= 0")
     eig, vectors, b = stack.spectrum
     failed, error = len(eig), None
     if r == 0.0:
@@ -379,16 +376,12 @@ def posterior_rows(stack: WeightedStack, prior: PriorSpec, *,
     maximization, row by row in one vectorised loop, from the stack's
     evidence inputs (a stack without them is refused with ConfigError). A
     row that does not settle in ``max_iter`` fails with ConvergenceError
-    carrying its last iterate.
+    carrying its last iterate. ``mu0`` is of length m (checked by
+    :func:`~baylime.explainer.check_surrogates`).
     """
     eig, vectors, b = stack.spectrum
-    s, m = eig.shape
-    mu0_rot = None
-    if prior.mu0 is not None:
-        if prior.mu0.shape != (m,):
-            raise ShapeError(f"mu0 has shape {prior.mu0.shape}; the design "
-                             f"has {m} features")
-        mu0_rot = np.matmul(prior.mu0, vectors)
+    s = len(eig)
+    mu0_rot = None if prior.mu0 is None else np.matmul(prior.mu0, vectors)
     failed, error = s, None
     if prior.mode != FULL and stack.evidence is None:
         raise ConfigError("this stack was built without the inputs of "

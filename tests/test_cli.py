@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import re
 import shlex
@@ -32,6 +33,7 @@ from baylime.blackbox import PREDICTOR_CMD_ENV
 from baylime.cli import _parse_explainer_spec, build_parser, ingest_csv, main
 from baylime.errors import ConfigError
 from baylime.kernel import BINARY_HAMMING, effective_sample_size
+from baylime.regression import PRIOR_KEYS
 from baylime.types import NUMERICAL
 from conftest import command_parser, manifest_argv, ridge_fit
 
@@ -223,6 +225,35 @@ class TestExplainerSpec:
         assert code == 0
         return json.loads(capsys.readouterr().out)
 
+    @pytest.mark.parametrize("mode", tuple(PRIOR_KEYS))
+    @pytest.mark.parametrize("keys", [
+        keys for size in range(4)
+        for keys in itertools.combinations(("mu0", "lambda", "alpha"), size)
+    ], ids="+".join)
+    def test_cli_and_prior_spec_agree(self, capsys, mode, keys):
+        text = {"mu0": "0.5,-0.5", "lambda": "2", "alpha": "3"}
+        spec = ":".join([mode, *(f"{key}={text[key]}" for key in keys)])
+        code = main(["explain", "--m", "2", "--predictor", "linear",
+                     "--n", "20", "--explainer", spec])
+        out = capsys.readouterr().out
+        values = {"mu0": np.array([0.5, -0.5]), "lambda": 2.0, "alpha": 3.0}
+        try:
+            prior = PriorSpec(mode, *(values[key] if key in keys else None
+                                      for key in ("mu0", "lambda", "alpha")))
+        except ConfigError:
+            prior = None
+        accepted = set(keys) <= set(PRIOR_KEYS[mode]) and prior is not None
+        assert code == (0 if accepted else 2)
+        if accepted:
+            # The CLI's --m problem, probed through its linear fixture.
+            instance, perturb, _ = quadratic_problem(2, 20, 0)
+            handle = PredictorHandle.in_process(
+                lambda rows: rows @ np.array([1.0, 0.5]))
+            result = explain(instance, handle, ExplainConfig(
+                perturb, KernelConfig(), BayLime(prior)))
+            assert (json.loads(out)["coefficients"]
+                    == result.coefficients.tolist())
+
     @pytest.mark.parametrize("spec, surrogate", [
         ("lime:r=0.5", LimeRidge(0.5)),
         ("non_informative", BayLime(PriorSpec.non_informative())),
@@ -268,13 +299,16 @@ class TestExplainerSpec:
          "bad option 'alpha=1'"),
         (["--explainer", "partial:lambda=5"],
          {"mu0": [1.0, 0.0], "alpha": 1.0}, "fits alpha"),
-        (["--explainer", "partial:lambda=5"], None, "needs mu0="),
-        (["--explainer", "partial:mu0=1,0"], None, "needs lambda="),
-        (["--explainer", "full:mu0=1,0:lambda=5"], None, "needs alpha="),
+        (["--explainer", "partial:lambda=5"], None,
+         "explainer 'partial:lambda=5': partial mode requires mu0"),
+        (["--explainer", "partial:mu0=1,0"], None,
+         "partial mode requires lambda"),
+        (["--explainer", "full:mu0=1,0:lambda=5"], None,
+         "full mode requires alpha"),
         (["--explainer", "partial:mu0=1,0,0:lambda=5"], None,
-         "mu0 has 3 entries for 2 features"),
-        (["--explainer", "full:alpha=1"], [1.0],
-         "mu0 has 1 entries for 2 features"),
+         "mu0 has shape (3,); the design has 2 features"),
+        (["--explainer", "full:lambda=5:alpha=1"], [1.0],
+         "mu0 has shape (1,); the design has 2 features"),
         (["--explainer", "lime:r=x"], None, "bad number"),
         (["--mode", "lime"], None, "unrecognized arguments: --mode"),
     ])
@@ -503,14 +537,23 @@ def test_hamming_distance_on_a_numerical_problem_warns_once(
     (["consistency", "--k", "1"], "--k must be at least 2"),
     (["consistency", "--n-grid", "1"], "--n-grid needs values >= 2"),
     (["robustness", "--l-lo", "3", "--l-up", "1"],
-     "--l-lo must be below --l-up"),
+     "width bounds must satisfy 0 < lower < upper"),
     (["consistency", "--explainer", "partial:lambda=5:mu0"],
      "bad option 'mu0'"),
-    (["consistency", "--explainer", "full:lambda=10"], "needs alpha="),
+    (["consistency", "--explainer", "full:lambda=10"],
+     "full mode requires alpha"),
     (["robustness", "--explainer", "partial:lambda=5", "--elicit-runs", "0"],
      "--elicit-runs must be at least 1"),
     (["consistency", "--explainer", "full:lambda=5:alpha=1",
       "--elicit-n", "0"], "--elicit-n must be at least 1"),
+    (["consistency", "--explainer", "partial:lambda=5", "--r", "-1"],
+     "ridge regularizer must be finite and >= 0"),
+    (["explain", "--predictor-constant", "nan"],
+     "--predictor-constant must be finite"),
+    (["explain", "--predictor-quad", "1,1"],
+     "--predictor-quad does not apply to a subprocess predictor"),
+    (["robustness", "--instance", "1"],
+     "--instance does not apply without --data"),
 ])
 def test_config_error_starts_no_predictor(tmp_path, capsys,
                                           predictor_children, flags, message):
@@ -561,6 +604,9 @@ class TestManifest:
         # environment, and the rerun, without it, from the manifest.
         ["explain", "--m", "3", "--explainer", "non_informative",
          "--n", "100", "--seed", "2", "--out", "OUT.json"],
+        # The manifest writes --categorical= and --drop-columns= back.
+        ["robustness", "--data", "DATA", "--instance", "1", "--predictor",
+         "linear", "--pairs", "2", "--n", "100", "--out", "OUT.csv"],
     ])
     def test_rerun_from_manifest_reproduces_output(self, tmp_path, capsys,
                                                    monkeypatch, argv):
@@ -569,8 +615,11 @@ class TestManifest:
         prior = tmp_path / "prior.json"
         prior.write_text(json.dumps({"mu0": [1.0, 0.5, 0.0], "lambda": 20}),
                          encoding="utf-8")
-        argv = [str(prior) if arg == "PRIOR"
-                else arg.replace("OUT", str(tmp_path / "out")) for arg in argv]
+        data = tmp_path / "d.csv"
+        data.write_text("a,b,c\n1,2,0\n2,0,1\n0,1,2\n", encoding="utf-8")
+        files = {"PRIOR": str(prior), "DATA": str(data)}
+        argv = [files.get(arg, arg.replace("OUT", str(tmp_path / "out")))
+                for arg in argv]
         out = Path(argv[-1])
         assert main(argv) == 0
         first = out.read_bytes(), capsys.readouterr()
@@ -580,6 +629,49 @@ class TestManifest:
         monkeypatch.delenv(PREDICTOR_CMD_ENV, raising=False)
         assert main(manifest_argv(manifest)) == 0
         assert (out.read_bytes(), capsys.readouterr()) == first
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--m", "3", "--predictor", "linear",
+      "--predictor-coefficients", "nan,1,1"],
+     "--predictor-coefficients must be finite"),
+    (["--m", "3", "--predictor", "quadratic", "--predictor-quad", "inf,1,1"],
+     "--predictor-quad must be finite"),
+    (["--m", "3", "--predictor", "constant", "--predictor-constant", "nan"],
+     "--predictor-constant must be finite"),
+    (["--m", "3", "--instance", "2", "--predictor", "linear"],
+     "--instance does not apply without --data"),
+    (["--m", "3", "--categorical", "x", "--predictor", "linear"],
+     "--categorical does not apply without --data"),
+    (["--m", "3", "--drop-columns", "y", "--predictor", "linear"],
+     "--drop-columns does not apply without --data"),
+    (["--data", "DATA", "--instance", "0", "--instance-values", "5,6",
+      "--predictor", "linear"], "--instance-values does not apply with --data"),
+    (["--m", "3", "--predictor", "constant",
+      "--predictor-coefficients", "1,1,1"],
+     "--predictor-coefficients does not apply to a constant predictor"),
+    (["--m", "3", "--predictor", "constant", "--predictor-quad", "1,1,1"],
+     "--predictor-quad does not apply to a constant predictor"),
+    (["--m", "3", "--predictor", "linear", "--predictor-quad", "1,1,1"],
+     "--predictor-quad does not apply to a linear predictor"),
+    (["--m", "3", "--predictor-cmd", SUM_PREDICTOR,
+      "--predictor-coefficients", "1,1,1"],
+     "--predictor-coefficients does not apply to a subprocess predictor"),
+    # No predictor flag: the command comes from the environment.
+    (["--m", "3", "--predictor-quad", "1,1,1"],
+     "--predictor-quad does not apply to a subprocess predictor"),
+])
+def test_ignored_or_non_finite_flag_exits_two(tmp_path, capsys, monkeypatch,
+                                              predictor_children, flags,
+                                              message):
+    data = tmp_path / "d.csv"
+    data.write_text("a,b\n1,2\n3,4\n", encoding="utf-8")
+    if not {"--predictor", "--predictor-cmd"} & set(flags):
+        monkeypatch.setenv(PREDICTOR_CMD_ENV, SUM_PREDICTOR)
+    flags = [str(data) if flag == "DATA" else flag for flag in flags]
+    assert main(["explain", "--n", "10", *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert predictor_children == []
 
 
 class TestParsing:

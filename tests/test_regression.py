@@ -24,9 +24,9 @@ from baylime import (
     ConfigError,
     ConvergenceError,
     FitError,
+    LimeRidge,
     PerturbationSet,
     PriorSpec,
-    ShapeError,
     SingularityError,
     decompose,
 )
@@ -101,9 +101,10 @@ class TestRidgeFit:
         assert np.all(np.isfinite(ridge_fit(pset, 1e-6)))
 
     def test_rejects_negative_regularizer(self):
-        pset = random_problem(np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            ridge_fit(pset, -1.0)
+        # LimeRidge is the one check of r; ridge_rows takes it as given.
+        for r in (-1.0, float("nan")):
+            with pytest.raises(ConfigError):
+                LimeRidge(r)
 
 
 class TestFullPosterior:
@@ -167,11 +168,6 @@ class TestFullPosterior:
         g = pset.rows.T @ (pset.rows * pset.weights[:, None])
         assert fit.n_effective_prior == 7.0
         assert abs(fit.n_effective_data - 2.0 * np.trace(g)) < 1e-9
-
-    def test_mu0_shape_checked(self):
-        pset = random_problem(np.random.default_rng(4), m=3, n=30)
-        with pytest.raises(ShapeError):
-            fit_surrogate(pset, PriorSpec.full(np.zeros(2), 1.0, 1.0))
 
 
 def counted(monkeypatch, owner, name: str) -> list:
