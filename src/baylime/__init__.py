@@ -42,7 +42,6 @@ from .metrics import (
 )
 from .perturb import (
     PerturbConfig,
-    build_perturbation_set,
     column_statistics,
     config_from_data,
     frequency_table,
@@ -70,7 +69,7 @@ __all__ = [
     "KernelConfig", "LimeRidge", "MetricReport", "PerturbConfig",
     "PerturbationSet", "PredictorHandle", "PriorSpec", "ProbeError",
     "ShapeError", "SingularityError", "SurrogateFit", "UndefinedMetricError",
-    "apply_weights", "build_perturbation_set", "column_statistics",
+    "apply_weights", "column_statistics",
     "config_from_data", "decompose", "default_width", "elicit_prior",
     "explain", "explain_block", "frequency_table",
     "inconsistency", "kendalls_w", "kernel_weight", "normalize_coefficients",

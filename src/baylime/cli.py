@@ -43,6 +43,7 @@ from .errors import (
     FitError,
     InvalidInputError,
     ProbeError,
+    ShapeError,
     UndefinedMetricError,
 )
 from .explainer import (
@@ -56,7 +57,7 @@ from .explainer import (
 )
 from .kernel import DISTANCES, EUCLIDEAN, KernelConfig, distance_note
 from .metrics import inconsistency, kendalls_w, robustness, width_pairs
-from .perturb import PerturbConfig, build_perturbation_set, config_from_data
+from .perturb import PerturbConfig, config_from_data
 from .regression import PRIOR_KEYS, PriorSpec
 from .types import CATEGORICAL, Instance, NUMERICAL
 
@@ -275,6 +276,10 @@ def _load_prior_file(path: str) -> dict:
                                                        list):
         raise ConfigError(f'{path}: expected a JSON array or an object with '
                           f'"mu0"')
+    unknown = sorted(set(payload) - {"mu0", "lambda", "alpha"})
+    if unknown:
+        raise ConfigError(f"{path}: unknown prior keys {unknown}; expected "
+                          f"mu0, lambda and alpha")
     try:
         prior = {"mu0": [float(v) for v in payload["mu0"]]}
         prior.update((key, float(payload[key]))
@@ -384,7 +389,11 @@ def _setup(args, n: int, **lists) -> Iterator[_Run]:
                 for spec in parsed]
 
     explainers = resolve(fallback)
-    check_surrogates([surrogate for surrogate, _ in explainers], instance.m)
+    for surrogate, record in explainers:
+        try:
+            check_surrogates((surrogate,), instance.m)
+        except ShapeError as exc:
+            raise ConfigError(f"explainer {record['spec']!r}: {exc}") from None
     predictor, predictor_values = _resolve_predictor(args, instance.m)
     with predictor:
         handle = (predictor if args.target_class is None
@@ -532,8 +541,8 @@ def cmd_robustness(args) -> int:
     with _setup(args, args.n) as run:
         # One perturbation set serves every pair and every explainer, and
         # each width is weighted once for all explainers.
-        pset = build_perturbation_set(run.instance, run.perturb, run.handle)
-        reports = robustness(pset, run.instance, run.surrogates, pair_list,
+        reports = robustness(run.instance, run.handle, run.perturb,
+                             run.surrogates, pair_list,
                              distance=run.kernel.distance)
     effective = reports[0].min_effective_sample_size
     _warn_effective(effective, run.instance.m,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -181,6 +181,27 @@ def _notes(n: int, effective: float, instance: Instance,
     return notes
 
 
+def labelled_sets(instance: Instance, predictor: PredictorHandle,
+                  perturb: PerturbConfig, k: int, distance: str,
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Draw and label the sets of seeds perturb.seed, ..., perturb.seed+k-1.
+
+    The one sample path of the seed block and the robustness sweep. Each
+    seed draws ``perturb.n`` rows (:func:`~baylime.perturb.perturb_matrix`;
+    the first seed from ``perturb`` itself, uncopied), and each draw is one
+    block of :func:`~baylime.blackbox.label_blocks`, so the predictor sees
+    ceil(k * n / batch_limit) calls and a request may carry rows of several
+    seeds. Yields (interpretable rows, labels, distances from the instance)
+    per seed, in seed order, as its last row is answered.
+    """
+    reference = interpretable_reference(instance)
+    draws = map(partial(perturb_matrix, instance),
+                (replace(perturb, seed=perturb.seed + i) if i else perturb
+                 for i in range(k)))
+    for rows, labels in label_blocks(predictor, draws):
+        yield rows, labels, distances(rows, reference, distance)
+
+
 def explain(instance: Instance, predictor: PredictorHandle,
             config: ExplainConfig) -> Explanation:
     """Explain one instance: sample, probe, weight, fit, rank.
@@ -201,17 +222,14 @@ def explain_block(instance: Instance, predictor: PredictorHandle,
                   k: int) -> tuple[ExplanationEnsemble, ...]:
     """One seed block: k >= 1 seeded runs of several surrogates, paired.
 
-    The seeds perturb.seed, ..., perturb.seed+k-1 each draw a sample set
-    of ``perturb.n`` rows, in order; the first draws from ``perturb``
-    itself. Each seed's draw is one block of
-    :func:`~baylime.blackbox.label_blocks`, so the sets are labelled in
-    shared requests of ``batch_limit`` rows, the predictor sees
-    ceil(k * n / batch_limit) calls whatever the number of surrogates, and
-    a request may carry rows of several seeds. Every surrogate therefore
-    sees identical labels, even from a stochastic predictor, and the
-    comparison is exactly paired. As each set comes back labelled it is
-    weighted and reduced to its one stack row (:func:`reduce_set`), and
-    its rows are dropped; only the rows still waiting for labels are held.
+    The seeds perturb.seed, ..., perturb.seed+k-1 each draw and label a
+    sample set of ``perturb.n`` rows (:func:`labelled_sets`), so the
+    predictor sees ceil(k * n / batch_limit) calls whatever the number of
+    surrogates. Every surrogate therefore sees identical labels, even from
+    a stochastic predictor, and the comparison is exactly paired. As each
+    set comes back labelled it is weighted and reduced to its one stack row
+    (:func:`reduce_set`), and its rows are dropped; only the rows still
+    waiting for labels are held.
     :func:`join_sets` stacks the k rows, each surrogate is fitted on all
     of them in one call (:class:`WeightedStack`), and its importances and
     ranks are taken for all k runs at once.
@@ -230,18 +248,12 @@ def explain_block(instance: Instance, predictor: PredictorHandle,
     if not surrogates:
         raise ConfigError("a seed block needs at least one surrogate")
     evidence = check_surrogates(surrogates, instance.m)
-    reference = interpretable_reference(instance)
     width = kernel.resolved_width(instance.m)
     n = perturb.n
-    # Each seed's draw is a block tagged with its interpretable rows. The
-    # first seed draws from the plan as given, uncopied.
-    draws = map(partial(perturb_matrix, instance),
-                (replace(perturb, seed=perturb.seed + i) if i else perturb
-                 for i in range(k)))
     parts, effective = [], []
-    for rows, labels in label_blocks(predictor, draws):
-        weights = floored_weights(distances(rows, reference, kernel.distance),
-                                  width)
+    for rows, labels, d in labelled_sets(instance, predictor, perturb, k,
+                                         kernel.distance):
+        weights = floored_weights(d, width)
         columns, (size,) = reduce_set(rows, labels, lambda _: weights, 1,
                                       evidence)
         parts.append(columns)

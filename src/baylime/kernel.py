@@ -108,21 +108,6 @@ def kernel_weight(distance: np.ndarray | float, width: float) -> np.ndarray:
     return np.exp(-(d * d) / (width * width))
 
 
-def proximity_distances(pset: PerturbationSet, instance: Instance,
-                        distance: str = EUCLIDEAN) -> np.ndarray:
-    """Distance of each sample from the explained instance.
-
-    The distances do not depend on the kernel width, so a width sweep
-    computes them once and weights at every width from them.
-    """
-    if instance.m != pset.m:
-        raise ConfigError(
-            f"instance has {instance.m} features but the perturbation set "
-            f"has {pset.m}"
-        )
-    return distances(pset.rows, interpretable_reference(instance), distance)
-
-
 def floored_weights(d: np.ndarray, width: float) -> np.ndarray:
     """Kernel weights at ``width``, floored so none underflows to zero."""
     return np.maximum(kernel_weight(d, width), _WEIGHT_FLOOR)
@@ -146,6 +131,12 @@ def apply_weights(pset: PerturbationSet, config: KernelConfig,
     Weights are overwritten, not multiplied in, so reapplying with a new
     width is safe. The new set shares the rows and labels.
     """
-    d = proximity_distances(pset, instance, config.distance)
+    if instance.m != pset.m:
+        raise ConfigError(
+            f"instance has {instance.m} features but the perturbation set "
+            f"has {pset.m}"
+        )
+    d = distances(pset.rows, interpretable_reference(instance),
+                  config.distance)
     return replace(pset, weights=floored_weights(
         d, config.resolved_width(pset.m)))

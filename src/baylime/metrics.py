@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .blackbox import PredictorHandle
 from .errors import ConfigError, InvalidInputError, UndefinedMetricError
 from .explainer import (
     BayLime,
@@ -29,15 +30,12 @@ from .explainer import (
     check_surrogates,
     fit,
     join_sets,
+    labelled_sets,
     reduce_set,
 )
-from .kernel import EUCLIDEAN, floored_weights, proximity_distances
-from .types import (
-    ExplanationEnsemble,
-    Instance,
-    PerturbationSet,
-    normalize_coefficients,
-)
+from .kernel import EUCLIDEAN, floored_weights
+from .perturb import PerturbConfig
+from .types import ExplanationEnsemble, Instance, normalize_coefficients
 
 # Width pairs closer than this fraction of the sampled range are redrawn;
 # the ratio divides by |l1 - l2|.
@@ -159,41 +157,43 @@ def width_pairs(pairs: int, bounds: tuple[float, float],
     return out
 
 
-def robustness(pset: PerturbationSet, instance: Instance,
+def robustness(instance: Instance, predictor: PredictorHandle,
+               perturb: PerturbConfig,
                surrogates: Sequence[LimeRidge | BayLime],
                pair_list: list[tuple[float, float]], *,
                distance: str = EUCLIDEAN) -> tuple[MetricReport, ...]:
     """Robustness of several surrogates over one probed set and width pairs.
 
-    The set's own weights play no role, and its rows must be finite. The
-    samples' distances from the instance are computed once, and the set is
-    reduced under every width of every pair, in width order l1, l2 of each
-    pair, to one stack row per width (:func:`~baylime.explainer.reduce_set`,
-    one batched ``eigh``). Each surrogate is fitted on all of its rows in
-    one call, each row bit for bit the fit at that width alone. Returns
-    one report per surrogate, in the given order, each with the smallest
-    Kish effective sample size over the widths.
+    The set is the seed block's at k = 1
+    (:func:`~baylime.explainer.labelled_sets`): ``perturb.n`` rows drawn at
+    ``perturb.seed`` and labelled in ceil(n / batch_limit) calls, with the
+    samples' distances from the instance computed once. It is reduced under
+    every width of every pair, in width order l1, l2 of each pair, to one
+    stack row per width (:func:`~baylime.explainer.reduce_set`, one batched
+    ``eigh``). Each surrogate is fitted on all of its rows in one call,
+    each row bit for bit the fit at that width alone. Returns one report
+    per surrogate, in the given order, each with the smallest Kish
+    effective sample size over the widths.
 
-    A prior mean whose length is not the set's feature count raises
-    ShapeError before any fit. A fit failure ends that surrogate's sweep;
-    the FitError raised is the one the surrogates would raise swept one
-    after another: that of the first failing surrogate in the given
-    order, at its first failing width, with the samples of the pairs
-    before that width's pair on ``partial_samples``.
+    A prior mean whose length is not the instance's feature count raises
+    ShapeError before the predictor is called. A fit failure ends that
+    surrogate's sweep; the FitError raised is the one the surrogates would
+    raise swept one after another: that of the first failing surrogate in
+    the given order, at its first failing width, with the samples of the
+    pairs before that width's pair on ``partial_samples``.
     """
     if not surrogates:
         raise ConfigError("robustness needs at least one surrogate")
     if not pair_list:
         raise ConfigError("robustness needs at least one width pair")
-    evidence = check_surrogates(surrogates, pset.m)
-    d = proximity_distances(pset, instance, distance)
-    if not np.all(np.isfinite(pset.rows)):
-        raise InvalidInputError("perturbation set rows must be finite")
+    evidence = check_surrogates(surrogates, instance.m)
+    ((rows, labels, d),) = labelled_sets(instance, predictor, perturb, 1,
+                                         distance)
     widths = [width for pair in pair_list for width in pair]
     columns, effective = reduce_set(
-        pset.rows, pset.labels, lambda i: floored_weights(d, widths[i]),
-        len(widths), evidence)
-    stack = join_sets([columns], pset.n)
+        rows, labels, lambda i: floored_weights(d, widths[i]), len(widths),
+        evidence)
+    stack = join_sets([columns], perturb.n)
     reports = []
     for surrogate in surrogates:
         result = fit(stack, surrogate)

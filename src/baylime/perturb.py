@@ -28,15 +28,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .blackbox import PredictorHandle, probe
 from .errors import ConfigError
-from .types import (
-    BINARY_MASK,
-    CATEGORICAL,
-    NUMERICAL,
-    Instance,
-    PerturbationSet,
-)
+from .types import BINARY_MASK, CATEGORICAL, NUMERICAL, Instance
 
 _FREQ_TOL = 1e-9
 
@@ -164,15 +157,3 @@ def perturb_matrix(instance: Instance,
         else:
             raise ConfigError(f"unknown feature kind {kind!r}")
     return interp, original
-
-
-def build_perturbation_set(instance: Instance, config: PerturbConfig,
-                           handle: PredictorHandle) -> PerturbationSet:
-    """Sample the neighbourhood and label it through the black box.
-
-    Weights come back as ones; kernel weighting is a separate step.
-    """
-    interp, original = perturb_matrix(instance, config)
-    labels = probe(handle, original)
-    return PerturbationSet(rows=interp, labels=labels,
-                           weights=np.ones(config.n), seed=config.seed)

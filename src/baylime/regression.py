@@ -153,15 +153,13 @@ class SurrogateFit:
     ``mu_n`` is the posterior mean (the explanation's raw coefficients).
     ``n_effective_prior`` and ``n_effective_data`` compare how much pull
     the prior and the weighted samples exert on the posterior (lambda
-    versus alpha * trace(X'WX)). ``moments`` holds the X'WX and X'WY the
-    fit was made from and ``spectrum`` their eigendecomposition
-    (:attr:`PerturbationSet.spectrum`), shared with the set or the stack
-    row it was fitted on.
+    versus alpha * trace(X'WX)). ``spectrum`` is the eigendecomposition
+    (eig, V, V'X'WY) of the X'WX and X'WY the fit was made from, shared
+    with the stack row it was fitted on.
 
-    Two matrices are computed on first access, so a fit that never reads
-    them neither pays for nor keeps them: ``s_n_inv``, the posterior
-    precision lambda I + alpha X'WX, and ``beta_mle``, the unregularized
-    solution, which is None when X'WX is rank deficient.
+    ``beta_mle``, the unregularized solution, is computed on first access,
+    so a fit that never reads it neither pays for nor keeps it; it is None
+    when X'WX is rank deficient.
     """
 
     mu_n: np.ndarray
@@ -169,18 +167,11 @@ class SurrogateFit:
     lambda_used: float
     n_effective_prior: float
     n_effective_data: float
-    moments: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
     spectrum: tuple[np.ndarray, ...] = field(repr=False, compare=False)
     iterations: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "mu_n", _frozen_array(self.mu_n))
-
-    @cached_property
-    def s_n_inv(self) -> np.ndarray:
-        g, _ = self.moments
-        return _frozen_array(self.lambda_used * np.eye(g.shape[0])
-                             + self.alpha_used * g)
 
     @cached_property
     def beta_mle(self) -> np.ndarray | None:
@@ -228,14 +219,12 @@ class WeightedStack:
     def surrogate_fit(self, fit: "StackFit", i: int) -> "SurrogateFit":
         """Row i of a Bayesian fit of this stack as a :class:`SurrogateFit`."""
         lam, alpha = float(fit.lam[i]), float(fit.alpha[i])
-        grams, moments = self.moments
         return SurrogateFit(
             mu_n=fit.coefficients[i],
             alpha_used=alpha,
             lambda_used=lam,
             n_effective_prior=lam,
-            n_effective_data=float(alpha * np.trace(grams[i])),
-            moments=(grams[i], moments[i]),
+            n_effective_data=float(alpha * np.trace(self.moments[0][i])),
             spectrum=tuple(arr[i] for arr in self.spectrum),
             iterations=int(fit.iterations[i]),
         )

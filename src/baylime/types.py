@@ -190,23 +190,14 @@ class PerturbationSet:
         return self.rows.shape[1]
 
     @cached_property
-    def moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """X'WX and X'WY, computed on first use and shared by every fit.
-
-        The arrays are frozen, so the pair is computed at most once per
-        set; a reweighted set is a new set with its own moments.
-        """
-        return _weighted_moments(self.rows, self.labels, self.weights)
-
-    @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(eig, V, V'X'WY) for X'WX = V diag(eig) V', from one ``eigh``.
 
-        This is the one-row case of :func:`_spectra`. Every fit on the set
-        is a diagonal solve in this basis, computed on first use; the
-        arrays are frozen.
+        This is the one-row case of :func:`_spectra`, computed on first use;
+        the arrays are frozen. A reweighted set is a new set with its own.
         """
-        gram, moment = self.moments
+        gram, moment = _weighted_moments(self.rows, self.labels,
+                                         self.weights)
         eig, vectors, b = _spectra(gram[None], moment[None])
         return eig[0], vectors[0], b[0]
 

@@ -6,10 +6,12 @@ block. These helpers build the stacks the tests need with the package's
 one reducer (``reduce_set`` and ``join_sets``): one set alone, s
 different sets (a seed block's layout) and one set under s weightings (a
 robustness sweep's layout), and wrap the one-row fits as plain functions.
-``explanation`` builds a run from its coefficients; ``manifest_argv``
-rebuilds a CLI command from its manifest. Test modules import them with
-``from conftest import ...``. Every test runs under
-``predictor_children``, which fails it if a predictor child outlives it.
+``probed_set`` draws and labels a set as the package does, for checks
+that weight and fit it by hand. ``explanation`` builds a run from its
+coefficients; ``manifest_argv`` rebuilds a CLI command from its manifest.
+Test modules import them with ``from conftest import ...``. Every test runs
+under ``predictor_children``, which fails it if a predictor child outlives
+it.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from baylime import (
     Explanation,
     ExplanationEnsemble,
     MetricReport,
-    build_perturbation_set,
+    PerturbationSet,
     normalize_coefficients,
+    perturb_matrix,
+    probe,
     rank_features,
     robustness,
     width_pairs,
@@ -97,17 +101,24 @@ def ensemble_of(runs) -> ExplanationEnsemble:
                                runs.__getitem__)
 
 
+def probed_set(instance, perturb, handle) -> PerturbationSet:
+    """The set ``perturb`` draws, labelled in one probe, with unit weights."""
+    rows, original = perturb_matrix(instance, perturb)
+    return PerturbationSet(rows, probe(handle, original),
+                           np.ones(perturb.n), perturb.seed)
+
+
 def sweep(instance, handle, config, *, pairs: int,
           bounds: tuple[float, float] = (0.2, 5.0),
           seed: int = 0) -> MetricReport:
-    """Draw and probe one set as ``config`` says, then sweep its surrogate.
+    """Sweep ``config``'s surrogate over sampled width pairs.
 
     The set is drawn with the seed in ``config.perturb`` and refit at both
     widths of every sampled pair with the configured distance; ``seed``
     drives only the width sampling.
     """
-    pset = build_perturbation_set(instance, config.perturb, handle)
-    (report,) = robustness(pset, instance, (config.surrogate,),
+    (report,) = robustness(instance, handle, config.perturb,
+                           (config.surrogate,),
                            width_pairs(pairs, bounds, seed),
                            distance=config.kernel.distance)
     return report

@@ -102,6 +102,8 @@ class TestProbeInProcess:
         handle = PredictorHandle.in_process(lambda rows: rows[:, 0])
         with pytest.raises(ConfigError):
             probe(handle, np.zeros((0, 2)))
+        with pytest.raises(ConfigError, match="finite"):
+            probe(handle, np.array([[0.0, 1.0], [np.nan, 2.0]]))
 
     def test_handle_validation(self):
         with pytest.raises(ConfigError):

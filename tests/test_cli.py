@@ -24,7 +24,6 @@ from baylime import (
     PredictorHandle,
     PriorSpec,
     apply_weights,
-    build_perturbation_set,
     explain,
     normalize_coefficients,
     width_pairs,
@@ -35,10 +34,12 @@ from baylime.errors import ConfigError
 from baylime.kernel import BINARY_HAMMING, effective_sample_size
 from baylime.regression import PRIOR_KEYS
 from baylime.types import NUMERICAL
-from conftest import command_parser, manifest_argv, ridge_fit
+from conftest import command_parser, manifest_argv, probed_set, ridge_fit
 
-FIXTURE = str(Path(__file__).parent / "fixtures" / "jsonl_predictor.py")
+FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE = str(FIXTURES / "jsonl_predictor.py")
 SUM_PREDICTOR = f"{sys.executable} {FIXTURE} sum"
+MISSPELT_PRIOR = str(FIXTURES / "misspelt_prior.json")
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -400,7 +401,7 @@ class TestConsistencyCommand:
         instance, perturb, handle = quadratic_problem(6, 40, 2)
         kernel = KernelConfig(float(width))
         smallest = min(
-            effective_sample_size(apply_weights(build_perturbation_set(
+            effective_sample_size(apply_weights(probed_set(
                 instance, replace(perturb, n=n, seed=2 + cell * 3 + i),
                 handle), kernel, instance).weights)
             for cell, n in enumerate((40, 80)) for i in range(3))
@@ -485,7 +486,7 @@ class TestRobustnessCommand:
         # The same sweep by hand: the CLI's synthetic problem and quadratic
         # fixture, lime r=1 refit through apply_weights at every width.
         instance, perturb, handle = quadratic_problem(4, 200, 3)
-        pset = build_perturbation_set(instance, perturb, handle)
+        pset = probed_set(instance, perturb, handle)
         expected = []
         for l1, l2 in width_pairs(5, (0.2, 5.0), 3):
             h1, h2 = (np.abs(normalize_coefficients(ridge_fit(
@@ -554,6 +555,10 @@ def test_hamming_distance_on_a_numerical_problem_warns_once(
      "--predictor-quad does not apply to a subprocess predictor"),
     (["robustness", "--instance", "1"],
      "--instance does not apply without --data"),
+    (["explain", "--explainer", "partial:lambda=5", "--prior-file",
+      MISSPELT_PRIOR], "unknown prior keys ['alhpa', 'lamda']"),
+    (["consistency", "--explainer", "partial:mu0=1,0,0:lambda=10"],
+     "explainer 'partial:mu0=1,0,0:lambda=10': mu0 has shape (3,)"),
 ])
 def test_config_error_starts_no_predictor(tmp_path, capsys,
                                           predictor_children, flags, message):

@@ -27,7 +27,6 @@ from baylime import (
     ShapeError,
     SingularityError,
     apply_weights,
-    build_perturbation_set,
     elicit_prior,
     explain,
     explain_block,
@@ -46,7 +45,7 @@ from baylime.types import (
     NUMERICAL,
     Instance,
 )
-from conftest import explanation, fit_surrogate, ridge_fit
+from conftest import explanation, fit_surrogate, probed_set, ridge_fit
 
 
 def numeric_problem(m: int, n: int, seed: int,
@@ -160,7 +159,7 @@ class TestExplain:
         # probed set and fitting it alone, bit for bit.
         instance, config = numeric_problem(3, 200, 5, surrogate)
         result = explain(instance, quadratic_predictor3(), config)
-        pset = apply_weights(build_perturbation_set(
+        pset = apply_weights(probed_set(
             instance, config.perturb, quadratic_predictor3()),
             config.kernel, instance)
         if isinstance(surrogate, LimeRidge):
@@ -419,8 +418,7 @@ class TestSeedBlock:
             return
         assert not isinstance(got, FitError)
         weights = [apply_weights(
-            build_perturbation_set(instance, plan,
-                                   PredictorHandle.in_process(model)),
+            probed_set(instance, plan, PredictorHandle.in_process(model)),
             kernel, instance).weights
             for plan in seeds_of(perturb, k)]
         for ensemble, runs in zip(got, want, strict=True):

@@ -20,7 +20,6 @@ from baylime.kernel import (
     effective_sample_size,
     floored_weights,
     interpretable_reference,
-    proximity_distances,
 )
 from baylime.types import BINARY_MASK, CATEGORICAL, NUMERICAL
 
@@ -138,7 +137,7 @@ class TestApplyWeights:
     def test_is_distances_then_floored_weights(self):
         pset, inst = self._pset_and_instance()
         for distance in (KernelConfig().distance, BINARY_HAMMING):
-            d = proximity_distances(pset, inst, distance)
+            d = distances(pset.rows, interpretable_reference(inst), distance)
             for width in (0.1, 0.7, 3.0):
                 out = apply_weights(pset, KernelConfig(width, distance), inst)
                 assert np.array_equal(out.weights, floored_weights(d, width))
@@ -148,7 +147,7 @@ class TestApplyWeights:
         pset, _ = self._pset_and_instance()
         other = Instance([0.0], (NUMERICAL,), ("a",))
         with pytest.raises(ConfigError):
-            proximity_distances(pset, other)
+            distances(pset.rows, interpretable_reference(other))
 
     def test_rejects_unknown_distance(self):
         with pytest.raises(ConfigError):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import statistics
-from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baylime import explainer, metrics
 from baylime import (
@@ -16,19 +18,16 @@ from baylime import (
     ExplainConfig,
     ExplanationEnsemble,
     FitError,
-    InvalidInputError,
     KernelConfig,
     LimeRidge,
     MetricReport,
     PerturbConfig,
-    PerturbationSet,
     PredictorHandle,
     PriorSpec,
     ShapeError,
     SingularityError,
     UndefinedMetricError,
     apply_weights,
-    build_perturbation_set,
     inconsistency,
     kendalls_w,
     normalize_coefficients,
@@ -39,13 +38,14 @@ from baylime import (
 from baylime.kernel import (
     BINARY_HAMMING,
     EUCLIDEAN,
+    distances,
     effective_sample_size,
     floored_weights,
-    proximity_distances,
+    interpretable_reference,
 )
 from baylime.types import Instance, NUMERICAL
-from conftest import (ensemble_of, explanation, fit_surrogate, ridge_fit,
-                      sweep)
+from conftest import (ensemble_of, explanation, fit_surrogate, probed_set,
+                      ridge_fit, sweep)
 
 
 def ensemble(*coefficient_sets) -> ExplanationEnsemble:
@@ -158,12 +158,10 @@ class TestPairRatio:
         instance, perturb = numeric_setup(2, 300, 1)
         handle = PredictorHandle.in_process(
             lambda rows: rows[:, 0] + 0.5 * rows[:, 1] ** 2)
-        from baylime import build_perturbation_set
-        pset = build_perturbation_set(instance, perturb, handle)
 
         def ratio(pair):
-            (report,) = robustness(pset, instance, (LimeRidge(1.0),),
-                                   [pair])
+            (report,) = robustness(instance, handle, perturb,
+                                   (LimeRidge(1.0),), [pair])
             return report.robustness_samples[0][2]
 
         forward = ratio((0.5, 2.0))
@@ -218,17 +216,12 @@ class TestRobustness:
         assert len(report.robustness_samples) == 1
 
     def test_fit_failure_carries_partial_samples(self):
-        instance, perturb = numeric_setup(3, 40, 9)
+        # Two samples for three features: the unregularized fit is singular.
+        instance, perturb = numeric_setup(3, 2, 9)
         handle = PredictorHandle.in_process(lambda rows: rows[:, 0])
-        from baylime import build_perturbation_set
-        pset = build_perturbation_set(instance, perturb, handle)
-        # Collapse the design so the unregularized fit is singular.
-        degenerate = PerturbationSet(
-            rows=np.tile(pset.rows[:, :1], (1, 3)), labels=pset.labels,
-            weights=pset.weights, seed=pset.seed)
         pairs = width_pairs(5, (0.2, 5.0), seed=1)
         with pytest.raises(FitError) as excinfo:
-            robustness(degenerate, instance, (LimeRidge(0.0),), pairs)
+            robustness(instance, handle, perturb, (LimeRidge(0.0),), pairs)
         assert hasattr(excinfo.value, "partial_samples")
         assert excinfo.value.partial_samples == ()
 
@@ -252,11 +245,12 @@ def reference_robustness(pset, instance, surrogate, pair_list,
     return tuple(samples), statistics.median_low([s[2] for s in samples])
 
 
-def quadratic_pset(m: int, n: int, seed: int):
+def quadratic_problem(m: int, n: int, seed: int):
+    """A numerical problem, its sampling plan and a quadratic model."""
     instance, perturb = numeric_setup(m, n, seed)
     handle = PredictorHandle.in_process(
         lambda rows: rows @ np.arange(1.0, m + 1) + 0.5 * (rows**2).sum(axis=1))
-    return instance, build_perturbation_set(instance, perturb, handle)
+    return instance, perturb, handle
 
 
 class TestRobustnessPaired:
@@ -272,10 +266,11 @@ class TestRobustnessPaired:
 
     @pytest.mark.parametrize("distance", [EUCLIDEAN, BINARY_HAMMING])
     def test_bitwise_equal_to_reference_loop(self, distance):
-        instance, pset = quadratic_pset(3, 300, 21)
+        instance, perturb, handle = quadratic_problem(3, 300, 21)
+        pset = probed_set(instance, perturb, handle)
         pairs = width_pairs(12, (0.5, 5.0), seed=4)
-        reports = robustness(pset, instance, self.SURROGATES, pairs,
-                             distance=distance)
+        reports = robustness(instance, handle, perturb, self.SURROGATES,
+                             pairs, distance=distance)
         assert len(reports) == len(self.SURROGATES)
         for surrogate, report in zip(self.SURROGATES, reports):
             samples, median = reference_robustness(pset, instance,
@@ -284,20 +279,22 @@ class TestRobustnessPaired:
             assert report.robustness_r == median
 
     def test_reports_the_smallest_effective_sample_size(self):
-        instance, pset = quadratic_pset(3, 300, 21)
+        instance, perturb, handle = quadratic_problem(3, 300, 21)
         pairs = width_pairs(5, (0.3, 5.0), seed=4)
-        d = proximity_distances(pset, instance)
+        d = distances(probed_set(instance, perturb, handle).rows,
+                      interpretable_reference(instance))
         smallest = min(effective_sample_size(floored_weights(d, width))
                        for pair in pairs for width in pair)
-        reports = robustness(pset, instance, self.SURROGATES, pairs)
+        reports = robustness(instance, handle, perturb, self.SURROGATES,
+                             pairs)
         assert [r.min_effective_sample_size for r in reports] == (
             [smallest] * len(self.SURROGATES))
 
     def test_first_failing_surrogate_in_order_is_raised(self, monkeypatch):
-        instance, pset = quadratic_pset(3, 200, 23)
+        instance, perturb, handle = quadratic_problem(3, 200, 23)
         pairs = width_pairs(6, (0.5, 5.0), seed=6)
         first, second = LimeRidge(1.0), LimeRidge(2.0)
-        (clean,) = robustness(pset, instance, (first,), pairs)
+        (clean,) = robustness(instance, handle, perturb, (first,), pairs)
         # Widths are stacked l1, l2 of each pair in turn. The second
         # surrogate fails at row 0 (pair 0), the first at row 6 (the first
         # width of pair 3).
@@ -314,9 +311,9 @@ class TestRobustnessPaired:
 
         monkeypatch.setattr(explainer, "ridge_rows", failing_rows)
         with pytest.raises(FitError) as paired:
-            robustness(pset, instance, (first, second), pairs)
+            robustness(instance, handle, perturb, (first, second), pairs)
         with pytest.raises(FitError) as alone:
-            robustness(pset, instance, (first,), pairs)
+            robustness(instance, handle, perturb, (first,), pairs)
         assert str(paired.value) == str(alone.value) == f"{first} fails"
         assert paired.value.partial_samples == alone.value.partial_samples
         assert alone.value.partial_samples == clean.robustness_samples[:3]
@@ -324,19 +321,21 @@ class TestRobustnessPaired:
     def test_unsettled_evidence_fit_matches_its_lone_fit(self):
         # At m=20, widths near 0.45 leave about one effective sample, and
         # the non_informative evidence loop does not settle on this seed.
-        instance, pset = quadratic_pset(20, 2000, 18)
+        instance, perturb, handle = quadratic_problem(20, 2000, 18)
         pairs = width_pairs(6, (0.4, 0.5), seed=18)
         noninf = BayLime(PriorSpec.non_informative())
         with pytest.raises(ConvergenceError) as paired:
-            robustness(pset, instance, (LimeRidge(1.0), noninf), pairs)
+            robustness(instance, handle, perturb, (LimeRidge(1.0), noninf),
+                       pairs)
         with pytest.raises(ConvergenceError) as alone:
-            robustness(pset, instance, (noninf,), pairs)
+            robustness(instance, handle, perturb, (noninf,), pairs)
         got, want = paired.value, alone.value
         assert got.partial_samples == want.partial_samples
         assert ((got.alpha, got.lam, got.iterations)
                 == (want.alpha, want.lam, want.iterations))
         # The failing width is the first of its pair that fails alone.
         pair = pairs[len(got.partial_samples)]
+        pset = probed_set(instance, perturb, handle)
         for width in pair:
             weighted = apply_weights(pset, KernelConfig(width), instance)
             try:
@@ -349,8 +348,10 @@ class TestRobustnessPaired:
             pytest.fail(f"no width of pair {pair} fails alone")
 
     def test_mismatched_prior_is_rejected_before_any_fit(self, monkeypatch):
-        instance, pset = quadratic_pset(3, 50, 25)
-        fits = []
+        calls, fits = [], []
+        instance, perturb, _ = quadratic_problem(3, 50, 25)
+        handle = PredictorHandle.in_process(
+            lambda rows: (calls.append(len(rows)), rows[:, 0])[1])
         real_fit = metrics.fit
 
         def counting_fit(weighted, surrogate):
@@ -360,41 +361,47 @@ class TestRobustnessPaired:
         monkeypatch.setattr(metrics, "fit", counting_fit)
         wrong = BayLime(PriorSpec.partial(np.array([1.0, 2.0]), 50.0))
         with pytest.raises(ShapeError):
-            robustness(pset, instance, (LimeRidge(1.0), wrong),
+            robustness(instance, handle, perturb, (LimeRidge(1.0), wrong),
                        [(0.5, 1.0)])
-        assert fits == []
+        assert calls == [] and fits == []
 
-    def test_builds_no_set_per_width(self, monkeypatch):
-        instance, pset = quadratic_pset(3, 100, 21)
-        built = []
-        real = PerturbationSet.__post_init__
-
-        def counting(self):
-            built.append(self)
-            real(self)
-
-        monkeypatch.setattr(PerturbationSet, "__post_init__", counting)
-        robustness(pset, instance, self.SURROGATES,
-                   width_pairs(4, (0.5, 5.0), seed=4))
-        assert built == []
-
-    def test_non_finite_rows_are_refused(self):
-        instance, pset = quadratic_pset(3, 50, 24)
-        rows = pset.rows.copy()
-        rows[3, 1] = np.nan
-        with pytest.raises(InvalidInputError):
-            robustness(replace(pset, rows=rows), instance, (LimeRidge(1.0),),
-                       [(0.5, 1.0)])
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(1, 6), st.integers(2, 300), st.data(),
+           st.integers(0, 2**31 - 1), st.integers(1, 4))
+    def test_one_probe_equal_to_the_reference_loop(self, m, n, data, seed,
+                                                   pairs):
+        # The sweep labels its one set in ceil(n / batch_limit) calls, and
+        # refits equal weighting and fitting that set anew at every width.
+        limit = data.draw(st.integers(1, n + 5), label="batch_limit")
+        instance, perturb, handle = quadratic_problem(m, n, seed)
+        calls = []
+        counting = PredictorHandle.in_process(
+            lambda rows: (calls.append(len(rows)), handle.predict_fn(rows))[1],
+            batch_limit=limit)
+        pair_list = width_pairs(pairs, (0.2, 5.0), seed)
+        surrogates = (LimeRidge(1.0),
+                      BayLime(PriorSpec.full(np.zeros(m), 10.0, 1.0)))
+        reports = robustness(instance, counting, perturb, surrogates,
+                             pair_list)
+        assert len(calls) == math.ceil(n / limit) and sum(calls) == n
+        # The same requests: a model's output may depend on their size.
+        pset = probed_set(instance, perturb, counting)
+        for surrogate, report in zip(surrogates, reports):
+            samples, median = reference_robustness(pset, instance,
+                                                   surrogate, pair_list)
+            assert report.robustness_samples == samples
+            assert report.robustness_r == median
 
     def test_needs_a_surrogate(self):
-        instance, pset = quadratic_pset(3, 50, 24)
+        instance, perturb, handle = quadratic_problem(3, 50, 24)
         with pytest.raises(ConfigError):
-            robustness(pset, instance, (), [(0.5, 1.0)])
+            robustness(instance, handle, perturb, (), [(0.5, 1.0)])
 
     def test_needs_a_width_pair(self):
-        instance, pset = quadratic_pset(3, 50, 24)
+        instance, perturb, handle = quadratic_problem(3, 50, 24)
         with pytest.raises(ConfigError):
-            robustness(pset, instance, (LimeRidge(1.0),), [])
+            robustness(instance, handle, perturb, (LimeRidge(1.0),), [])
 
 
 class TestRobustnessConfig:
@@ -402,7 +409,7 @@ class TestRobustnessConfig:
         instance, perturb = numeric_setup(3, 200, 25)
         handle = PredictorHandle.in_process(
             lambda rows: rows[:, 0] + (rows**2).sum(axis=1))
-        pset = build_perturbation_set(instance, perturb, handle)
+        pset = probed_set(instance, perturb, handle)
         pairs = width_pairs(5, (0.2, 5.0), seed=7)
         reports = {}
         for distance in (EUCLIDEAN, BINARY_HAMMING):

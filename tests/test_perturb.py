@@ -12,11 +12,11 @@ from baylime import (
     Instance,
     PerturbConfig,
     PredictorHandle,
-    build_perturbation_set,
     column_statistics,
     config_from_data,
     frequency_table,
     perturb_matrix,
+    probe,
 )
 from baylime.types import BINARY_MASK, CATEGORICAL, FEATURE_KINDS, NUMERICAL
 
@@ -187,6 +187,15 @@ class TestPerturbMatrix:
         for part, whole in zip(short, long):
             assert part.tobytes() == whole[:, :m].tobytes()
 
+    def test_labels_come_from_original_space(self):
+        inst = Instance([0.0], (NUMERICAL,), ("a",))
+        config = PerturbConfig(n=64, seed=11,
+                               numeric_scale={0: (5.0, 2.0)})
+        handle = PredictorHandle.in_process(lambda rows: rows[:, 0] * 10.0)
+        interp, original = perturb_matrix(inst, config)
+        np.testing.assert_allclose(probe(handle, original),
+                                   (interp[:, 0] * 2.0 + 5.0) * 10.0)
+
     def test_missing_statistics_named(self):
         inst = Instance([0.0], (NUMERICAL,), ("a",))
         with pytest.raises(ConfigError, match="feature 0"):
@@ -196,16 +205,3 @@ class TestPerturbMatrix:
         with pytest.raises(ConfigError):
             PerturbConfig(n=10, seed=0,
                           categorical_frequencies={0: {1.0: 0.5, 2.0: 0.4}})
-
-
-class TestBuildPerturbationSet:
-    def test_labels_come_from_original_space(self):
-        inst = Instance([0.0], (NUMERICAL,), ("a",))
-        config = PerturbConfig(n=64, seed=11,
-                               numeric_scale={0: (5.0, 2.0)})
-        handle = PredictorHandle.in_process(lambda rows: rows[:, 0] * 10.0)
-        pset = build_perturbation_set(inst, config, handle)
-        np.testing.assert_allclose(pset.labels,
-                                   (pset.rows[:, 0] * 2.0 + 5.0) * 10.0)
-        assert pset.weights.tolist() == [1.0] * 64
-        assert pset.seed == 11

@@ -31,6 +31,7 @@ from baylime import (
     decompose,
 )
 from baylime.regression import posterior_rows, ridge_rows
+from baylime.types import _weighted_moments
 from conftest import (fit_surrogate, one_row_stack, ridge_fit, stack_sets,
                       stack_weights)
 
@@ -43,6 +44,11 @@ def random_problem(rng, m=None, n=None):
     weights = 1.0 - rng.random(n)
     return PerturbationSet(rows=rows, labels=labels, weights=weights,
                            seed=int(rng.integers(0, 2**31)))
+
+
+def moments_of(pset):
+    """X'WX and X'WY of a weighted set."""
+    return _weighted_moments(pset.rows, pset.labels, pset.weights)
 
 
 @st.composite
@@ -186,7 +192,7 @@ def counted(monkeypatch, owner, name: str) -> list:
 class TestSharedMoments:
     def test_fits_on_one_set_compute_moments_once(self, monkeypatch):
         # Every fit on a set's stack shares its one reduction, and the set
-        # caches its own moments and spectrum for decompose.
+        # caches its own spectrum for decompose.
         reductions = counted(monkeypatch, explainer, "_weighted_moments")
         moments = counted(monkeypatch, types, "_weighted_moments")
         eighs = counted(monkeypatch, np.linalg, "eigh")
@@ -209,32 +215,23 @@ class TestSharedMoments:
 
     def test_moments_are_frozen_and_exact(self):
         pset = random_problem(np.random.default_rng(42), m=3, n=50)
-        g, b = pset.moments
+        g, b = moments_of(pset)
         x, w = pset.rows, pset.weights
         assert np.array_equal(g, x.T @ (x * w[:, None]))
         assert np.array_equal(b, x.T @ (w * pset.labels))
         assert not g.flags.writeable and not b.flags.writeable
-        assert replace(pset, weights=w / 2).moments is not pset.moments
 
 
 class TestLazyDerivedMatrices:
     def test_computed_on_first_access_only(self):
         pset = random_problem(np.random.default_rng(43), m=5, n=300)
-        g, b = pset.moments
+        g, b = moments_of(pset)
         eager = np.linalg.solve(g, b)
         fit = fit_surrogate(pset, PriorSpec.full(np.zeros(5), 2.0, 1.0))
         assert "beta_mle" not in vars(fit)
         np.testing.assert_allclose(fit.beta_mle, eager, rtol=1e-10)
         assert fit.beta_mle is fit.beta_mle
         assert not fit.beta_mle.flags.writeable
-
-    def test_precision_is_computed_on_first_access(self):
-        pset = random_problem(np.random.default_rng(45), m=4, n=200)
-        fit = fit_surrogate(pset, PriorSpec.full(np.zeros(4), 3.0, 0.5))
-        assert "s_n_inv" not in vars(fit)
-        g, _ = pset.moments
-        assert np.array_equal(fit.s_n_inv, 3.0 * np.eye(4) + 0.5 * g)
-        assert not fit.s_n_inv.flags.writeable
 
     def test_none_for_rank_deficient_design(self):
         rng = np.random.default_rng(44)
@@ -368,7 +365,7 @@ class TestProperties:
                                                  10.0 ** log_alpha))
         a, b = decompose(fit, pset)
         np.testing.assert_allclose(a + b, np.eye(pset.m), atol=1e-9)
-        g, moment = pset.moments
+        g, moment = moments_of(pset)
         # A rank-deficient design has no unique MLE; B maps every
         # least-squares solution to the same point, so take the min-norm one.
         beta = (np.linalg.lstsq(g, moment)[0] if fit.beta_mle is None
@@ -384,7 +381,7 @@ class TestProperties:
         # eig_max): a vanishing lam (alpha) leaves only that share of the gap.
         pset, mu0 = case
         eig = pset.spectrum[0]
-        g, moment = pset.moments
+        g, moment = moments_of(pset)
         beta = np.linalg.lstsq(g, moment)[0]
         slack = 1e-9 * (np.linalg.norm(mu0) + np.linalg.norm(beta))
         near_prior = fit_surrogate(pset, PriorSpec.full(mu0, 1.0, 1e-12))
@@ -433,7 +430,7 @@ class TestProperties:
     def test_unregularized_ridge_refused_exactly_when_rank_deficient(
             self, case):
         pset, _ = case
-        g, _ = pset.moments
+        g, _ = moments_of(pset)
         deficient = np.linalg.matrix_rank(g, hermitian=True) < pset.m
         try:
             ridge_fit(pset, 0.0)

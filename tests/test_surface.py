@@ -28,7 +28,7 @@ PUBLIC = [
     "KernelConfig", "LimeRidge", "MetricReport", "PerturbConfig",
     "PerturbationSet", "PredictorHandle", "PriorSpec", "ProbeError",
     "ShapeError", "SingularityError", "SurrogateFit", "UndefinedMetricError",
-    "apply_weights", "build_perturbation_set", "column_statistics",
+    "apply_weights", "column_statistics",
     "config_from_data", "decompose", "default_width", "elicit_prior",
     "explain", "explain_block", "frequency_table",
     "inconsistency", "kendalls_w", "kernel_weight", "normalize_coefficients",
