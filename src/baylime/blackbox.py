@@ -262,8 +262,10 @@ class SubprocessPredictor:
                                   f"{command!r}: {exc}") from exc
         if not command:
             raise ConfigError("empty predictor command")
-        if not timeout > 0:
-            raise ConfigError("timeout must be positive")
+        # queue.get overflows on a wait longer than threading.TIMEOUT_MAX.
+        if not 0 < timeout <= threading.TIMEOUT_MAX:
+            raise ConfigError(f"timeout must be positive and at most "
+                              f"{threading.TIMEOUT_MAX:g} s")
         self.command = list(command)
         self.timeout = float(timeout)
         self._broken: str | None = None

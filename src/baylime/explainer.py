@@ -1,5 +1,8 @@
 """End-to-end explanation runs: perturb, probe, weight, fit, rank.
 
+One path, :func:`fit_block`, takes k seeds' sample sets to fits at one or
+more kernel widths, for the seed block and the robustness sweep alike.
+
 Also houses prior elicitation: turning explanations of similar instances
 into a prior for the next one.
 """
@@ -7,8 +10,8 @@ into a prior for the next one.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import lru_cache, partial
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -18,7 +21,6 @@ from .kernel import (
     KernelConfig,
     distance_note,
     distances,
-    effective_sample_size,
     floored_weights,
     interpretable_reference,
 )
@@ -28,17 +30,15 @@ from .regression import (
     PriorSpec,
     StackFit,
     WeightedStack,
-    _rank_tol,
-    _rotate,
+    join_sets,
     posterior_rows,
+    reduce_set,
     ridge_rows,
 )
 from .types import (
     Explanation,
     ExplanationEnsemble,
     Instance,
-    _spectra,
-    _weighted_moments,
     normalize_coefficients,
     rank_features,
 )
@@ -75,76 +75,14 @@ class ExplainConfig:
     surrogate: LimeRidge | BayLime
 
 
-def fit(stack: WeightedStack, surrogate: LimeRidge | BayLime) -> StackFit:
-    """Fit the surrogate on every row of a stack.
-
-    Each row of the returned :class:`StackFit` is bit for bit the fit of
-    that row's weighted set alone, and the first failing row's error is on
-    it.
-    """
-    if isinstance(surrogate, LimeRidge):
-        return ridge_rows(stack, surrogate.r)
-    return posterior_rows(stack, surrogate.prior)
-
-
-def reduce_set(rows: np.ndarray, labels: np.ndarray,
-               weights: Callable[[int], np.ndarray], s: int, evidence: bool,
-               ) -> tuple[tuple[np.ndarray, ...], list[float]]:
-    """Reduce one labelled set under s weightings to its rows of a stack.
-
-    Row i weights the samples by ``weights(i)``: a seed's set is one row, a
-    kernel-width sweep one row per width. Returns the stack columns, X'WX
-    and X'WY, and each row's Kish effective sample size. With ``evidence``
-    the columns add what evidence fits need from the samples: the spectrum
-    (eig, V, V'X'WY) of all s rows from one batched ``eigh``, and the
-    inputs :attr:`WeightedStack.evidence` holds. ``weights`` is called
-    again for those, so one weight vector is held at a time.
-    """
-    m = rows.shape[1]
-    grams, moments = np.empty((s, m, m)), np.empty((s, m))
-    effective = []
-    for i in range(s):
-        w = weights(i)
-        effective.append(effective_sample_size(w))
-        grams[i], moments[i] = _weighted_moments(rows, labels, w)
-    if not evidence:
-        return (grams, moments), effective
-    eig, vectors, b = spectrum = _spectra(grams, moments)
-    c_ls = np.divide(b, eig, out=np.zeros_like(b),
-                     where=eig > _rank_tol(eig)[:, None])
-    rss_ls = np.empty(s)
-    for i, beta in enumerate(_rotate(vectors, c_ls)):
-        residual = labels - rows @ beta
-        rss_ls[i] = (weights(i) * residual * residual).sum()
-    var = float(np.var(labels))
-    alpha = np.full(s, 1.0 / var if var > 0 else 1.0)
-    return (grams, moments, *spectrum, c_ls, rss_ls, alpha), effective
-
-
-def join_sets(parts: Sequence[tuple[np.ndarray, ...]],
-              n: int) -> WeightedStack:
-    """The stack of several sets' columns from :func:`reduce_set`, in order.
-
-    A lone set's columns are the stack's, uncopied. Without evidence
-    inputs, every row's X'WX is decomposed here, in one batched ``eigh``.
-    """
-    grams, moments, *inputs = (column[0] if len(parts) == 1
-                               else np.concatenate(column)
-                               for column in zip(*parts))
-    spectrum = tuple(inputs[:3]) if inputs else _spectra(grams, moments)
-    return WeightedStack((grams, moments), spectrum, n,
-                         tuple(inputs[3:]) or None)
-
-
 def check_surrogates(surrogates: Sequence[LimeRidge | BayLime],
                      m: int) -> bool:
     """Refuse a surrogate of the wrong type, or a prior mean not of length m.
 
-    The one check of both rules: the seed block and the robustness sweep
-    call it before they probe, and the CLI before it starts the predictor.
-    Returns whether any surrogate maximizes the evidence (a BayLime prior
-    not in full mode), whose fits need each set's rows while they are
-    alive.
+    The one check of both rules: :func:`fit_block` calls it before it
+    probes, and the CLI before it starts the predictor. Returns whether any
+    surrogate maximizes the evidence (a BayLime prior not in full mode),
+    whose fits need each set's rows while they are alive.
     """
     evidence = False
     for surrogate in surrogates:
@@ -181,25 +119,52 @@ def _notes(n: int, effective: float, instance: Instance,
     return notes
 
 
-def labelled_sets(instance: Instance, predictor: PredictorHandle,
-                  perturb: PerturbConfig, k: int, distance: str,
-                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Draw and label the sets of seeds perturb.seed, ..., perturb.seed+k-1.
+def fit_block(instance: Instance, predictor: PredictorHandle,
+              perturb: PerturbConfig, k: int, distance: str,
+              widths: Sequence[float],
+              surrogates: Sequence[LimeRidge | BayLime],
+              ) -> tuple[WeightedStack, list[StackFit], list[float]]:
+    """Sample, probe, weight and fit the sets of k seeds at every width.
 
-    The one sample path of the seed block and the robustness sweep. Each
-    seed draws ``perturb.n`` rows (:func:`~baylime.perturb.perturb_matrix`;
-    the first seed from ``perturb`` itself, uncopied), and each draw is one
-    block of :func:`~baylime.blackbox.label_blocks`, so the predictor sees
-    ceil(k * n / batch_limit) calls and a request may carry rows of several
-    seeds. Yields (interpretable rows, labels, distances from the instance)
-    per seed, in seed order, as its last row is answered.
+    The one path of the seed block and the robustness sweep; its arguments
+    are checked before the first draw. The seeds perturb.seed, ...,
+    perturb.seed+k-1 each draw ``perturb.n`` rows (the first from
+    ``perturb`` itself, uncopied) as one block of
+    :func:`~baylime.blackbox.label_blocks`, so the predictor sees
+    ceil(k * n / batch_limit) calls and a request may carry rows of
+    several seeds. Once labelled, a set is reduced to one stack row per
+    width (:func:`~baylime.regression.reduce_set`) and dropped. Each
+    surrogate is fitted on all the rows, by seed then width, in one call,
+    row i bit for bit the fit of its weighted set alone.
+
+    Returns the stack, one fit per surrogate in the given order, and each
+    row's Kish effective sample size.
     """
+    if k < 1 or not widths or not surrogates:
+        raise ConfigError("a block needs k >= 1 seeds, at least one width "
+                          "and at least one surrogate")
+    evidence = check_surrogates(surrogates, instance.m)
+    KernelConfig(distance=distance)  # refuses an unknown distance
     reference = interpretable_reference(instance)
     draws = map(partial(perturb_matrix, instance),
                 (replace(perturb, seed=perturb.seed + i) if i else perturb
                  for i in range(k)))
+    parts, effective = [], []
     for rows, labels in label_blocks(predictor, draws):
-        yield rows, labels, distances(rows, reference, distance)
+        d = distances(rows, reference, distance)
+        # The last width's weights are kept: one width's are computed once
+        # per set, and a sweep holds one weight vector at a time.
+        weights = lru_cache(maxsize=1)(
+            lambda i: floored_weights(d, widths[i]))
+        columns, sizes = reduce_set(rows, labels, weights, len(widths),
+                                    evidence)
+        parts.append(columns)
+        effective += sizes
+    stack = join_sets(parts, perturb.n)
+    fits = [ridge_rows(stack, surrogate.r) if isinstance(surrogate, LimeRidge)
+            else posterior_rows(stack, surrogate.prior)
+            for surrogate in surrogates]
+    return stack, fits, effective
 
 
 def explain(instance: Instance, predictor: PredictorHandle,
@@ -223,16 +188,12 @@ def explain_block(instance: Instance, predictor: PredictorHandle,
     """One seed block: k >= 1 seeded runs of several surrogates, paired.
 
     The seeds perturb.seed, ..., perturb.seed+k-1 each draw and label a
-    sample set of ``perturb.n`` rows (:func:`labelled_sets`), so the
-    predictor sees ceil(k * n / batch_limit) calls whatever the number of
-    surrogates. Every surrogate therefore sees identical labels, even from
-    a stochastic predictor, and the comparison is exactly paired. As each
-    set comes back labelled it is weighted and reduced to its one stack row
-    (:func:`reduce_set`), and its rows are dropped; only the rows still
-    waiting for labels are held.
-    :func:`join_sets` stacks the k rows, each surrogate is fitted on all
-    of them in one call (:class:`WeightedStack`), and its importances and
-    ranks are taken for all k runs at once.
+    set of ``perturb.n`` rows, weighted at the kernel's width
+    (:func:`fit_block`), so the predictor sees ceil(k * n / batch_limit)
+    calls whatever the number of surrogates. Every surrogate therefore
+    sees identical labels, even from a stochastic predictor, and the
+    comparison is exactly paired. Each surrogate's importances and ranks
+    are taken for all k runs at once.
 
     Returns one ensemble per surrogate, in the given order, with runs
     ordered by seed; each carries the smallest Kish effective sample size
@@ -243,28 +204,14 @@ def explain_block(instance: Instance, predictor: PredictorHandle,
     seed-by-seed loop would: that of the earliest failing seed, and
     within it of the first failing surrogate in the given order.
     """
-    if k < 1:
-        raise ConfigError("a seed block needs k >= 1 runs")
-    if not surrogates:
-        raise ConfigError("a seed block needs at least one surrogate")
-    evidence = check_surrogates(surrogates, instance.m)
     width = kernel.resolved_width(instance.m)
-    n = perturb.n
-    parts, effective = [], []
-    for rows, labels, d in labelled_sets(instance, predictor, perturb, k,
-                                         kernel.distance):
-        weights = floored_weights(d, width)
-        columns, (size,) = reduce_set(rows, labels, lambda _: weights, 1,
-                                      evidence)
-        parts.append(columns)
-        effective.append(size)
-    stack = join_sets(parts, n)
-    fits = [fit(stack, surrogate) for surrogate in surrogates]
+    stack, fits, effective = fit_block(instance, predictor, perturb, k,
+                                       kernel.distance, (width,), surrogates)
     # min keeps the first of equal rows: the first surrogate in order.
     first_failure = min(fits, key=lambda result: result.failed)
     if first_failure.error is not None:
         raise first_failure.error
-    floor = min(effective)
+    n, floor = stack.n, min(effective)
 
     def ensemble(result: StackFit) -> ExplanationEnsemble:
         importances = np.abs(normalize_coefficients(result.coefficients))

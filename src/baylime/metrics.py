@@ -24,16 +24,8 @@ import numpy as np
 
 from .blackbox import PredictorHandle
 from .errors import ConfigError, InvalidInputError, UndefinedMetricError
-from .explainer import (
-    BayLime,
-    LimeRidge,
-    check_surrogates,
-    fit,
-    join_sets,
-    labelled_sets,
-    reduce_set,
-)
-from .kernel import EUCLIDEAN, floored_weights
+from .explainer import fit_block
+from .kernel import EUCLIDEAN
 from .perturb import PerturbConfig
 from .types import ExplanationEnsemble, Instance, normalize_coefficients
 
@@ -146,6 +138,8 @@ def width_pairs(pairs: int, bounds: tuple[float, float],
         raise ConfigError("width bounds must satisfy 0 < lower < upper")
     if pairs < 1:
         raise ConfigError("need at least one width pair")
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     gap = PAIR_GAP_FRACTION * (up - lo)
     out: list[tuple[float, float]] = []
@@ -159,21 +153,18 @@ def width_pairs(pairs: int, bounds: tuple[float, float],
 
 def robustness(instance: Instance, predictor: PredictorHandle,
                perturb: PerturbConfig,
-               surrogates: Sequence[LimeRidge | BayLime],
+               surrogates: Sequence,
                pair_list: list[tuple[float, float]], *,
                distance: str = EUCLIDEAN) -> tuple[MetricReport, ...]:
     """Robustness of several surrogates over one probed set and width pairs.
 
-    The set is the seed block's at k = 1
-    (:func:`~baylime.explainer.labelled_sets`): ``perturb.n`` rows drawn at
-    ``perturb.seed`` and labelled in ceil(n / batch_limit) calls, with the
-    samples' distances from the instance computed once. It is reduced under
-    every width of every pair, in width order l1, l2 of each pair, to one
-    stack row per width (:func:`~baylime.explainer.reduce_set`, one batched
-    ``eigh``). Each surrogate is fitted on all of its rows in one call,
-    each row bit for bit the fit at that width alone. Returns one report
-    per surrogate, in the given order, each with the smallest Kish
-    effective sample size over the widths.
+    The set is the seed block's at k = 1, ``perturb.n`` rows labelled in
+    ceil(n / batch_limit) calls, weighted at every width of every pair in
+    order l1, l2 (:func:`~baylime.explainer.fit_block`); each surrogate (a
+    LimeRidge or BayLime) is fitted at all widths in one call, each row bit
+    for bit the fit at that width alone. Returns one report per surrogate,
+    in the given order, each with the smallest Kish effective sample size
+    over the widths.
 
     A prior mean whose length is not the instance's feature count raises
     ShapeError before the predictor is called. A fit failure ends that
@@ -182,21 +173,11 @@ def robustness(instance: Instance, predictor: PredictorHandle,
     the given order, at its first failing width, with the samples of the
     pairs before that width's pair on ``partial_samples``.
     """
-    if not surrogates:
-        raise ConfigError("robustness needs at least one surrogate")
-    if not pair_list:
-        raise ConfigError("robustness needs at least one width pair")
-    evidence = check_surrogates(surrogates, instance.m)
-    ((rows, labels, d),) = labelled_sets(instance, predictor, perturb, 1,
-                                         distance)
     widths = [width for pair in pair_list for width in pair]
-    columns, effective = reduce_set(
-        rows, labels, lambda i: floored_weights(d, widths[i]), len(widths),
-        evidence)
-    stack = join_sets([columns], perturb.n)
+    _, fits, effective = fit_block(instance, predictor, perturb, 1, distance,
+                                   widths, surrogates)
     reports = []
-    for surrogate in surrogates:
-        result = fit(stack, surrogate)
+    for result in fits:
         h = np.abs(normalize_coefficients(result.coefficients))
         samples = tuple(
             (l1, l2, float(np.linalg.norm(h[2 * j] - h[2 * j + 1])

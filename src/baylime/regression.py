@@ -18,12 +18,13 @@ Every fit is a diagonal solve in the eigenbasis X'WX = V diag(eig) V',
 computed once for all fits on a weighted set. The math is written once,
 over a leading stack axis: a :class:`WeightedStack` holds s weighted
 sample sets, and :func:`ridge_rows` and :func:`posterior_rows` fit every
-row in one call. One reducer, :func:`~baylime.explainer.reduce_set`, turns
-a labelled set under one or more weightings into stack rows while its
-samples are alive: one row per seed in a seed block, one per kernel width
-in a robustness sweep, whose widths share one batched ``eigh``. The fit
-code does not tell the layouts apart, and a single explanation is the
-one-row stack. Row i of a stacked fit equals the fit of row i's set
+row in one call. Only this module knows the row format: :func:`reduce_set`
+turns a labelled set under one or more weightings into stack rows while
+its samples are alive, and :func:`join_sets` stacks them. A seed block
+has a row per seed, a robustness sweep a row per width, whose widths
+share one batched ``eigh`` (:func:`~baylime.explainer.fit_block`). The
+fit code does not tell the layouts apart, and a single explanation is
+the one-row stack. Row i of a stacked fit equals the fit of row i's set
 alone, bit for bit. With b = V'X'WY and s = alpha eig:
 
     ridge      V (b / (r + eig))
@@ -64,7 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,7 +76,8 @@ from .errors import (
     FitError,
     SingularityError,
 )
-from .types import PerturbationSet, _frozen_array
+from .kernel import effective_sample_size
+from .types import PerturbationSet, _frozen_array, _spectra, _weighted_moments
 
 NON_INFORMATIVE = "non_informative"
 PARTIAL = "partial"
@@ -203,8 +205,8 @@ class WeightedStack:
     under the rank tolerance set to 0, its weighted residual sum of squares
     rss_ls, and the initial alpha; only partial and non-informative fits
     read it, and a stack built for none leaves it None. The rows are built
-    by :func:`~baylime.explainer.reduce_set`. A stack holds O(s m^2)
-    numbers, never the rows of its sets. The arrays are frozen.
+    by :func:`reduce_set` and stacked by :func:`join_sets`. A stack holds
+    O(s m^2) numbers, never the rows of its sets. The arrays are frozen.
     """
 
     moments: tuple[np.ndarray, np.ndarray]
@@ -228,6 +230,54 @@ class WeightedStack:
             spectrum=tuple(arr[i] for arr in self.spectrum),
             iterations=int(fit.iterations[i]),
         )
+
+
+def reduce_set(rows: np.ndarray, labels: np.ndarray,
+               weights: Callable[[int], np.ndarray], s: int, evidence: bool,
+               ) -> tuple[tuple[np.ndarray, ...], list[float]]:
+    """Reduce one labelled set under s weightings to its rows of a stack.
+
+    Row i weights the samples by ``weights(i)``. Returns the stack columns,
+    X'WX and X'WY, and each row's Kish effective sample size. With
+    ``evidence`` the columns add what evidence fits need from the samples:
+    the spectrum (eig, V, V'X'WY) of all s rows from one batched ``eigh``,
+    and the inputs :attr:`WeightedStack.evidence` holds. ``weights`` is
+    called again for those, so one weight vector is held at a time.
+    """
+    m = rows.shape[1]
+    grams, moments = np.empty((s, m, m)), np.empty((s, m))
+    effective = []
+    for i in range(s):
+        w = weights(i)
+        effective.append(effective_sample_size(w))
+        grams[i], moments[i] = _weighted_moments(rows, labels, w)
+    if not evidence:
+        return (grams, moments), effective
+    eig, vectors, b = spectrum = _spectra(grams, moments)
+    c_ls = np.divide(b, eig, out=np.zeros_like(b),
+                     where=eig > _rank_tol(eig)[:, None])
+    rss_ls = np.empty(s)
+    for i, beta in enumerate(_rotate(vectors, c_ls)):
+        residual = labels - rows @ beta
+        rss_ls[i] = (weights(i) * residual * residual).sum()
+    var = float(np.var(labels))
+    alpha = np.full(s, 1.0 / var if var > 0 else 1.0)
+    return (grams, moments, *spectrum, c_ls, rss_ls, alpha), effective
+
+
+def join_sets(parts: Sequence[tuple[np.ndarray, ...]],
+              n: int) -> WeightedStack:
+    """The stack of several sets' columns from :func:`reduce_set`, in order.
+
+    A lone set's columns are the stack's, uncopied. Without evidence
+    inputs, every row's X'WX is decomposed here, in one batched ``eigh``.
+    """
+    grams, moments, *inputs = (column[0] if len(parts) == 1
+                               else np.concatenate(column)
+                               for column in zip(*parts))
+    spectrum = tuple(inputs[:3]) if inputs else _spectra(grams, moments)
+    return WeightedStack((grams, moments), spectrum, n,
+                         tuple(inputs[3:]) or None)
 
 
 class StackFit(NamedTuple):

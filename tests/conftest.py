@@ -2,10 +2,11 @@
 
 The package fits only stacks of weighted sets (``ridge_rows`` and
 ``posterior_rows``); a single explanation is the one-row stack of a seed
-block. These helpers build the stacks the tests need with the package's
-one reducer (``reduce_set`` and ``join_sets``): one set alone, s
-different sets (a seed block's layout) and one set under s weightings (a
-robustness sweep's layout), and wrap the one-row fits as plain functions.
+block. These helpers build the stacks the tests need with the reducer in
+``regression``, the one module that knows the stack-row format
+(``reduce_set`` and ``join_sets``): one set alone, s different sets (a
+seed block's layout) and one set under s weightings (a robustness
+sweep's layout), and wrap the one-row fits as plain functions.
 ``probed_set`` draws and labels a set as the package does, for checks
 that weight and fit it by hand. ``explanation`` builds a run from its
 coefficients; ``manifest_argv`` rebuilds a CLI command from its manifest.
@@ -35,9 +36,8 @@ from baylime import (
 )
 from baylime.blackbox import SubprocessPredictor
 from baylime.cli import build_parser
-from baylime.explainer import join_sets, reduce_set
-from baylime.regression import (MAX_ITER, TOL, WeightedStack, posterior_rows,
-                                ridge_rows)
+from baylime.regression import (MAX_ITER, TOL, WeightedStack, join_sets,
+                                posterior_rows, reduce_set, ridge_rows)
 
 
 def one_row_stack(pset) -> WeightedStack:

@@ -559,6 +559,10 @@ def test_hamming_distance_on_a_numerical_problem_warns_once(
       MISSPELT_PRIOR], "unknown prior keys ['alhpa', 'lamda']"),
     (["consistency", "--explainer", "partial:mu0=1,0,0:lambda=10"],
      "explainer 'partial:mu0=1,0,0:lambda=10': mu0 has shape (3,)"),
+    (["explain", "--timeout", "inf"], "timeout must be positive and at most"),
+    (["robustness", "--timeout", "1e300"],
+     "timeout must be positive and at most"),
+    (["robustness", "--seed", "-1"], "seed must be non-negative"),
 ])
 def test_config_error_starts_no_predictor(tmp_path, capsys,
                                           predictor_children, flags, message):

@@ -496,14 +496,15 @@ class TestSeedBlock:
             monkeypatch.setattr(explainer, name, call)
 
         monkeypatch.setattr(explainer, "perturb_matrix", draw)
-        watched("reduce_set")
-        watched("fit")
+        for name in ("reduce_set", "ridge_rows", "posterior_rows"):
+            watched(name)
         surrogates = (LimeRidge(1.0), BayLime(PriorSpec.non_informative()))
         explain_block(instance, PredictorHandle.in_process(
             CountingPredictor(), batch_limit=limit), config.perturb,
             config.kernel, surrogates, 3)
         assert len(drawn) == 3
-        assert alive == [("reduce_set", 0)] * 3 + [("fit", 0)] * 2
+        assert alive == [("reduce_set", 0)] * 3 + [("ridge_rows", 0),
+                                                   ("posterior_rows", 0)]
 
     def test_runs_are_made_on_first_access(self):
         instance, config = numeric_problem(2, 60, 0, LimeRidge(1.0))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from baylime import explainer, metrics
+from baylime import explainer
 from baylime import (
     BayLime,
     ConfigError,
@@ -28,6 +28,7 @@ from baylime import (
     SingularityError,
     UndefinedMetricError,
     apply_weights,
+    explain,
     inconsistency,
     kendalls_w,
     normalize_coefficients,
@@ -143,6 +144,10 @@ class TestWidthPairs:
             width_pairs(10, (5.0, 0.2), seed=0)
         with pytest.raises(ConfigError):
             width_pairs(10, (0.0, 5.0), seed=0)
+
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            width_pairs(10, (0.2, 5.0), seed=-1)
 
 
 def numeric_setup(m: int, n: int, seed: int):
@@ -347,23 +352,34 @@ class TestRobustnessPaired:
         else:
             pytest.fail(f"no width of pair {pair} fails alone")
 
-    def test_mismatched_prior_is_rejected_before_any_fit(self, monkeypatch):
+    @staticmethod
+    def refused_unprobed(monkeypatch, error, surrogates, **options):
+        """robustness raises ``error`` with no predictor call and no fit."""
         calls, fits = [], []
         instance, perturb, _ = quadratic_problem(3, 50, 25)
         handle = PredictorHandle.in_process(
             lambda rows: (calls.append(len(rows)), rows[:, 0])[1])
-        real_fit = metrics.fit
+        for name in ("ridge_rows", "posterior_rows"):
+            real_fit = getattr(explainer, name)
 
-        def counting_fit(weighted, surrogate):
-            fits.append(surrogate)
-            return real_fit(weighted, surrogate)
+            def counting_fit(stack, surrogate, real_fit=real_fit):
+                fits.append(surrogate)
+                return real_fit(stack, surrogate)
 
-        monkeypatch.setattr(metrics, "fit", counting_fit)
-        wrong = BayLime(PriorSpec.partial(np.array([1.0, 2.0]), 50.0))
-        with pytest.raises(ShapeError):
-            robustness(instance, handle, perturb, (LimeRidge(1.0), wrong),
-                       [(0.5, 1.0)])
+            monkeypatch.setattr(explainer, name, counting_fit)
+        with pytest.raises(error):
+            robustness(instance, handle, perturb, surrogates, [(0.5, 1.0)],
+                       **options)
         assert calls == [] and fits == []
+
+    def test_mismatched_prior_is_rejected_before_any_fit(self, monkeypatch):
+        wrong = BayLime(PriorSpec.partial(np.array([1.0, 2.0]), 50.0))
+        self.refused_unprobed(monkeypatch, ShapeError,
+                              (LimeRidge(1.0), wrong))
+
+    def test_unknown_distance_is_refused_before_any_probe(self, monkeypatch):
+        self.refused_unprobed(monkeypatch, ConfigError, (LimeRidge(1.0),),
+                              distance="bogus")
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               database=None)
@@ -392,6 +408,50 @@ class TestRobustnessPaired:
                                                    surrogate, pair_list)
             assert report.robustness_samples == samples
             assert report.robustness_r == median
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(1, 6), st.integers(2, 300), st.data(),
+           st.integers(0, 2**31 - 1),
+           st.sampled_from([EUCLIDEAN, BINARY_HAMMING]),
+           st.sampled_from(["lime", "non_informative", "partial", "full"]))
+    def test_a_sweep_row_is_the_explanation_at_its_width(self, m, n, data,
+                                                         seed, distance,
+                                                         mode):
+        # The sweep and the seed block run one path: the sweep's row at
+        # width l is explain's at KernelConfig(width=l), bit for bit.
+        limit = data.draw(st.integers(1, n + 5), label="batch_limit")
+        instance, perturb, model = quadratic_problem(m, n, seed)
+        handle = PredictorHandle.in_process(model.predict_fn,
+                                            batch_limit=limit)
+        mu0 = np.linspace(-1.0, 1.0, m)
+        surrogate = {"lime": LimeRidge(1.0),
+                     "non_informative": BayLime(PriorSpec.non_informative()),
+                     "partial": BayLime(PriorSpec.partial(mu0, 10.0)),
+                     "full": BayLime(PriorSpec.full(mu0, 10.0, 2.0))}[mode]
+        pairs = width_pairs(1, (0.2, 5.0), seed)
+        ((l1, l2),) = pairs
+        try:
+            runs = [explain(instance, handle, ExplainConfig(
+                        perturb, KernelConfig(width, distance), surrogate))
+                    for width in (l1, l2)]
+        except FitError as lone:
+            with pytest.raises(FitError) as swept:
+                robustness(instance, handle, perturb, (surrogate,), pairs,
+                           distance=distance)
+            assert (type(swept.value), str(swept.value)) == (type(lone),
+                                                             str(lone))
+            return
+        _, (rows,), _ = explainer.fit_block(instance, handle, perturb, 1,
+                                            distance, (l1, l2), (surrogate,))
+        assert rows.coefficients.tobytes() == np.stack(
+            [run.coefficients for run in runs]).tobytes()
+        (report,) = robustness(instance, handle, perturb, (surrogate,), pairs,
+                               distance=distance)
+        h1, h2 = (np.abs(normalize_coefficients(run.coefficients))
+                  for run in runs)
+        assert report.robustness_samples == (
+            (l1, l2, float(np.linalg.norm(h1 - h2) / abs(l1 - l2))),)
 
     def test_needs_a_surrogate(self):
         instance, perturb, handle = quadratic_problem(3, 50, 24)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from baylime import explainer, regression, types
+from baylime import regression, types
 from baylime import (
     ConfigError,
     ConvergenceError,
@@ -193,7 +193,7 @@ class TestSharedMoments:
     def test_fits_on_one_set_compute_moments_once(self, monkeypatch):
         # Every fit on a set's stack shares its one reduction, and the set
         # caches its own spectrum for decompose.
-        reductions = counted(monkeypatch, explainer, "_weighted_moments")
+        reductions = counted(monkeypatch, regression, "_weighted_moments")
         moments = counted(monkeypatch, types, "_weighted_moments")
         eighs = counted(monkeypatch, np.linalg, "eigh")
         rng = np.random.default_rng(41)
