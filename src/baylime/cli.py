@@ -305,6 +305,9 @@ def _parse_explainer_spec(spec: str) -> tuple[str, dict]:
             raise ConfigError(f"bad option {part!r} in explainer spec "
                               f"{spec!r}; {name} accepts "
                               f"{sorted(allowed) or 'no options'}")
+        if key in options:
+            raise ConfigError(f"option {key!r} repeated in explainer spec "
+                              f"{spec!r}")
         try:
             options[key] = (_parse_list(value) if key == "mu0"
                             else float(value))

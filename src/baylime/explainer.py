@@ -123,13 +123,13 @@ def fit_block(instance: Instance, predictor: PredictorHandle,
               perturb: PerturbConfig, k: int, distance: str,
               widths: Sequence[float],
               surrogates: Sequence[LimeRidge | BayLime],
-              ) -> tuple[WeightedStack, list[StackFit], list[float]]:
+              ) -> tuple[WeightedStack, list[StackFit]]:
     """Sample, probe, weight and fit the sets of k seeds at every width.
 
-    The one path of the seed block and the robustness sweep; its arguments
-    are checked before the first draw. The seeds perturb.seed, ...,
-    perturb.seed+k-1 each draw ``perturb.n`` rows (the first from
-    ``perturb`` itself, uncopied) as one block of
+    The one path of the seed block and the robustness sweep; its arguments,
+    every width among them, are checked before the first draw. The seeds
+    perturb.seed, ..., perturb.seed+k-1 each draw ``perturb.n`` rows (the
+    first from ``perturb`` itself, uncopied) as one block of
     :func:`~baylime.blackbox.label_blocks`, so the predictor sees
     ceil(k * n / batch_limit) calls and a request may carry rows of
     several seeds. Once labelled, a set is reduced to one stack row per
@@ -137,34 +137,33 @@ def fit_block(instance: Instance, predictor: PredictorHandle,
     surrogate is fitted on all the rows, by seed then width, in one call,
     row i bit for bit the fit of its weighted set alone.
 
-    Returns the stack, one fit per surrogate in the given order, and each
-    row's Kish effective sample size.
+    Returns the stack, whose ``effective`` column holds each row's Kish
+    effective sample size, and one fit per surrogate in the given order.
     """
     if k < 1 or not widths or not surrogates:
         raise ConfigError("a block needs k >= 1 seeds, at least one width "
                           "and at least one surrogate")
     evidence = check_surrogates(surrogates, instance.m)
-    KernelConfig(distance=distance)  # refuses an unknown distance
+    for width in widths:
+        KernelConfig(width, distance)  # refuses a bad width or distance
     reference = interpretable_reference(instance)
     draws = map(partial(perturb_matrix, instance),
                 (replace(perturb, seed=perturb.seed + i) if i else perturb
                  for i in range(k)))
-    parts, effective = [], []
+    parts = []
     for rows, labels in label_blocks(predictor, draws):
         d = distances(rows, reference, distance)
         # The last width's weights are kept: one width's are computed once
         # per set, and a sweep holds one weight vector at a time.
         weights = lru_cache(maxsize=1)(
             lambda i: floored_weights(d, widths[i]))
-        columns, sizes = reduce_set(rows, labels, weights, len(widths),
-                                    evidence)
-        parts.append(columns)
-        effective += sizes
+        parts.append(reduce_set(rows, labels, weights, len(widths),
+                                evidence))
     stack = join_sets(parts, perturb.n)
     fits = [ridge_rows(stack, surrogate.r) if isinstance(surrogate, LimeRidge)
             else posterior_rows(stack, surrogate.prior)
             for surrogate in surrogates]
-    return stack, fits, effective
+    return stack, fits
 
 
 def explain(instance: Instance, predictor: PredictorHandle,
@@ -205,13 +204,13 @@ def explain_block(instance: Instance, predictor: PredictorHandle,
     within it of the first failing surrogate in the given order.
     """
     width = kernel.resolved_width(instance.m)
-    stack, fits, effective = fit_block(instance, predictor, perturb, k,
-                                       kernel.distance, (width,), surrogates)
+    stack, fits = fit_block(instance, predictor, perturb, k, kernel.distance,
+                            (width,), surrogates)
     # min keeps the first of equal rows: the first surrogate in order.
     first_failure = min(fits, key=lambda result: result.failed)
     if first_failure.error is not None:
         raise first_failure.error
-    n, floor = stack.n, min(effective)
+    n, effective = stack.n, stack.effective.tolist()
 
     def ensemble(result: StackFit) -> ExplanationEnsemble:
         importances = np.abs(normalize_coefficients(result.coefficients))
@@ -230,7 +229,7 @@ def explain_block(instance: Instance, predictor: PredictorHandle,
         importances.setflags(write=False)
         ranks.setflags(write=False)
         return ExplanationEnsemble(importances, ranks, run,
-                                   min_effective_sample_size=floor)
+                                   min_effective_sample_size=min(effective))
 
     return tuple(ensemble(result) for result in fits)
 

@@ -167,15 +167,19 @@ def robustness(instance: Instance, predictor: PredictorHandle,
     over the widths.
 
     A prior mean whose length is not the instance's feature count raises
-    ShapeError before the predictor is called. A fit failure ends that
-    surrogate's sweep; the FitError raised is the one the surrogates would
-    raise swept one after another: that of the first failing surrogate in
-    the given order, at its first failing width, with the samples of the
-    pairs before that width's pair on ``partial_samples``.
+    ShapeError, and a pair of equal widths or a width that is not finite
+    and positive ConfigError, before the predictor is called. A fit
+    failure ends that surrogate's sweep; the FitError raised is the one the
+    surrogates would raise swept one after another: that of the first
+    failing surrogate in the given order, at its first failing width, with
+    the samples of the pairs before that width's pair on
+    ``partial_samples``.
     """
+    if any(l1 == l2 for l1, l2 in pair_list):
+        raise ConfigError("a width pair needs two different widths")
     widths = [width for pair in pair_list for width in pair]
-    _, fits, effective = fit_block(instance, predictor, perturb, 1, distance,
-                                   widths, surrogates)
+    stack, fits = fit_block(instance, predictor, perturb, 1, distance, widths,
+                            surrogates)
     reports = []
     for result in fits:
         h = np.abs(normalize_coefficients(result.coefficients))
@@ -189,5 +193,5 @@ def robustness(instance: Instance, predictor: PredictorHandle,
         reports.append(MetricReport(
             robustness_samples=samples,
             robustness_r=statistics.median_low([s[2] for s in samples]),
-            min_effective_sample_size=min(effective)))
+            min_effective_sample_size=float(stack.effective.min())))
     return tuple(reports)

@@ -18,14 +18,14 @@ Every fit is a diagonal solve in the eigenbasis X'WX = V diag(eig) V',
 computed once for all fits on a weighted set. The math is written once,
 over a leading stack axis: a :class:`WeightedStack` holds s weighted
 sample sets, and :func:`ridge_rows` and :func:`posterior_rows` fit every
-row in one call. Only this module knows the row format: :func:`reduce_set`
-turns a labelled set under one or more weightings into stack rows while
-its samples are alive, and :func:`join_sets` stacks them. A seed block
-has a row per seed, a robustness sweep a row per width, whose widths
-share one batched ``eigh`` (:func:`~baylime.explainer.fit_block`). The
-fit code does not tell the layouts apart, and a single explanation is
-the one-row stack. Row i of a stacked fit equals the fit of row i's set
-alone, bit for bit. With b = V'X'WY and s = alpha eig:
+row in one call. Only this module takes moments and knows the row format:
+:func:`reduce_set` turns a labelled set under one or more weightings into
+stack rows while its samples are alive, all in one batched ``eigh``, and
+:func:`join_sets` stacks them. A seed block has a row per seed, a
+robustness sweep a row per width (:func:`~baylime.explainer.fit_block`).
+The fit code does not tell the layouts apart, and a single explanation
+is the one-row stack. Row i of a stacked fit equals the fit of row i's
+set alone, bit for bit. With b = V'X'WY and s = alpha eig:
 
     ridge      V (b / (r + eig))
     mu_n       V c,  c = (lambda V'mu0 + alpha b) / (lambda + s)
@@ -77,7 +77,7 @@ from .errors import (
     SingularityError,
 )
 from .kernel import effective_sample_size
-from .types import PerturbationSet, _frozen_array, _spectra, _weighted_moments
+from .types import PerturbationSet, _frozen_array
 
 NON_INFORMATIVE = "non_informative"
 PARTIAL = "partial"
@@ -183,6 +183,29 @@ class SurrogateFit:
         return _frozen_array(vectors @ (b / eig))
 
 
+def _weighted_moments(rows: np.ndarray, labels: np.ndarray,
+                     weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X'WX and X'WY for design X, labels Y and diagonal weights W."""
+    gram = rows.T @ (rows * weights[:, None])
+    moment = rows.T @ (weights * labels)
+    gram.setflags(write=False)
+    moment.setflags(write=False)
+    return gram, moment
+
+
+def _spectra(grams: np.ndarray, moments: np.ndarray,
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eig, V, V'X'WY) for every X'WX = V diag(eig) V' of an (s, m, m) stack.
+
+    One batched ``eigh``, each row bit for bit as it would come alone.
+    Eigenvalues ascend and are clipped at 0: X'WX is positive
+    semi-definite, so a negative one is rounding noise.
+    """
+    eig, vectors = np.linalg.eigh(grams)
+    return (np.maximum(eig, 0.0), vectors,
+            np.matmul(moments[:, None, :], vectors)[:, 0])
+
+
 def _rank_tol(eig: np.ndarray) -> np.ndarray:
     """eig_max * m * eps per row of ascending eigenvalues (last axis)."""
     return eig[..., -1] * eig.shape[-1] * _EPS
@@ -198,8 +221,8 @@ class WeightedStack:
     """s weighted sample sets of n samples each, in their own eigenbases.
 
     A row is one weighted set: a kernel-width sweep stacks one set under s
-    weightings, a seed block s different sets, one per seed. ``moments``
-    stacks every row's X'WX and X'WY and ``spectrum`` its (eig, V, V'X'WY),
+    weightings, a seed block s different sets, one per seed. ``spectrum``
+    stacks every row's (eig, V, V'X'WY) and ``effective`` its Kish size,
     each on a leading axis of length s. ``evidence`` holds each row's
     least-squares solution c_ls in the eigenbasis, with the directions
     under the rank tolerance set to 0, its weighted residual sum of squares
@@ -209,13 +232,13 @@ class WeightedStack:
     O(s m^2) numbers, never the rows of its sets. The arrays are frozen.
     """
 
-    moments: tuple[np.ndarray, np.ndarray]
     spectrum: tuple[np.ndarray, np.ndarray, np.ndarray]
+    effective: np.ndarray
     n: int
     evidence: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        for arr in (*self.moments, *self.spectrum, *(self.evidence or ())):
+        for arr in (*self.spectrum, self.effective, *(self.evidence or ())):
             arr.setflags(write=False)
 
     def surrogate_fit(self, fit: "StackFit", i: int) -> "SurrogateFit":
@@ -226,34 +249,33 @@ class WeightedStack:
             alpha_used=alpha,
             lambda_used=lam,
             n_effective_prior=lam,
-            n_effective_data=float(alpha * np.trace(self.moments[0][i])),
+            n_effective_data=float(alpha * self.spectrum[0][i].sum()),
             spectrum=tuple(arr[i] for arr in self.spectrum),
             iterations=int(fit.iterations[i]),
         )
 
 
 def reduce_set(rows: np.ndarray, labels: np.ndarray,
-               weights: Callable[[int], np.ndarray], s: int, evidence: bool,
-               ) -> tuple[tuple[np.ndarray, ...], list[float]]:
+               weights: Callable[[int], np.ndarray], s: int,
+               evidence: bool) -> tuple[np.ndarray, ...]:
     """Reduce one labelled set under s weightings to its rows of a stack.
 
-    Row i weights the samples by ``weights(i)``. Returns the stack columns,
-    X'WX and X'WY, and each row's Kish effective sample size. With
-    ``evidence`` the columns add what evidence fits need from the samples:
-    the spectrum (eig, V, V'X'WY) of all s rows from one batched ``eigh``,
-    and the inputs :attr:`WeightedStack.evidence` holds. ``weights`` is
-    called again for those, so one weight vector is held at a time.
+    Row i weights the samples by ``weights(i)``. Returns the stack
+    columns: each row's Kish effective sample size and spectrum, all s
+    rows decomposed in one batched ``eigh``, and with ``evidence`` the
+    inputs :attr:`WeightedStack.evidence` holds, for which ``weights`` is
+    called again, so one weight vector is held at a time.
     """
     m = rows.shape[1]
     grams, moments = np.empty((s, m, m)), np.empty((s, m))
-    effective = []
+    effective = np.empty(s)
     for i in range(s):
         w = weights(i)
-        effective.append(effective_sample_size(w))
+        effective[i] = effective_sample_size(w)
         grams[i], moments[i] = _weighted_moments(rows, labels, w)
-    if not evidence:
-        return (grams, moments), effective
     eig, vectors, b = spectrum = _spectra(grams, moments)
+    if not evidence:
+        return (effective, *spectrum)
     c_ls = np.divide(b, eig, out=np.zeros_like(b),
                      where=eig > _rank_tol(eig)[:, None])
     rss_ls = np.empty(s)
@@ -262,22 +284,20 @@ def reduce_set(rows: np.ndarray, labels: np.ndarray,
         rss_ls[i] = (weights(i) * residual * residual).sum()
     var = float(np.var(labels))
     alpha = np.full(s, 1.0 / var if var > 0 else 1.0)
-    return (grams, moments, *spectrum, c_ls, rss_ls, alpha), effective
+    return (effective, *spectrum, c_ls, rss_ls, alpha)
 
 
 def join_sets(parts: Sequence[tuple[np.ndarray, ...]],
               n: int) -> WeightedStack:
     """The stack of several sets' columns from :func:`reduce_set`, in order.
 
-    A lone set's columns are the stack's, uncopied. Without evidence
-    inputs, every row's X'WX is decomposed here, in one batched ``eigh``.
+    A lone set's columns are the stack's, uncopied.
     """
-    grams, moments, *inputs = (column[0] if len(parts) == 1
-                               else np.concatenate(column)
-                               for column in zip(*parts))
-    spectrum = tuple(inputs[:3]) if inputs else _spectra(grams, moments)
-    return WeightedStack((grams, moments), spectrum, n,
-                         tuple(inputs[3:]) or None)
+    effective, eig, vectors, b, *inputs = (
+        column[0] if len(parts) == 1 else np.concatenate(column)
+        for column in zip(*parts))
+    return WeightedStack((eig, vectors, b), effective, n,
+                         tuple(inputs) or None)
 
 
 class StackFit(NamedTuple):
@@ -460,7 +480,8 @@ def decompose(fit: SurrogateFit,
 
     A carries the prior's share of the posterior mean, B the data's.
     """
-    eig, vectors, _ = pset.spectrum
+    gram, moment = _weighted_moments(pset.rows, pset.labels, pset.weights)
+    eig, vectors, _ = (arr[0] for arr in _spectra(gram[None], moment[None]))
     denominator = fit.lambda_used + fit.alpha_used * eig
     if denominator[0] <= 0:
         raise DecompositionError("posterior precision is not positive "

@@ -3,15 +3,13 @@
 Every container here is backed by read-only numpy arrays and immutable after
 construction (a frozen dataclass, or for the ensemble a class with read-only
 properties), so instances are safe to share across threads. Besides the
-containers, the module holds what every other module builds on: ranking and
-coefficient normalization, and a sample set's weighted moments X'WX, X'WY
-and their eigendecomposition, which a set caches for all fits on it.
+containers, the module holds the ranking and coefficient normalization
+every other module builds on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -37,33 +35,6 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
-
-
-def _weighted_moments(rows: np.ndarray, labels: np.ndarray,
-                     weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X'WX and X'WY for design X, labels Y and diagonal weights W."""
-    gram = rows.T @ (rows * weights[:, None])
-    moment = rows.T @ (weights * labels)
-    gram.setflags(write=False)
-    moment.setflags(write=False)
-    return gram, moment
-
-
-def _spectra(grams: np.ndarray, moments: np.ndarray,
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(eig, V, V'X'WY) for every X'WX = V diag(eig) V' of an (s, m, m) stack.
-
-    One batched ``eigh`` decomposes the whole stack; each row comes out
-    bit for bit as it would alone. Eigenvalues are ascending and clipped
-    at 0: X'WX is positive semi-definite, so a negative one is rounding
-    noise. The arrays are frozen.
-    """
-    eig, vectors = np.linalg.eigh(grams)
-    spectra = (np.maximum(eig, 0.0), vectors,
-               np.matmul(moments[:, None, :], vectors)[:, 0])
-    for arr in spectra:
-        arr.setflags(write=False)
-    return spectra
 
 
 def rank_features(coefficients: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -188,18 +159,6 @@ class PerturbationSet:
     @property
     def m(self) -> int:
         return self.rows.shape[1]
-
-    @cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(eig, V, V'X'WY) for X'WX = V diag(eig) V', from one ``eigh``.
-
-        This is the one-row case of :func:`_spectra`, computed on first use;
-        the arrays are frozen. A reweighted set is a new set with its own.
-        """
-        gram, moment = _weighted_moments(self.rows, self.labels,
-                                         self.weights)
-        eig, vectors, b = _spectra(gram[None], moment[None])
-        return eig[0], vectors[0], b[0]
 
 
 @dataclass(frozen=True)

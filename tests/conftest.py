@@ -6,7 +6,8 @@ block. These helpers build the stacks the tests need with the reducer in
 ``regression``, the one module that knows the stack-row format
 (``reduce_set`` and ``join_sets``): one set alone, s different sets (a
 seed block's layout) and one set under s weightings (a robustness
-sweep's layout), and wrap the one-row fits as plain functions.
+sweep's layout), and wrap the one-row fits as plain functions;
+``spectrum_of`` decomposes one set alone with the reducer's helpers.
 ``probed_set`` draws and labels a set as the package does, for checks
 that weight and fit it by hand. ``explanation`` builds a run from its
 coefficients; ``manifest_argv`` rebuilds a CLI command from its manifest.
@@ -36,8 +37,9 @@ from baylime import (
 )
 from baylime.blackbox import SubprocessPredictor
 from baylime.cli import build_parser
-from baylime.regression import (MAX_ITER, TOL, WeightedStack, join_sets,
-                                posterior_rows, reduce_set, ridge_rows)
+from baylime.regression import (MAX_ITER, TOL, WeightedStack, _spectra,
+                                _weighted_moments, join_sets, posterior_rows,
+                                reduce_set, ridge_rows)
 
 
 def one_row_stack(pset) -> WeightedStack:
@@ -48,21 +50,27 @@ def one_row_stack(pset) -> WeightedStack:
 def stack_sets(sets, *, evidence: bool = True) -> WeightedStack:
     """Different weighted sets of one size, one row each, in order.
 
-    As a seed block lays its seeds out: with ``evidence`` each set is
-    decomposed as it is reduced; without, the stack carries no evidence
-    inputs and every row's X'WX is decomposed in one batched ``eigh``.
+    As a seed block lays its seeds out, each set decomposed as it is
+    reduced; without ``evidence`` the stack carries no evidence inputs.
     """
     return join_sets([reduce_set(pset.rows, pset.labels,
-                                 lambda _, w=pset.weights: w, 1, evidence)[0]
+                                 lambda _, w=pset.weights: w, 1, evidence)
                       for pset in sets], sets[0].n)
 
 
 def stack_weights(base, weights) -> WeightedStack:
     """One set under each row of ``weights``, as a robustness sweep stacks
     its widths: every row's X'WX decomposed in one batched ``eigh``."""
-    columns, _ = reduce_set(base.rows, base.labels, weights.__getitem__,
-                            len(weights), True)
-    return join_sets([columns], base.n)
+    return join_sets([reduce_set(base.rows, base.labels, weights.__getitem__,
+                                 len(weights), True)], base.n)
+
+
+def spectrum_of(pset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eig, V, V'X'WY) of one weighted set's X'WX and X'WY, decomposed
+    alone as the one-row case of ``regression._spectra``."""
+    gram, moment = _weighted_moments(pset.rows, pset.labels, pset.weights)
+    eig, vectors, b = _spectra(gram[None], moment[None])
+    return eig[0], vectors[0], b[0]
 
 
 def ridge_fit(pset, r: float = 0.0) -> np.ndarray:

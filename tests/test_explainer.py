@@ -372,6 +372,22 @@ def seed_by_seed(instance, model, perturb, kernel, surrogates, k):
 class TestSeedBlock:
     """A seed block equals the per-seed loop it replaces, bit for bit."""
 
+    @pytest.mark.parametrize("surrogate", [
+        LimeRidge(1.0), BayLime(PriorSpec.non_informative())])
+    def test_stack_holds_each_rows_kish_size(self, surrogate):
+        # Rows by seed then width; a non_informative fit adds evidence
+        # inputs to the stack, a ridge fit does not.
+        instance, config = numeric_problem(3, 60, 8, surrogate)
+        perturb, widths = config.perturb, (0.5, 1.5)
+        stack, _ = explainer.fit_block(instance, quadratic_predictor3(),
+                                       perturb, 2, config.kernel.distance,
+                                       widths, (surrogate,))
+        expected = [effective_sample_size(apply_weights(
+            probed_set(instance, plan, quadratic_predictor3()),
+            KernelConfig(width), instance).weights)
+            for plan in seeds_of(perturb, 2) for width in widths]
+        assert stack.effective.tolist() == expected
+
     @settings(max_examples=80, deadline=None, derandomize=True,
               database=None)
     @given(seed_blocks())

@@ -353,7 +353,8 @@ class TestRobustnessPaired:
             pytest.fail(f"no width of pair {pair} fails alone")
 
     @staticmethod
-    def refused_unprobed(monkeypatch, error, surrogates, **options):
+    def refused_unprobed(monkeypatch, error, surrogates, pairs=((0.5, 1.0),),
+                         **options):
         """robustness raises ``error`` with no predictor call and no fit."""
         calls, fits = [], []
         instance, perturb, _ = quadratic_problem(3, 50, 25)
@@ -368,7 +369,7 @@ class TestRobustnessPaired:
 
             monkeypatch.setattr(explainer, name, counting_fit)
         with pytest.raises(error):
-            robustness(instance, handle, perturb, surrogates, [(0.5, 1.0)],
+            robustness(instance, handle, perturb, surrogates, list(pairs),
                        **options)
         assert calls == [] and fits == []
 
@@ -380,6 +381,15 @@ class TestRobustnessPaired:
     def test_unknown_distance_is_refused_before_any_probe(self, monkeypatch):
         self.refused_unprobed(monkeypatch, ConfigError, (LimeRidge(1.0),),
                               distance="bogus")
+
+    @pytest.mark.parametrize("pair", [(-1.0, 1.0), (np.nan, 1.0), (0.0, 1.0),
+                                      (1.0, np.inf), (1.0, 1.0)])
+    def test_bad_width_pair_is_refused_before_any_probe(self, monkeypatch,
+                                                        pair):
+        # A width outside (0, inf), or two equal widths, whose ratio would
+        # divide by zero.
+        self.refused_unprobed(monkeypatch, ConfigError, (LimeRidge(1.0),),
+                              pairs=[(0.5, 1.0), pair])
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               database=None)
@@ -442,8 +452,8 @@ class TestRobustnessPaired:
             assert (type(swept.value), str(swept.value)) == (type(lone),
                                                              str(lone))
             return
-        _, (rows,), _ = explainer.fit_block(instance, handle, perturb, 1,
-                                            distance, (l1, l2), (surrogate,))
+        _, (rows,) = explainer.fit_block(instance, handle, perturb, 1,
+                                         distance, (l1, l2), (surrogate,))
         assert rows.coefficients.tobytes() == np.stack(
             [run.coefficients for run in runs]).tobytes()
         (report,) = robustness(instance, handle, perturb, (surrogate,), pairs,

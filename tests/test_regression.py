@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from baylime import regression, types
+from baylime import regression
 from baylime import (
     ConfigError,
     ConvergenceError,
@@ -30,10 +30,9 @@ from baylime import (
     SingularityError,
     decompose,
 )
-from baylime.regression import posterior_rows, ridge_rows
-from baylime.types import _weighted_moments
-from conftest import (fit_surrogate, one_row_stack, ridge_fit, stack_sets,
-                      stack_weights)
+from baylime.regression import _weighted_moments, posterior_rows, ridge_rows
+from conftest import (fit_surrogate, one_row_stack, ridge_fit, spectrum_of,
+                      stack_sets, stack_weights)
 
 
 def random_problem(rng, m=None, n=None):
@@ -191,10 +190,9 @@ def counted(monkeypatch, owner, name: str) -> list:
 
 class TestSharedMoments:
     def test_fits_on_one_set_compute_moments_once(self, monkeypatch):
-        # Every fit on a set's stack shares its one reduction, and the set
-        # caches its own spectrum for decompose.
+        # Every fit on a set's stack shares its one reduction and its one
+        # eigh; decompose decomposes the set it is given, each call anew.
         reductions = counted(monkeypatch, regression, "_weighted_moments")
-        moments = counted(monkeypatch, types, "_weighted_moments")
         eighs = counted(monkeypatch, np.linalg, "eigh")
         rng = np.random.default_rng(41)
         for weighted in range(1, 3):
@@ -207,11 +205,11 @@ class TestSharedMoments:
                           PriorSpec.non_informative()):
                 result = posterior_rows(stack, prior)
             fit = stack.surrogate_fit(result, 0)
-            decompose(fit, pset)
-            decompose(fit, pset)
             assert fit.beta_mle is not None
-            assert len(reductions) == len(moments) == weighted
-            assert len(eighs) == 2 * weighted
+            assert len(reductions) == len(eighs) == 3 * weighted - 2
+            decompose(fit, pset)
+            decompose(fit, pset)
+            assert len(reductions) == len(eighs) == 3 * weighted
 
     def test_moments_are_frozen_and_exact(self):
         pset = random_problem(np.random.default_rng(42), m=3, n=50)
@@ -380,7 +378,7 @@ class TestProperties:
         # |A| = lam / (lam + alpha eig_min) and |B| = 1 - lam / (lam + alpha
         # eig_max): a vanishing lam (alpha) leaves only that share of the gap.
         pset, mu0 = case
-        eig = pset.spectrum[0]
+        eig = spectrum_of(pset)[0]
         g, moment = moments_of(pset)
         beta = np.linalg.lstsq(g, moment)[0]
         slack = 1e-9 * (np.linalg.norm(mu0) + np.linalg.norm(beta))
@@ -415,7 +413,7 @@ class TestProperties:
                 except ConvergenceError:
                     pass
         assert seen
-        eig, vectors, _ = pset.spectrum
+        eig, vectors, _ = spectrum_of(pset)
         w, y = pset.weights, pset.labels
         for c, wsse in seen:
             residual = y - pset.rows @ (vectors @ c)
@@ -541,7 +539,7 @@ class TestStackedRows:
     def test_spectrum_is_the_one_row_stack(self):
         pset = random_problem(np.random.default_rng(73), m=6, n=80)
         stack = stack_weights(pset, [pset.weights])
-        for stacked, alone in zip(stack.spectrum, pset.spectrum):
+        for stacked, alone in zip(stack.spectrum, spectrum_of(pset)):
             assert stacked[0].tobytes() == alone.tobytes()
 
 
@@ -560,7 +558,7 @@ class TestStackedSets:
                   False: stack_sets(sets, evidence=False)}
         for evidence, stack in stacks.items():
             for i, pset in enumerate(sets):
-                for stacked, alone in zip(stack.spectrum, pset.spectrum):
+                for stacked, alone in zip(stack.spectrum, spectrum_of(pset)):
                     assert stacked[i].tobytes() == alone.tobytes()
             surrogates = [1.0, 0.0, PriorSpec.full(mu0, 10.0, 2.0)]
             if evidence:

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 import baylime
+from conftest import fit_surrogate
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -77,12 +78,16 @@ def test_names_the_benchmark_uses_resolve():
         assert callable(getattr(owner, name)), name
     # The robustness workload wraps this classmethod to count rows.
     assert isinstance(PredictorHandle.__dict__["in_process"], classmethod)
-    # The explain checks build a set positionally and read its spectrum,
-    # and read the posterior's hyperparameters.
+    # The explain checks build a set positionally, decompose a posterior
+    # on it, and read the posterior's hyperparameters.
     fields = [field.name for field in dataclasses.fields(types.PerturbationSet)]
     assert fields == ["rows", "labels", "weights", "seed"]
-    pset = types.PerturbationSet(np.eye(2), np.ones(2), np.ones(2), 0)
-    assert len(pset.spectrum) == 3
+    pset = types.PerturbationSet(np.array([[1.0, 0.5], [0.0, 2.0]]),
+                                 np.ones(2), np.ones(2), 0)
+    fit = fit_surrogate(pset, regression.PriorSpec.full(np.zeros(2), 1.0,
+                                                        2.0))
+    a, b = regression.decompose(fit, pset)
+    assert np.max(np.abs(a + b - np.eye(2))) <= 1e-9
     fit_fields = {field.name for field in
                   dataclasses.fields(regression.SurrogateFit)}
     assert {"lambda_used", "alpha_used"} <= fit_fields
