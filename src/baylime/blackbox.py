@@ -10,10 +10,11 @@ one numeric output per row. Two transports are provided:
   stdin/stdout. Each request is one line ``{"inputs": [[f64, ...], ...]}``,
   each response one line ``{"outputs": [f64, ...]}`` with exactly one output
   per input row, UTF-8 encoded and LF-terminated. A response must be fully
-  written before the next request is sent. Requests are compact JSON
-  (whitespace is not part of the protocol) whose numbers are the shortest
-  decimals that parse back to the same doubles, so the child sees every
-  input bit for bit.
+  written before the next request is sent, and any stdout output that is
+  not the one response to a sent request fails the transport. Requests are
+  compact JSON (whitespace is not part of the protocol) whose numbers are
+  the shortest decimals that parse back to the same doubles, so the child
+  sees every input bit for bit.
 
 :func:`label_blocks` labels a stream of (tag, rows) blocks, such as the
 seeds of a seed block, in shared requests of ``batch_limit`` rows and
@@ -24,12 +25,11 @@ translate into several requests on the same transport.
 
 from __future__ import annotations
 
-import io
 import json
-import queue
+import os
+import selectors
 import shlex
 import subprocess
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -40,6 +40,8 @@ import numpy as np
 from .errors import ConfigError, ContractViolationError, ProbeError
 
 PREDICTOR_CMD_ENV = "BAYLIME_PREDICTOR_CMD"
+MAX_TIMEOUT = (2**31 - 1) / 1000  # s: a selector waits at most 2**31 - 1 ms
+STDERR_TAIL = 8192  # bytes of the child's stderr kept for error reports
 
 
 def _check_batch_limit(batch_limit: int) -> None:
@@ -242,15 +244,15 @@ class SubprocessPredictor:
     """JSON-lines transport to a long-lived predictor child process.
 
     The process is spawned once and reused for every chunk of an
-    explanation run, which amortizes model-load cost. Not thread-safe: one
-    request must complete before the next is sent.
+    explanation run, which amortizes model-load cost. Not thread-safe: each
+    request is one ``selectors`` loop on POSIX pipes, under one deadline.
 
     The transport fails closed. Once a request times out, gets a malformed
     response or one with the wrong number of outputs or a non-numeric
-    output (both raised as :class:`ContractViolationError`), or finds the
-    child gone, the child is killed and every later call raises
-    :class:`ProbeError`: a late answer to an abandoned request would
-    otherwise be read as the answer to the next one.
+    output (both raised as :class:`ContractViolationError`), finds the child
+    gone, or meets output that answers no request, the child is killed and
+    every later call raises :class:`ProbeError`: a late answer to an
+    abandoned request would otherwise be read as the answer to the next one.
     """
 
     def __init__(self, command: str | list[str], *, timeout: float = 60.0):
@@ -262,10 +264,9 @@ class SubprocessPredictor:
                                   f"{command!r}: {exc}") from exc
         if not command:
             raise ConfigError("empty predictor command")
-        # queue.get overflows on a wait longer than threading.TIMEOUT_MAX.
-        if not 0 < timeout <= threading.TIMEOUT_MAX:
+        if not 0 < timeout <= MAX_TIMEOUT:
             raise ConfigError(f"timeout must be positive and at most "
-                              f"{threading.TIMEOUT_MAX:g} s")
+                              f"{MAX_TIMEOUT:g} s")
         self.command = list(command)
         self.timeout = float(timeout)
         self._broken: str | None = None
@@ -285,24 +286,11 @@ class SubprocessPredictor:
         except OSError as exc:
             raise ProbeError(f"could not start predictor command "
                              f"{self.command}: {exc}") from exc
-        self._lines: queue.Queue[str | None] = queue.Queue()
-        self._stderr_tail: list[str] = []
-        self._reader = threading.Thread(target=self._drain_stdout, daemon=True)
-        self._reader.start()
-        self._err_reader = threading.Thread(target=self._drain_stderr, daemon=True)
-        self._err_reader.start()
-
-    def _drain_stdout(self) -> None:
-        assert self._proc.stdout is not None
-        for line in io.TextIOWrapper(self._proc.stdout, encoding="utf-8"):
-            self._lines.put(line)
-        self._lines.put(None)
-
-    def _drain_stderr(self) -> None:
-        assert self._proc.stderr is not None
-        for line in io.TextIOWrapper(self._proc.stderr, encoding="utf-8"):
-            self._stderr_tail.append(line)
-            del self._stderr_tail[:-20]
+        os.set_blocking(self._proc.stdin.fileno(), False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._proc.stdout, selectors.EVENT_READ)
+        self._selector.register(self._proc.stderr, selectors.EVENT_READ)
+        self._stderr_tail = bytearray()
 
     def _fail(self, message: str, payload=None,
               error: type[ProbeError] = ProbeError) -> ProbeError:
@@ -313,39 +301,65 @@ class SubprocessPredictor:
             self._proc.wait()
         return error(message, payload=payload)
 
+    def _exchange(self, request: bytes) -> bytes:
+        """Write a request and return its one response line by the deadline."""
+        proc, selector = self._proc, self._selector
+        deadline = time.monotonic() + self.timeout
+        # The unwritten request bytes (None once the child closed its input)
+        # and the response read so far.
+        unsent, reply = memoryview(request), bytearray()
+        selector.register(proc.stdin, selectors.EVENT_WRITE)
+        wait = self.timeout
+        while wait > 0 and selector.get_map():
+            # Reads first: output that came before the request is seen first.
+            ready = sorted(selector.select(wait),
+                           key=lambda event: event[0].fileobj is proc.stdin)
+            for key, _ in ready:
+                if key.fileobj is proc.stdin:
+                    try:
+                        unsent = unsent[os.write(key.fd, unsent):]
+                    except BrokenPipeError:  # its exit shows on stdout
+                        unsent = None
+                    if not unsent:
+                        selector.unregister(proc.stdin)
+                    continue
+                data = os.read(key.fd, 1 << 16)
+                if not data:
+                    selector.unregister(key.fileobj)
+                elif key.fileobj is proc.stderr:
+                    self._stderr_tail += data
+                    del self._stderr_tail[:-STDERR_TAIL]
+                else:
+                    reply += data
+                    end = reply.find(b"\n", len(reply) - len(data)) + 1
+                    if unsent is None or unsent or 0 < end < len(reply):
+                        raise self._fail("predictor wrote output that answers "
+                                         "no request", payload=bytes(reply))
+                    if end:
+                        return bytes(reply)
+            wait = deadline - time.monotonic()
+        # Out of time, or the child closed all its pipes: reap it if it ended.
+        try:
+            code = proc.wait(deadline - time.monotonic())
+        except subprocess.TimeoutExpired:
+            raise self._fail(f"predictor response timed out after "
+                             f"{self.timeout} s") from None
+        raise self._fail(f"predictor process exited with code {code}",
+                         payload=bytes(self._stderr_tail))
+
     def __call__(self, rows: np.ndarray) -> np.ndarray:
         if self._broken is not None:
             raise ProbeError(f"predictor transport is unusable after an "
                              f"earlier failure: {self._broken}")
         # orjson serializes only C-contiguous arrays, straight from their
         # doubles; the request goes out as bytes.
-        request = self._dumps(
+        line = self._exchange(self._dumps(
             {"inputs": np.ascontiguousarray(rows, dtype=np.float64)},
-            option=self._dump_option)
-        try:
-            assert self._proc.stdin is not None
-            self._proc.stdin.write(request)
-            self._proc.stdin.flush()
-        except (OSError, ValueError) as exc:
-            raise self._fail(
-                f"predictor process rejected request: {exc}",
-                payload="".join(self._stderr_tail),
-            ) from exc
-        try:
-            line = self._lines.get(timeout=self.timeout)
-        except queue.Empty:
-            raise self._fail(
-                f"predictor response timed out after {self.timeout} s"
-            ) from None
-        if line is None:
-            raise self._fail(
-                f"predictor process exited with code {self._proc.poll()}",
-                payload="".join(self._stderr_tail),
-            )
+            option=self._dump_option))
         try:
             message = json.loads(line)
             outputs = message["outputs"]
-        except (json.JSONDecodeError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError) as exc:
             raise self._fail(f"malformed predictor response: {exc}",
                              payload=line) from exc
         # A count mismatch may mean the child answers another request, so
@@ -363,27 +377,13 @@ class SubprocessPredictor:
                              error=ContractViolationError) from exc
 
     def close(self) -> None:
-        """End the child's input and reap it; kill it if it runs on 5 s.
-
-        A child that exits closes its stdout, so the reader thread's end of
-        file marks the exit and the reap finds it at once, without
-        sleep-polling for it. A second call does nothing.
-        """
-        if self._proc.poll() is None:
-            deadline = time.monotonic() + 5.0
-            try:
-                if self._proc.stdin is not None:
-                    self._proc.stdin.close()
-                self._reader.join(timeout=5.0)
-                self._proc.wait(timeout=max(deadline - time.monotonic(), 0.05))
-            except (OSError, subprocess.TimeoutExpired):
-                self._proc.kill()
-                self._proc.wait()
-        self._reader.join(timeout=1)
-        self._err_reader.join(timeout=1)
-
-    def __enter__(self) -> "SubprocessPredictor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        """End the child's input, drop its output and reap it; kill it if it
+        runs on 5 s. A second call does nothing."""
+        self._selector.close()
+        try:
+            self._proc.communicate(timeout=5.0)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+            self._proc.stdout.close()
+            self._proc.stderr.close()

@@ -37,7 +37,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import __version__
-from .blackbox import PREDICTOR_CMD_ENV, PredictorHandle, with_class
+from .blackbox import (MAX_TIMEOUT, PREDICTOR_CMD_ENV, PredictorHandle,
+                       with_class)
 from .errors import (
     ConfigError,
     FitError,
@@ -610,7 +611,9 @@ def _add_predictor_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--batch-limit", type=int, default=1024,
                         help="max rows per predictor call")
     parser.add_argument("--timeout", type=float, default=60.0,
-                        help="seconds to wait per predictor response")
+                        help="seconds allowed per predictor request, to "
+                             "write it and read its answer (at most "
+                             f"{MAX_TIMEOUT:g})")
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:

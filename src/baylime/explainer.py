@@ -145,6 +145,10 @@ def fit_block(instance: Instance, predictor: PredictorHandle,
                           "and at least one surrogate")
     evidence = check_surrogates(surrogates, instance.m)
     for width in widths:
+        # KernelConfig reads None as the default width; a block needs a
+        # resolved one.
+        if width is None:
+            raise ConfigError("kernel width must be finite and positive")
         KernelConfig(width, distance)  # refuses a bad width or distance
     reference = interpretable_reference(instance)
     draws = map(partial(perturb_matrix, instance),

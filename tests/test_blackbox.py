@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import select
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -204,8 +207,9 @@ class TestSubprocessPredictor:
         monkeypatch.setattr(blackbox.subprocess, "Popen", popen)
         with pytest.raises(ConfigError, match="batch_limit"):
             PredictorHandle.spawn(fixture_command("sum"), batch_limit=0)
-        with pytest.raises(ConfigError, match="timeout"):
-            PredictorHandle.spawn(fixture_command("sum"), timeout=0.0)
+        for timeout in (0.0, blackbox.MAX_TIMEOUT * 1.0001):
+            with pytest.raises(ConfigError, match="timeout"):
+                PredictorHandle.spawn(fixture_command("sum"), timeout=timeout)
         assert calls == []
 
     def test_round_trip(self):
@@ -272,15 +276,68 @@ class TestSubprocessPredictor:
                 probe(handle, np.ones((2, 2)))
 
     def test_early_exit_reported(self):
-        with PredictorHandle.spawn(fixture_command("exit")) as handle:
-            with pytest.raises(ProbeError, match="exited"):
-                probe(handle, np.ones((2, 2)))
+        # The code is named only once the child is reaped, on every spawn.
+        for _ in range(10):
+            with PredictorHandle.spawn(fixture_command("exit")) as handle:
+                with pytest.raises(ProbeError, match="exited with code 3$"):
+                    probe(handle, np.ones((2, 2)))
+
+    def test_stderr_is_drained_into_a_bounded_tail(self):
+        # The child writes 160 KiB to stderr before each read: more than the
+        # pipe holds, so it answers only if the parent drains stderr while
+        # it waits.
+        with PredictorHandle.spawn(fixture_command("chatty")) as handle:
+            assert probe(handle, np.ones((3, 2))).tolist() == [2.0] * 3
+            with pytest.raises(ProbeError,
+                               match="exited with code 4") as info:
+                probe(handle, np.ones((3, 2)))
+        tail = info.value.payload
+        assert 0 < len(tail) <= blackbox.STDERR_TAIL
+        assert tail.endswith(b"chatty line 02047 " + b"." * 61 + b"\n")
 
     def test_timeout(self):
         with PredictorHandle.spawn(fixture_command("sleep"),
                                    timeout=0.5) as handle:
             with pytest.raises(ProbeError, match="timed out"):
                 probe(handle, np.ones((2, 2)))
+
+    def test_timeout_covers_writing_the_request(self):
+        # The request is more than a pipe holds, and the child never reads
+        # it, so the write itself has to give up at the deadline.
+        rows = np.random.default_rng(0).random((1000, 8))
+        assert len(json.dumps({"inputs": rows.tolist()})) > 1 << 16
+        with PredictorHandle.spawn(fixture_command("deaf"),
+                                   timeout=0.5) as handle:
+            start = time.monotonic()
+            with pytest.raises(ProbeError, match="timed out"):
+                probe(handle, rows)
+            assert time.monotonic() - start < 2.0
+            assert handle.predict_fn._proc.poll() is not None
+
+    def test_extra_answer_lines_fail_the_handle(self):
+        # Each answer comes twice: the copy must never be taken as the
+        # answer to the next request.
+        with PredictorHandle.spawn(fixture_command("twice")) as handle:
+            with pytest.raises(ProbeError, match="answers no request"):
+                probe(handle, np.array([[1.0, 2.0]]))
+            with pytest.raises(ProbeError, match="unusable"):
+                probe(handle, np.array([[10.0, 20.0]]))
+            assert handle.predict_fn._proc.poll() is not None
+
+    def test_output_before_the_request_fails_the_handle(self):
+        with PredictorHandle.spawn(fixture_command("eager")) as handle:
+            # Wait until the unrequested answer is in the pipe.
+            ready, _, _ = select.select([handle.predict_fn._proc.stdout],
+                                        [], [], 10.0)
+            assert ready
+            with pytest.raises(ProbeError, match="answers no request"):
+                probe(handle, np.array([[1.0, 2.0]]))
+            assert handle.predict_fn._proc.poll() is not None
+
+    def test_longest_timeout_is_one_selector_wait(self):
+        with PredictorHandle.spawn(fixture_command("sum"),
+                                   timeout=blackbox.MAX_TIMEOUT) as handle:
+            assert probe(handle, np.ones((2, 2))).tolist() == [2.0, 2.0]
 
     def test_late_answer_never_reaches_a_later_probe(self):
         with PredictorHandle.spawn(fixture_command("late"),
@@ -295,12 +352,17 @@ class TestSubprocessPredictor:
             assert handle.predict_fn._proc.poll() is not None
 
     def test_close_reaps_the_child_once(self):
+        threads = threading.active_count()
         handle = PredictorHandle.spawn(fixture_command("sum"))
+        assert threading.active_count() == threads
         probe(handle, np.ones((3, 2)))
+        assert threading.active_count() == threads
         transport = handle.predict_fn
         handle.close()
+        assert threading.active_count() == threads
         assert transport._proc.returncode == 0
-        assert not transport._reader.is_alive()
+        proc = transport._proc
+        assert proc.stdin.closed and proc.stdout.closed and proc.stderr.closed
         handle.close()
         assert transport._proc.returncode == 0
 

@@ -565,6 +565,8 @@ def test_hamming_distance_on_a_numerical_problem_warns_once(
     (["robustness", "--seed", "-1"], "seed must be non-negative"),
     (["explain", "--explainer", "lime:r=1:r=1000"],
      "option 'r' repeated in explainer spec 'lime:r=1:r=1000'"),
+    (["consistency", "--timeout", "3e6"],
+     "timeout must be positive and at most"),
 ])
 def test_config_error_starts_no_predictor(tmp_path, capsys,
                                           predictor_children, flags, message):

@@ -383,11 +383,11 @@ class TestRobustnessPaired:
                               distance="bogus")
 
     @pytest.mark.parametrize("pair", [(-1.0, 1.0), (np.nan, 1.0), (0.0, 1.0),
-                                      (1.0, np.inf), (1.0, 1.0)])
+                                      (1.0, np.inf), (1.0, 1.0), (None, 1.0)])
     def test_bad_width_pair_is_refused_before_any_probe(self, monkeypatch,
                                                         pair):
-        # A width outside (0, inf), or two equal widths, whose ratio would
-        # divide by zero.
+        # A width outside (0, inf), a missing width, or two equal widths,
+        # whose ratio would divide by zero.
         self.refused_unprobed(monkeypatch, ConfigError, (LimeRidge(1.0),),
                               pairs=[(0.5, 1.0), pair])
 
