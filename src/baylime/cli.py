@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -685,10 +686,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call: parsing leaves a parser as it
+# found it, so every call can share it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -1,7 +1,9 @@
 """End-to-end explanation runs: perturb, probe, weight, fit, rank.
 
 One path, :func:`fit_block`, takes k seeds' sample sets to fits at one or
-more kernel widths, for the seed block and the robustness sweep alike.
+more kernel widths, for the seed block and the robustness sweep alike. It
+weights each set once per width, in blocks of :data:`WEIGHT_BLOCK`
+doubles.
 
 Also houses prior elicitation: turning explanations of similar instances
 into a prior for the next one.
@@ -10,7 +12,7 @@ into a prior for the next one.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,6 +21,7 @@ from .blackbox import PredictorHandle, label_blocks
 from .errors import ConfigError, InvalidInputError, ShapeError
 from .kernel import (
     KernelConfig,
+    check_widths,
     distance_note,
     distances,
     floored_weights,
@@ -42,6 +45,13 @@ from .types import (
     normalize_coefficients,
     rank_features,
 )
+
+# Doubles in one block of kernel weights (512 KiB). A set is weighted at
+# its widths one block at a time, so a sweep of s widths holds
+# O(block + s m^2) numbers besides its rows. Each block costs one batched
+# eigh call and its set-up; at 2**14 doubles those made a 100-pair sweep
+# at n = 2000 about 7% slower than this size.
+WEIGHT_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -132,8 +142,10 @@ def fit_block(instance: Instance, predictor: PredictorHandle,
     first from ``perturb`` itself, uncopied) as one block of
     :func:`~baylime.blackbox.label_blocks`, so the predictor sees
     ceil(k * n / batch_limit) calls and a request may carry rows of
-    several seeds. Once labelled, a set is reduced to one stack row per
-    width (:func:`~baylime.regression.reduce_set`) and dropped. Each
+    several seeds. Once labelled, a set is weighted at its widths in
+    blocks of :data:`WEIGHT_BLOCK` doubles, each width once, each block
+    reduced to one stack row per width
+    (:func:`~baylime.regression.reduce_set`), and the set is dropped. Each
     surrogate is fitted on all the rows, by seed then width, in one call,
     row i bit for bit the fit of its weighted set alone.
 
@@ -144,12 +156,9 @@ def fit_block(instance: Instance, predictor: PredictorHandle,
         raise ConfigError("a block needs k >= 1 seeds, at least one width "
                           "and at least one surrogate")
     evidence = check_surrogates(surrogates, instance.m)
-    for width in widths:
-        # KernelConfig reads None as the default width; a block needs a
-        # resolved one.
-        if width is None:
-            raise ConfigError("kernel width must be finite and positive")
-        KernelConfig(width, distance)  # refuses a bad width or distance
+    widths = check_widths(widths)
+    KernelConfig(distance=distance)  # refuses an unknown distance
+    step = max(1, WEIGHT_BLOCK // perturb.n)
     reference = interpretable_reference(instance)
     draws = map(partial(perturb_matrix, instance),
                 (replace(perturb, seed=perturb.seed + i) if i else perturb
@@ -157,12 +166,9 @@ def fit_block(instance: Instance, predictor: PredictorHandle,
     parts = []
     for rows, labels in label_blocks(predictor, draws):
         d = distances(rows, reference, distance)
-        # The last width's weights are kept: one width's are computed once
-        # per set, and a sweep holds one weight vector at a time.
-        weights = lru_cache(maxsize=1)(
-            lambda i: floored_weights(d, widths[i]))
-        parts.append(reduce_set(rows, labels, weights, len(widths),
-                                evidence))
+        parts += (reduce_set(rows, labels,
+                             floored_weights(d, widths[i:i + step]), evidence)
+                  for i in range(0, len(widths), step))
     stack = join_sets(parts, perturb.n)
     fits = [ridge_rows(stack, surrogate.r) if isinstance(surrogate, LimeRidge)
             else posterior_rows(stack, surrogate.prior)

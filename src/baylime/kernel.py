@@ -14,6 +14,7 @@ at 1 for binary and categorical ones (mask on, category matched).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,9 +46,8 @@ class KernelConfig:
     distance: str = EUCLIDEAN
 
     def __post_init__(self):
-        if self.width is not None and not (np.isfinite(self.width)
-                                           and self.width > 0):
-            raise ConfigError("kernel width must be finite and positive")
+        if self.width is not None and check_widths(self.width).ndim:
+            raise ConfigError("kernel width must be a single number")
         if self.distance not in DISTANCES:
             raise ConfigError(
                 f"unknown distance {self.distance!r}; expected one of "
@@ -100,17 +100,39 @@ def distance_note(instance: Instance, distance: str) -> str | None:
     return None
 
 
-def kernel_weight(distance: np.ndarray | float, width: float) -> np.ndarray:
-    """exp(-d^2 / l^2) for distance d and width l."""
-    if not (np.isfinite(width) and width > 0):
+def check_widths(widths: float | np.ndarray) -> np.ndarray:
+    """A width or a vector of widths as a float array; ConfigError unless
+    each is finite and positive (None reads as NaN)."""
+    widths = np.asarray(widths, dtype=float)
+    if not all(0.0 < width < math.inf for width in widths.ravel().tolist()):
         raise ConfigError("kernel width must be finite and positive")
+    return widths
+
+
+def kernel_weight(distance: np.ndarray | float,
+                  width: float | np.ndarray) -> np.ndarray:
+    """exp(-d^2 / l^2) for distance d and width l.
+
+    A vector of s widths gives the (s, ...) block whose row i is the
+    weights at width i, bit for bit as that width alone gives them; one
+    width is the block's one-row case. The exponentials are taken in place
+    in the block.
+    """
+    widths = check_widths(width)
     d = np.asarray(distance, dtype=float)
-    return np.exp(-(d * d) / (width * width))
+    squared = widths * widths
+    block = np.negative(d * d) / squared.reshape(squared.shape
+                                                 + (1,) * d.ndim)
+    return np.exp(block, out=block) if block.ndim else np.exp(block)
 
 
-def floored_weights(d: np.ndarray, width: float) -> np.ndarray:
-    """Kernel weights at ``width``, floored so none underflows to zero."""
-    return np.maximum(kernel_weight(d, width), _WEIGHT_FLOOR)
+def floored_weights(d: np.ndarray,
+                    widths: float | np.ndarray) -> np.ndarray:
+    """Kernel weights of n distances at each width, floored so none
+    underflows to zero: the (s, n) block of s widths, or the n weights of
+    one width, each row bit for bit the one-width case."""
+    weights = kernel_weight(d, widths)
+    return np.maximum(weights, _WEIGHT_FLOOR, out=weights)
 
 
 def effective_sample_size(weights: np.ndarray) -> float:

@@ -16,6 +16,7 @@ explanations, not their regression scale.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Sequence
@@ -144,10 +145,9 @@ def width_pairs(pairs: int, bounds: tuple[float, float],
     gap = PAIR_GAP_FRACTION * (up - lo)
     out: list[tuple[float, float]] = []
     while len(out) < pairs:
-        l1, l2 = rng.uniform(lo, up, size=2)
-        if abs(l1 - l2) < gap:
-            continue
-        out.append((float(l1), float(l2)))
+        # Drawn a batch at a time, the same stream as pair by pair.
+        draws = rng.uniform(lo, up, size=(pairs - len(out), 2)).tolist()
+        out += [(l1, l2) for l1, l2 in draws if abs(l1 - l2) >= gap]
     return out
 
 
@@ -182,11 +182,12 @@ def robustness(instance: Instance, predictor: PredictorHandle,
                             surrogates)
     reports = []
     for result in fits:
-        h = np.abs(normalize_coefficients(result.coefficients))
+        done = result.failed // 2
+        h = np.abs(normalize_coefficients(result.coefficients[:2 * done]))
+        # sqrt(gap . gap) is numpy.linalg.norm of a vector, bit for bit.
         samples = tuple(
-            (l1, l2, float(np.linalg.norm(h[2 * j] - h[2 * j + 1])
-                           / abs(l1 - l2)))
-            for j, (l1, l2) in enumerate(pair_list[:result.failed // 2]))
+            (l1, l2, math.sqrt(gap.dot(gap)) / abs(l1 - l2))
+            for (l1, l2), gap in zip(pair_list[:done], h[0::2] - h[1::2]))
         if result.error is not None:
             result.error.partial_samples = samples
             raise result.error

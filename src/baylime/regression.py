@@ -19,10 +19,11 @@ computed once for all fits on a weighted set. The math is written once,
 over a leading stack axis: a :class:`WeightedStack` holds s weighted
 sample sets, and :func:`ridge_rows` and :func:`posterior_rows` fit every
 row in one call. Only this module takes moments and knows the row format:
-:func:`reduce_set` turns a labelled set under one or more weightings into
-stack rows while its samples are alive, all in one batched ``eigh``, and
-:func:`join_sets` stacks them. A seed block has a row per seed, a
-robustness sweep a row per width (:func:`~baylime.explainer.fit_block`).
+:func:`reduce_set` turns a labelled set under a block of weightings into
+stack rows while its samples are alive, the block in one batched
+``eigh``, and :func:`join_sets` stacks the blocks. A seed block has a row
+per seed, a robustness sweep a row per width, its widths weighted a block
+at a time (:func:`~baylime.explainer.fit_block`).
 The fit code does not tell the layouts apart, and a single explanation
 is the one-row stack. Row i of a stacked fit equals the fit of row i's
 set alone, bit for bit. With b = V'X'WY and s = alpha eig:
@@ -65,7 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -255,22 +256,21 @@ class WeightedStack:
         )
 
 
-def reduce_set(rows: np.ndarray, labels: np.ndarray,
-               weights: Callable[[int], np.ndarray], s: int,
+def reduce_set(rows: np.ndarray, labels: np.ndarray, weights: np.ndarray,
                evidence: bool) -> tuple[np.ndarray, ...]:
     """Reduce one labelled set under s weightings to its rows of a stack.
 
-    Row i weights the samples by ``weights(i)``. Returns the stack
-    columns: each row's Kish effective sample size and spectrum, all s
-    rows decomposed in one batched ``eigh``, and with ``evidence`` the
-    inputs :attr:`WeightedStack.evidence` holds, for which ``weights`` is
-    called again, so one weight vector is held at a time.
+    ``weights`` is the (s, n) block of the weightings; row i weights the
+    samples of stack row i, and its Kish effective sample size, moments
+    and, with ``evidence``, rss_ls all read that one row. Returns the stack
+    columns: each row's Kish size and spectrum, all s rows decomposed in
+    one batched ``eigh``, and with ``evidence`` the inputs
+    :attr:`WeightedStack.evidence` holds.
     """
-    m = rows.shape[1]
+    s, m = len(weights), rows.shape[1]
     grams, moments = np.empty((s, m, m)), np.empty((s, m))
     effective = np.empty(s)
-    for i in range(s):
-        w = weights(i)
+    for i, w in enumerate(weights):
         effective[i] = effective_sample_size(w)
         grams[i], moments[i] = _weighted_moments(rows, labels, w)
     eig, vectors, b = spectrum = _spectra(grams, moments)
@@ -279,9 +279,9 @@ def reduce_set(rows: np.ndarray, labels: np.ndarray,
     c_ls = np.divide(b, eig, out=np.zeros_like(b),
                      where=eig > _rank_tol(eig)[:, None])
     rss_ls = np.empty(s)
-    for i, beta in enumerate(_rotate(vectors, c_ls)):
+    for i, (w, beta) in enumerate(zip(weights, _rotate(vectors, c_ls))):
         residual = labels - rows @ beta
-        rss_ls[i] = (weights(i) * residual * residual).sum()
+        rss_ls[i] = (w * residual * residual).sum()
     var = float(np.var(labels))
     alpha = np.full(s, 1.0 / var if var > 0 else 1.0)
     return (effective, *spectrum, c_ls, rss_ls, alpha)

@@ -240,10 +240,15 @@ class ExplanationEnsemble:
 
     @property
     def runs(self) -> tuple[Explanation, ...]:
-        if self._runs is None:
-            self._runs = tuple(self._make_run(i) for i in range(self.k))
+        # The function is read before the runs: it is cleared only after
+        # the runs are set, so a thread that finds it cleared finds them.
+        # Threads that enter together each make the runs, equal ones.
+        make_run = self._make_run
+        runs = self._runs
+        if runs is None:
+            runs = self._runs = tuple(make_run(i) for i in range(self.k))
             self._make_run = None
-        return self._runs
+        return runs
 
     @property
     def min_effective_sample_size(self) -> float | None:

@@ -35,6 +35,7 @@ from baylime import (
     robustness,
     width_pairs,
 )
+from baylime import explainer
 from baylime.blackbox import SubprocessPredictor
 from baylime.cli import build_parser
 from baylime.regression import (MAX_ITER, TOL, WeightedStack, _spectra,
@@ -53,16 +54,20 @@ def stack_sets(sets, *, evidence: bool = True) -> WeightedStack:
     As a seed block lays its seeds out, each set decomposed as it is
     reduced; without ``evidence`` the stack carries no evidence inputs.
     """
-    return join_sets([reduce_set(pset.rows, pset.labels,
-                                 lambda _, w=pset.weights: w, 1, evidence)
+    return join_sets([reduce_set(pset.rows, pset.labels, pset.weights[None],
+                                 evidence)
                       for pset in sets], sets[0].n)
 
 
 def stack_weights(base, weights) -> WeightedStack:
     """One set under each row of ``weights``, as a robustness sweep stacks
-    its widths: every row's X'WX decomposed in one batched ``eigh``."""
-    return join_sets([reduce_set(base.rows, base.labels, weights.__getitem__,
-                                 len(weights), True)], base.n)
+    its widths: in blocks of ``explainer.WEIGHT_BLOCK`` doubles, each
+    block's X'WX decomposed in one batched ``eigh``."""
+    weights = np.asarray(weights, dtype=float)
+    step = max(1, explainer.WEIGHT_BLOCK // base.n)
+    return join_sets([reduce_set(base.rows, base.labels, weights[i:i + step],
+                                 True)
+                      for i in range(0, len(weights), step)], base.n)
 
 
 def spectrum_of(pset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

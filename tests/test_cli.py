@@ -5,8 +5,10 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -41,6 +43,7 @@ FIXTURE = str(FIXTURES / "jsonl_predictor.py")
 SUM_PREDICTOR = f"{sys.executable} {FIXTURE} sum"
 MISSPELT_PRIOR = str(FIXTURES / "misspelt_prior.json")
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -688,6 +691,38 @@ def test_ignored_or_non_finite_flag_exits_two(tmp_path, capsys, monkeypatch,
 
 
 class TestParsing:
+    def test_runs_in_one_process_match_fresh_processes(self, tmp_path,
+                                                       capsys):
+        # main builds its parser once; an explain, a refused flag and a
+        # robustness sweep run one after another in this process give the
+        # exit codes, stdout, stderr and CSV bytes each gives alone.
+        runs = [
+            ["explain", "--m", "3", "--predictor", "quadratic", "--n", "200",
+             "--explainer", "non_informative", "--seed", "3"],
+            ["robustness", "--m", "3", "--predictor", "linear", "--pair",
+             "3", "--out", "OUT"],
+            ["robustness", "--m", "3", "--predictor", "quadratic", "--n",
+             "200", "--pairs", "4", "--explainer", "lime",
+             "--explainer", "partial:lambda=5", "--elicit-runs", "2",
+             "--elicit-n", "50", "--seed", "5", "--out", "OUT"],
+        ]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(SRC), os.environ.get("PYTHONPATH", "")])}
+        for i, argv in enumerate(runs):
+            here, fresh = tmp_path / f"here{i}.csv", tmp_path / f"fresh{i}.csv"
+            code = main([str(here) if a == "OUT" else a for a in argv])
+            out, err = capsys.readouterr()
+            alone = subprocess.run(
+                [sys.executable, "-c", "import sys; from baylime.cli import "
+                 "main; sys.exit(main(sys.argv[1:]))",
+                 *(str(fresh) if a == "OUT" else a for a in argv)],
+                capture_output=True, text=True, env=env, check=False)
+            assert (code, out, err) == (alone.returncode, alone.stdout,
+                                        alone.stderr)
+            assert here.exists() == fresh.exists()
+            if here.exists():
+                assert here.read_bytes() == fresh.read_bytes()
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 

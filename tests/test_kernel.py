@@ -62,8 +62,23 @@ class TestKernelWeight:
         assert kernel_weight(1.0, 3.0) > kernel_weight(1.0, 0.5)
 
     def test_rejects_bad_width(self):
-        with pytest.raises(ConfigError):
-            kernel_weight(1.0, 0.0)
+        for width in (0.0, -1.0, np.nan, np.inf, None, [1.0, 0.0],
+                      [np.nan, 2.0]):
+            with pytest.raises(ConfigError):
+                kernel_weight(1.0, width)
+
+    def test_block_rows_are_the_one_width_weights(self):
+        # Row i of a block is the weights at width i alone, bit for bit,
+        # floored where exp underflows.
+        d = np.random.default_rng(3).uniform(0.0, 30.0, 500)
+        widths = [0.05, 0.7, 3.0, 40.0]
+        block = floored_weights(d, widths)
+        assert block.shape == (4, 500)
+        for row, width in zip(block, widths):
+            alone = np.maximum(np.exp(-(d * d) / (width * width)),
+                               np.finfo(float).tiny)
+            assert row.tobytes() == alone.tobytes()
+            assert row.tobytes() == floored_weights(d, width).tobytes()
 
 
 class TestDefaultWidth:
@@ -152,3 +167,10 @@ class TestApplyWeights:
     def test_rejects_unknown_distance(self):
         with pytest.raises(ConfigError):
             KernelConfig(distance="cosine")
+
+    def test_rejects_a_bad_or_second_width(self):
+        # A config holds one width, finite and positive, or None for the
+        # default.
+        for width in (0.0, -1.0, np.nan, np.inf, [1.0], [1.0, 2.0]):
+            with pytest.raises(ConfigError):
+                KernelConfig(width=width)

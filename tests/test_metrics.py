@@ -29,6 +29,7 @@ from baylime import (
     UndefinedMetricError,
     apply_weights,
     explain,
+    explain_block,
     inconsistency,
     kendalls_w,
     normalize_coefficients,
@@ -295,6 +296,32 @@ class TestRobustnessPaired:
         assert [r.min_effective_sample_size for r in reports] == (
             [smallest] * len(self.SURROGATES))
 
+    @pytest.mark.parametrize("per_block", [1, 3, None])
+    def test_each_width_is_weighted_once(self, monkeypatch, per_block):
+        # The Kish size, the moments and an evidence fit's inputs read one
+        # weighting: each width is weighted once, in blocks of
+        # explainer.WEIGHT_BLOCK doubles (None: the default block).
+        instance, perturb, handle = quadratic_problem(3, 300, 21)
+        if per_block is not None:
+            monkeypatch.setattr(explainer, "WEIGHT_BLOCK",
+                                per_block * perturb.n)
+        blocks = []
+        real = explainer.floored_weights
+
+        def spy(d, widths):
+            blocks.append(np.atleast_1d(widths).tolist())
+            return real(d, widths)
+
+        monkeypatch.setattr(explainer, "floored_weights", spy)
+        pairs = width_pairs(5, (0.5, 5.0), seed=4)
+        robustness(instance, handle, perturb,
+                   (BayLime(PriorSpec.non_informative()), LimeRidge(1.0)),
+                   pairs)
+        widths = [width for pair in pairs for width in pair]
+        step = per_block or len(widths)
+        assert blocks == [widths[i:i + step]
+                          for i in range(0, len(widths), step)]
+
     def test_first_failing_surrogate_in_order_is_raised(self, monkeypatch):
         instance, perturb, handle = quadratic_problem(3, 200, 23)
         pairs = width_pairs(6, (0.5, 5.0), seed=6)
@@ -424,12 +451,15 @@ class TestRobustnessPaired:
     @given(st.integers(1, 6), st.integers(2, 300), st.data(),
            st.integers(0, 2**31 - 1),
            st.sampled_from([EUCLIDEAN, BINARY_HAMMING]),
-           st.sampled_from(["lime", "non_informative", "partial", "full"]))
+           st.sampled_from(["lime", "non_informative", "partial", "full"]),
+           st.sampled_from([1, 3, None]))
     def test_a_sweep_row_is_the_explanation_at_its_width(self, m, n, data,
                                                          seed, distance,
-                                                         mode):
+                                                         mode, per_block):
         # The sweep and the seed block run one path: the sweep's row at
-        # width l is explain's at KernelConfig(width=l), bit for bit.
+        # width l is explain's at KernelConfig(width=l), bit for bit, and
+        # its Kish size the one explain_block reports, also when blocks of
+        # per_block widths split the sweep (None: the default block).
         limit = data.draw(st.integers(1, n + 5), label="batch_limit")
         instance, perturb, model = quadratic_problem(m, n, seed)
         handle = PredictorHandle.in_process(model.predict_fn,
@@ -439,29 +469,38 @@ class TestRobustnessPaired:
                      "non_informative": BayLime(PriorSpec.non_informative()),
                      "partial": BayLime(PriorSpec.partial(mu0, 10.0)),
                      "full": BayLime(PriorSpec.full(mu0, 10.0, 2.0))}[mode]
-        pairs = width_pairs(1, (0.2, 5.0), seed)
-        ((l1, l2),) = pairs
-        try:
-            runs = [explain(instance, handle, ExplainConfig(
-                        perturb, KernelConfig(width, distance), surrogate))
-                    for width in (l1, l2)]
-        except FitError as lone:
-            with pytest.raises(FitError) as swept:
-                robustness(instance, handle, perturb, (surrogate,), pairs,
-                           distance=distance)
-            assert (type(swept.value), str(swept.value)) == (type(lone),
-                                                             str(lone))
-            return
-        _, (rows,) = explainer.fit_block(instance, handle, perturb, 1,
-                                         distance, (l1, l2), (surrogate,))
+        pairs = width_pairs(data.draw(st.integers(1, 3), label="pairs"),
+                            (0.2, 5.0), seed)
+        widths = [width for pair in pairs for width in pair]
+        with pytest.MonkeyPatch.context() as patch:
+            if per_block is not None:
+                patch.setattr(explainer, "WEIGHT_BLOCK", per_block * n)
+            try:
+                lone = [explain_block(instance, handle, perturb,
+                                      KernelConfig(width, distance),
+                                      (surrogate,), 1)[0]
+                        for width in widths]
+            except FitError as error:
+                with pytest.raises(FitError) as swept:
+                    robustness(instance, handle, perturb, (surrogate,),
+                               pairs, distance=distance)
+                assert (type(swept.value), str(swept.value)) == (
+                    type(error), str(error))
+                return
+            stack, (rows,) = explainer.fit_block(
+                instance, handle, perturb, 1, distance, widths, (surrogate,))
+            (report,) = robustness(instance, handle, perturb, (surrogate,),
+                                   pairs, distance=distance)
+        runs = [ensemble.runs[0] for ensemble in lone]
         assert rows.coefficients.tobytes() == np.stack(
             [run.coefficients for run in runs]).tobytes()
-        (report,) = robustness(instance, handle, perturb, (surrogate,), pairs,
-                               distance=distance)
-        h1, h2 = (np.abs(normalize_coefficients(run.coefficients))
-                  for run in runs)
-        assert report.robustness_samples == (
-            (l1, l2, float(np.linalg.norm(h1 - h2) / abs(l1 - l2))),)
+        assert stack.effective.tolist() == [
+            ensemble.min_effective_sample_size for ensemble in lone]
+        h = [np.abs(normalize_coefficients(run.coefficients)) for run in runs]
+        assert report.robustness_samples == tuple(
+            (l1, l2, float(np.linalg.norm(h[2 * j] - h[2 * j + 1])
+                           / abs(l1 - l2)))
+            for j, (l1, l2) in enumerate(pairs))
 
     def test_needs_a_surrogate(self):
         instance, perturb, handle = quadratic_problem(3, 50, 24)

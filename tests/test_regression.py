@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from baylime import regression
+from baylime import explainer, regression
 from baylime import (
     ConfigError,
     ConvergenceError,
@@ -478,16 +478,27 @@ def lone_fit(pset, surrogate, max_iter):
     return fit.mu_n, fit.lambda_used, fit.alpha_used, fit.iterations
 
 
+def blocked_stack(base, weights, per_block):
+    """``stack_weights`` with ``explainer.WEIGHT_BLOCK`` set to hold
+    per_block weightings of the base set (None: the default block)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if per_block is not None:
+            patch.setattr(explainer, "WEIGHT_BLOCK", per_block * base.n)
+        return stack_weights(base, weights)
+
+
 class TestStackedRows:
     """Row i of a stacked fit is the fit of row i's set alone, bit for bit."""
 
     @settings(max_examples=120, deadline=None, derandomize=True,
               database=None)
-    @given(stacks())
-    def test_every_row_equals_its_lone_fit(self, case):
+    @given(stacks(), st.sampled_from([1, 3, None]))
+    def test_every_row_equals_its_lone_fit(self, case, per_block):
+        # Also when the weightings are reduced in blocks of per_block rows
+        # (None: the default block) and joined.
         base, weights, mu0, max_iter = case
         s = len(weights)
-        stack = stack_weights(base, weights)
+        stack = blocked_stack(base, weights, per_block)
         for surrogate in (1.0, 0.0, PriorSpec.non_informative(),
                           PriorSpec.partial(mu0, 10.0),
                           PriorSpec.full(mu0, 10.0, 2.0)):
@@ -517,7 +528,8 @@ class TestStackedRows:
                 assert result.error is None
 
     def test_rows_settle_at_their_own_iterations(self):
-        # Rows that settle early are frozen while the others iterate on.
+        # Rows that settle early are frozen while the others iterate on,
+        # in one block or across blocks of 1 or 3 rows.
         rng = np.random.default_rng(71)
         rows = rng.normal(size=(200, 3))
         base = PerturbationSet(rows=rows,
@@ -526,15 +538,18 @@ class TestStackedRows:
                                weights=np.ones(200), seed=0)
         weights = (rng.uniform(0.01, 1.0, (4, 200))
                    ** (1 + 4 * rng.random((4, 1))))
-        stack = stack_weights(base, weights)
-        result = posterior_rows(stack, PriorSpec.non_informative())
-        assert len(set(result.iterations.tolist())) > 1
-        for i, w in enumerate(weights):
-            lone = fit_surrogate(replace(base, weights=w),
-                                 PriorSpec.non_informative())
-            assert result.coefficients[i].tobytes() == lone.mu_n.tobytes()
-            assert ((result.lam[i], result.alpha[i], result.iterations[i])
-                    == (lone.lambda_used, lone.alpha_used, lone.iterations))
+        lone = [fit_surrogate(replace(base, weights=w),
+                              PriorSpec.non_informative()) for w in weights]
+        for per_block in (None, 1, 3):
+            stack = blocked_stack(base, weights, per_block)
+            result = posterior_rows(stack, PriorSpec.non_informative())
+            assert len(set(result.iterations.tolist())) > 1
+            for i, fit in enumerate(lone):
+                assert (result.coefficients[i].tobytes()
+                        == fit.mu_n.tobytes())
+                assert ((result.lam[i], result.alpha[i],
+                         result.iterations[i])
+                        == (fit.lambda_used, fit.alpha_used, fit.iterations))
 
     def test_spectrum_is_the_one_row_stack(self):
         pset = random_problem(np.random.default_rng(73), m=6, n=80)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -223,6 +226,60 @@ class TestExplanationEnsemble:
         assert made == [0, 1]
         assert ensemble.min_effective_sample_size == 3.5
         assert ensemble_of(runs).min_effective_sample_size is None
+
+    def test_runs_are_safe_to_read_from_threads(self):
+        # A thread that enters while another is making the runs gets equal
+        # runs, not the make-run function the first thread clears when it
+        # is done.
+        runs = tuple(map(explanation, ([0.8, 0.6], [0.6, 0.8], [1.0, 0.0])))
+
+        def read_all(readers: int, start) -> list:
+            """Read a fresh ensemble's runs from ``readers`` threads: the
+            first starts alone, the others once ``start(making)`` returns."""
+            making = threading.Event()
+
+            def make_run(i):
+                if i == 1:
+                    making.set()
+                time.sleep(0.01)
+                return runs[i]
+
+            ensemble = ExplanationEnsemble(
+                np.stack([r.importances for r in runs]),
+                np.stack([r.ranks for r in runs]), make_run)
+            seen = []
+
+            def read():
+                try:
+                    seen.append(ensemble.runs)
+                except Exception as exc:
+                    seen.append(exc)
+
+            threads = [threading.Thread(target=read) for _ in range(readers)]
+            threads[0].start()
+            start(making)
+            for thread in threads[1:]:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert ensemble.runs == runs
+            return seen
+
+        def midway(making):
+            # Half-way through the first thread's second run, so the
+            # second is still making runs when the first is done.
+            making.wait(timeout=10)
+            time.sleep(0.005)
+
+        for _ in range(5):
+            assert read_all(2, midway) == [runs, runs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert read_all(8, lambda making: None) == [runs] * 8
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_rejects_mixed_m(self):
         with pytest.raises(ShapeError):
