@@ -9,12 +9,12 @@ one numeric output per row. Two transports are provided:
 * subprocess: a long-lived child process speaking JSON Lines over
   stdin/stdout. Each request is one line ``{"inputs": [[f64, ...], ...]}``,
   each response one line ``{"outputs": [f64, ...]}`` with exactly one output
-  per input row, UTF-8 encoded and LF-terminated. A response must be fully
-  written before the next request is sent, and any stdout output that is
-  not the one response to a sent request fails the transport. Requests are
-  compact JSON (whitespace is not part of the protocol) whose numbers are
-  the shortest decimals that parse back to the same doubles, so the child
-  sees every input bit for bit.
+  per input row, in strict UTF-8 JSON (no ``NaN`` or ``Infinity``) ended by
+  LF. A response must be fully written before the next request is sent,
+  and any stdout output that is not the one response to a sent request
+  fails the transport. Requests are compact JSON (whitespace is not part of
+  the protocol) whose numbers are the shortest decimals that parse back to
+  the same doubles, so the child sees every input bit for bit.
 
 :func:`label_blocks` labels a stream of (tag, rows) blocks, such as the
 seeds of a seed block, in shared requests of ``batch_limit`` rows and
@@ -25,7 +25,6 @@ translate into several requests on the same transport.
 
 from __future__ import annotations
 
-import json
 import os
 import selectors
 import shlex
@@ -273,7 +272,7 @@ class SubprocessPredictor:
         # Imported here, not at module level, so that in-process runs do not
         # pay orjson's import time.
         import orjson
-        self._dumps = orjson.dumps
+        self._dumps, self._loads = orjson.dumps, orjson.loads
         self._dump_option = (orjson.OPT_SERIALIZE_NUMPY
                              | orjson.OPT_APPEND_NEWLINE)
         try:
@@ -357,8 +356,7 @@ class SubprocessPredictor:
             {"inputs": np.ascontiguousarray(rows, dtype=np.float64)},
             option=self._dump_option))
         try:
-            message = json.loads(line)
-            outputs = message["outputs"]
+            outputs = self._loads(line)["outputs"]
         except (ValueError, TypeError, KeyError) as exc:
             raise self._fail(f"malformed predictor response: {exc}",
                              payload=line) from exc

@@ -33,7 +33,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -90,7 +90,8 @@ def ingest_csv(path: str, categorical: list[str],
                drop: list[str]) -> tuple[np.ndarray, tuple[str, ...],
                                          tuple[str, ...],
                                          dict[str, dict[str, float]]]:
-    """Read a headered UTF-8 CSV into a numeric matrix.
+    """Read a headered UTF-8 CSV, with or without a byte-order mark, into a
+    numeric matrix.
 
     Categorical columns are encoded as codes in sorted-value order; the
     returned mapping translates column name -> value -> code. All other
@@ -98,7 +99,7 @@ def ingest_csv(path: str, categorical: list[str],
     column. Returns (matrix, kinds, names, category_codes).
     """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = list(csv.reader(handle))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
@@ -266,9 +267,10 @@ def _resolve_predictor(args, m: int) -> tuple[PredictorHandle, dict]:
 
 def _load_prior_file(path: str) -> dict:
     """Read ``--prior-file``: a bare JSON array (mu0) or an object with
-    ``mu0`` and optional ``lambda`` and ``alpha``."""
+    ``mu0`` and optional ``lambda`` and ``alpha``, in UTF-8 with or without
+    a byte-order mark."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             payload = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read prior file {path}: {exc}") from exc
@@ -358,10 +360,11 @@ class _Run(NamedTuple):
 def _setup(args, n: int, **lists) -> Iterator[_Run]:
     """Check every flag, then start the predictor and yield the run.
 
-    The problem (at n samples), the kernel, each explainer spec (against a
-    stand-in of any prior a sweep will elicit), the prior file and the
-    elicitation's counts and ridge are checked first. The predictor closes
-    when the ``with`` block ends and is probed through ``--target-class``.
+    The problem (at n samples), the kernel, the directory of ``--out``, each
+    explainer spec (against a stand-in of any prior a sweep will elicit),
+    the prior file and the elicitation's counts and ridge are checked
+    first. The predictor closes when the ``with`` block ends and is probed
+    through ``--target-class``.
     ``resolved`` is what the manifest lays over the flags: parsed lists (a
     command's own ``lists`` too), kernel width, predictor and explainers.
     """
@@ -370,6 +373,9 @@ def _setup(args, n: int, **lists) -> Iterator[_Run]:
     kernel = KernelConfig(width=args.kernel_width, distance=args.distance)
     if args.target_class is not None and args.target_class < 0:
         raise ConfigError("target_class must be non-negative")
+    if args.out is not None and not Path(args.out).parent.is_dir():
+        raise ConfigError(f"--out {args.out}: no directory "
+                          f"{Path(args.out).parent}")
     parsed = [(spec, *_parse_explainer_spec(spec)) for spec in
               ((args.explainer or ["lime"]) if sweep else [args.explainer])]
     elicit = sweep and any("mu0" in EXPLAINER_KEYS[name] and "mu0" not in opts
@@ -431,6 +437,17 @@ def _manifest_path(out: str) -> str:
     return str(Path(out).with_suffix(".manifest.json"))
 
 
+@contextmanager
+def _writing(path: str) -> Iterator[TextIO]:
+    """``path`` open for writing; a failure to open or write it is an
+    input error."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            yield handle
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_manifest(args, run: _Run, **results) -> None:
     """Write the manifest of ``--out``: every flag as parsed, defaults
     included, under the run's resolved values; ``results`` are top-level
@@ -445,7 +462,7 @@ def _write_manifest(args, run: _Run, **results) -> None:
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": [args.out],
     }
-    with open(_manifest_path(args.out), "w", encoding="utf-8") as handle:
+    with _writing(_manifest_path(args.out)) as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -453,7 +470,7 @@ def _write_manifest(args, run: _Run, **results) -> None:
 def _write_csv(args, run: _Run, header: list[str], rows: list[tuple],
                **results) -> None:
     """Write a sweep's CSV to ``--out``, then its manifest."""
-    with open(args.out, "w", newline="", encoding="utf-8") as out:
+    with _writing(args.out) as out:
         writer = csv.writer(out)
         writer.writerow(header)
         writer.writerows(rows)
@@ -505,7 +522,7 @@ def cmd_explain(args) -> int:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as out:
+        with _writing(args.out) as out:
             out.write(text)
         _write_manifest(args, run)
     return 0

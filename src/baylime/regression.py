@@ -75,6 +75,7 @@ from .errors import (
     ConvergenceError,
     DecompositionError,
     FitError,
+    ShapeError,
     SingularityError,
 )
 from .kernel import effective_sample_size
@@ -478,14 +479,15 @@ def decompose(fit: SurrogateFit,
               pset: PerturbationSet) -> tuple[np.ndarray, np.ndarray]:
     """The matrices A and B with mu_n = A mu0 + B beta_mle and A + B = I.
 
-    A carries the prior's share of the posterior mean, B the data's.
+    A carries the prior's share of the posterior mean, B the data's, both
+    in the fit's own eigenbasis; ``pset`` must have the fit's m features.
     """
-    gram, moment = _weighted_moments(pset.rows, pset.labels, pset.weights)
-    eig, vectors, _ = (arr[0] for arr in _spectra(gram[None], moment[None]))
+    eig, vectors, _ = fit.spectrum
+    if pset.m != eig.size:
+        raise ShapeError(f"set has {pset.m} features, the fit {eig.size}")
     denominator = fit.lambda_used + fit.alpha_used * eig
     if denominator[0] <= 0:
-        raise DecompositionError("posterior precision is not positive "
-                                 "definite")
+        raise DecompositionError("posterior precision is not positive definite")
     prior_share = fit.lambda_used / denominator
     a = (vectors * prior_share) @ vectors.T
     b = (vectors * (1.0 - prior_share)) @ vectors.T

@@ -8,6 +8,7 @@ behaviour:
     echo     one output per row: the row's first value, as parsed
     short    drops the last output of every batch
     text     one output per row, but a string instead of a number
+    nan      one output per row, but the token NaN, which JSON lacks
     garbage  answers with non-JSON text
     exit     quits immediately without answering
     sleep    never answers
@@ -61,6 +62,8 @@ for index, line in enumerate(sys.stdin):
         outputs = [row[0] for row in rows]
     elif mode == "text":
         outputs = ["x" for row in rows]
+    elif mode == "nan":
+        outputs = [float("nan") for row in rows]
     else:
         outputs = [float(sum(row)) for row in rows]
     if mode == "short":

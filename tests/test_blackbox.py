@@ -210,6 +210,9 @@ class TestSubprocessPredictor:
         for timeout in (0.0, blackbox.MAX_TIMEOUT * 1.0001):
             with pytest.raises(ConfigError, match="timeout"):
                 PredictorHandle.spawn(fixture_command("sum"), timeout=timeout)
+        for command in ("", "  ", []):
+            with pytest.raises(ConfigError, match="empty predictor command"):
+                PredictorHandle.spawn(command)
         assert calls == []
 
     def test_round_trip(self):
@@ -274,6 +277,19 @@ class TestSubprocessPredictor:
         with PredictorHandle.spawn(fixture_command("garbage")) as handle:
             with pytest.raises(ProbeError, match="malformed"):
                 probe(handle, np.ones((2, 2)))
+
+    def test_non_finite_token_is_malformed_and_fails_the_handle(self):
+        # Replies are strict JSON: a NaN token is not a number to check
+        # later but a reply that cannot be read.
+        with PredictorHandle.spawn(fixture_command("nan")) as handle:
+            with pytest.raises(ProbeError,
+                               match="malformed predictor response") as info:
+                probe(handle, np.ones((2, 2)))
+            assert not isinstance(info.value, ContractViolationError)
+            assert info.value.payload == b'{"outputs": [NaN, NaN]}\n'
+            with pytest.raises(ProbeError, match="unusable"):
+                probe(handle, np.ones((2, 2)))
+            assert handle.predict_fn._proc.poll() is not None
 
     def test_early_exit_reported(self):
         # The code is named only once the child is reaped, on every spawn.

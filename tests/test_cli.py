@@ -42,6 +42,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE = str(FIXTURES / "jsonl_predictor.py")
 SUM_PREDICTOR = f"{sys.executable} {FIXTURE} sum"
 MISSPELT_PRIOR = str(FIXTURES / "misspelt_prior.json")
+RAGGED_CSV = str(FIXTURES / "ragged.csv")
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = README.parent / "src"
 
@@ -107,6 +108,13 @@ class TestIngestCsv:
         with pytest.raises(ConfigError, match="mystery"):
             ingest_csv(path, ["mystery"], [])
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF.
+        path = self._write(tmp_path, "\ufeffcolor,x\nred,1\nblue,2\n")
+        _, _, names, codes = ingest_csv(path, ["color"], [])
+        assert names == ("color", "x")
+        assert codes["color"] == {"blue": 0.0, "red": 1.0}
+
 
 class TestExplainCommand:
     def test_linear_fixture_ranks_follow_coefficients(self, tmp_path, capsys):
@@ -167,6 +175,13 @@ class TestExplainCommand:
                      f"{sys.executable} {FIXTURE} text", "--n", "50"])
         assert code == 3
         assert "non-numeric" in capsys.readouterr().err
+
+    def test_non_finite_predictor_token_maps_to_probe_error(self, capsys):
+        code = main(["explain", "--m", "2", "--predictor-cmd",
+                     f"{sys.executable} {FIXTURE} nan", "--n", "50"])
+        assert code == 3
+        assert ("probe error: malformed predictor response"
+                in capsys.readouterr().err)
 
     def test_env_var_supplies_predictor(self, capsys, monkeypatch):
         monkeypatch.setenv("BAYLIME_PREDICTOR_CMD",
@@ -286,6 +301,17 @@ class TestExplainerSpec:
                              "--prior-file", str(bare)) == inline
         assert self._explain(capsys, "--explainer", "partial",
                              "--prior-file", str(full)) == inline
+
+    def test_prior_file_may_start_with_a_byte_order_mark(self, tmp_path,
+                                                         capsys):
+        prior = tmp_path / "prior.json"
+        prior.write_text("\ufeff" + json.dumps({"mu0": [1.0, 0.5, 0.0],
+                                                "lambda": 20.0}),
+                         encoding="utf-8")
+        inline = self._explain(capsys, "--explainer",
+                               "partial:mu0=1,0.5,0:lambda=20")
+        assert self._explain(capsys, "--explainer", "partial",
+                             "--prior-file", str(prior)) == inline
 
     def test_spec_key_overrides_file_field(self, tmp_path, capsys):
         prior = tmp_path / "prior.json"
@@ -570,14 +596,54 @@ def test_hamming_distance_on_a_numerical_problem_warns_once(
      "option 'r' repeated in explainer spec 'lime:r=1:r=1000'"),
     (["consistency", "--timeout", "3e6"],
      "timeout must be positive and at most"),
+    (["explain", "--m", "0"], "--m must be at least 1"),
+    (["explain", "--instance-values", "1,2,3"],
+     "--instance-values has 3 entries, --m is 2"),
+    (["explain", "--data", RAGGED_CSV, "--instance", "0"],
+     "--data and --m are mutually exclusive"),
+    (["robustness", "--predictor", "linear"],
+     "choose either a built-in --predictor or a --predictor-cmd, not both"),
+    (["explain", "--explainer", "partial:lambda=5", "--prior-file",
+      str(FIXTURES / "missing_prior.json")], "cannot read prior file"),
+    (["explain", "--explainer", "partial:lambda=5", "--prior-file",
+      str(FIXTURES / "prior_without_mu0.json")],
+     'expected a JSON array or an object with "mu0"'),
+    (["explain", "--explainer", "partial:lambda=5", "--prior-file",
+      str(FIXTURES / "non_numeric_prior.json")], "non-numeric prior value"),
+    (["consistency", "--explainer", "shap"], "unknown explainer 'shap'"),
+    (["explain", "--target-class", "-1"], "target_class must be non-negative"),
+    (["explain", "--out", "/no/such/dir/out.json"],
+     "--out /no/such/dir/out.json: no directory /no/such/dir"),
+    (["consistency", "--out", "/no/such/dir/out.csv"],
+     "--out /no/such/dir/out.csv: no directory /no/such/dir"),
+    (["robustness", "--out", "/no/such/dir/out.csv"],
+     "--out /no/such/dir/out.csv: no directory /no/such/dir"),
 ])
 def test_config_error_starts_no_predictor(tmp_path, capsys,
                                           predictor_children, flags, message):
-    code = main([*flags, "--m", "2", "--predictor-cmd", SUM_PREDICTOR,
-                 "--out", str(tmp_path / "out.csv")])
+    # A case's own flags come last, so they override the shared ones.
+    code = main([flags[0], "--m", "2", "--predictor-cmd", SUM_PREDICTOR,
+                 "--out", str(tmp_path / "out.csv"), *flags[1:]])
     assert code == 2
     assert message in capsys.readouterr().err
     assert predictor_children == []
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (["explain", "--n", "50"], "out.json"),
+    (["explain", "--n", "50"], "out.manifest.json"),
+    (["robustness", "--n", "50", "--pairs", "2"], "out.csv"),
+    (["consistency", "--n-grid", "20", "--k", "2"], "out.manifest.json"),
+])
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, argv,
+                                             blocked):
+    # A directory in the way fails the write only after the run.
+    (tmp_path / blocked).mkdir()
+    out = tmp_path / ("out.json" if argv[0] == "explain" else "out.csv")
+    assert main([*argv, "--m", "2", "--predictor", "linear",
+                 "--out", str(out)]) == 2
+    assert (f"error: cannot write {tmp_path / blocked}: "
+            in capsys.readouterr().err)
 
 
 def test_elicitation_counts_are_checked_only_when_it_runs(tmp_path):
@@ -676,6 +742,14 @@ class TestManifest:
     # No predictor flag: the command comes from the environment.
     (["--m", "3", "--predictor-quad", "1,1,1"],
      "--predictor-quad does not apply to a subprocess predictor"),
+    ([], "provide either --data or --m"),
+    (["--data", str(FIXTURES / "missing.csv"), "--instance", "0"],
+     "cannot read " + str(FIXTURES / "missing.csv")),
+    (["--data", RAGGED_CSV, "--instance", "0"],
+     "row 3 has 1 fields, header has 2"),
+    (["--data", "DATA"], "--data needs --instance (row index)"),
+    (["--m", "3", "--predictor", "linear", "--predictor-coefficients", "1,1"],
+     "--predictor-coefficients has 2 entries for 3 features"),
 ])
 def test_ignored_or_non_finite_flag_exits_two(tmp_path, capsys, monkeypatch,
                                               predictor_children, flags,

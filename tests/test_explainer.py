@@ -291,6 +291,8 @@ class TestExplainPaired:
         with pytest.raises(ConfigError):
             explain_block(instance, PredictorHandle.in_process(model),
                           config.perturb, config.kernel, (), 3)
+        with pytest.raises(ConfigError, match="BayLime needs a PriorSpec"):
+            BayLime("non_informative")
         assert model.calls == 0
 
 

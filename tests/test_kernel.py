@@ -87,6 +87,10 @@ class TestDefaultWidth:
         assert abs(default_width(4) - 1.5) < 1e-12
         assert abs(default_width(9) - 2.25) < 1e-12
 
+    def test_needs_a_feature(self):
+        with pytest.raises(ConfigError, match="feature count must be at least 1"):
+            default_width(0)
+
 
 class TestReferenceAndDistance:
     def test_reference_by_kind(self):
@@ -167,6 +171,8 @@ class TestApplyWeights:
     def test_rejects_unknown_distance(self):
         with pytest.raises(ConfigError):
             KernelConfig(distance="cosine")
+        with pytest.raises(ConfigError, match="unknown distance 'cosine'"):
+            distances(np.ones((2, 2)), np.zeros(2), "cosine")
 
     def test_rejects_a_bad_or_second_width(self):
         # A config holds one width, finite and positive, or None for the

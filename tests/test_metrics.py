@@ -146,6 +146,10 @@ class TestWidthPairs:
         with pytest.raises(ConfigError):
             width_pairs(10, (0.0, 5.0), seed=0)
 
+    def test_needs_a_pair(self):
+        with pytest.raises(ConfigError, match="need at least one width pair"):
+            width_pairs(0, (0.2, 5.0), seed=0)
+
     def test_rejects_a_negative_seed(self):
         with pytest.raises(ConfigError, match="seed must be non-negative"):
             width_pairs(10, (0.2, 5.0), seed=-1)

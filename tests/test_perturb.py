@@ -35,6 +35,11 @@ class TestColumnStatistics:
         with pytest.raises(ConfigError):
             column_statistics([1.0, np.inf])
 
+    @pytest.mark.parametrize("values", [[], [[1.0, 2.0]]])
+    def test_rejects_an_empty_or_2d_column(self, values):
+        with pytest.raises(ConfigError, match="non-empty 1-d column"):
+            column_statistics(values)
+
 
 class TestFrequencyTable:
     def test_hand_case(self):
@@ -45,6 +50,11 @@ class TestFrequencyTable:
         rng = np.random.default_rng(2)
         table = frequency_table(rng.integers(0, 5, size=200).astype(float))
         assert abs(sum(table.values()) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("values", [[], [[1.0, 2.0]]])
+    def test_rejects_an_empty_or_2d_column(self, values):
+        with pytest.raises(ConfigError, match="non-empty 1-d column"):
+            frequency_table(values)
 
 
 class TestConfigFromData:
@@ -63,6 +73,11 @@ class TestConfigFromData:
     def test_rejects_kind_count_mismatch(self):
         with pytest.raises(ConfigError):
             config_from_data(np.ones((3, 2)), (NUMERICAL,), n=10, seed=0)
+
+    @pytest.mark.parametrize("data", [np.ones(3), np.ones((0, 2))])
+    def test_rejects_data_that_is_no_matrix_of_rows(self, data):
+        with pytest.raises(ConfigError, match="non-empty n-by-m matrix"):
+            config_from_data(data, (NUMERICAL, NUMERICAL), n=10, seed=0)
 
 
 class TestPerturbMatrix:
@@ -200,8 +215,28 @@ class TestPerturbMatrix:
         inst = Instance([0.0], (NUMERICAL,), ("a",))
         with pytest.raises(ConfigError, match="feature 0"):
             perturb_matrix(inst, PerturbConfig(n=10, seed=0))
+        inst = Instance([0.0, 1.0], (NUMERICAL, CATEGORICAL), ("a", "b"))
+        config = PerturbConfig(n=10, seed=0, numeric_scale={0: (0.0, 1.0)})
+        with pytest.raises(ConfigError,
+                           match="no frequency table for categorical "
+                                 "feature 1"):
+            perturb_matrix(inst, config)
 
     def test_frequency_table_must_sum_to_one(self):
         with pytest.raises(ConfigError):
             PerturbConfig(n=10, seed=0,
                           categorical_frequencies={0: {1.0: 0.5, 2.0: 0.4}})
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"n": 0}, "perturbation count must be at least 1"),
+        ({"seed": -1}, "seed must be non-negative"),
+        ({"numeric_scale": {2: (np.nan, 1.0)}},
+         "non-finite scale for feature 2"),
+        ({"numeric_scale": {2: (0.0, 0.0)}},
+         "std for feature 2 must be positive"),
+        ({"categorical_frequencies": {3: {}}},
+         "empty frequency table for feature 3"),
+    ])
+    def test_config_refusals(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            PerturbConfig(**{"n": 10, "seed": 0, **fields})

@@ -23,11 +23,14 @@ from baylime import explainer, regression
 from baylime import (
     ConfigError,
     ConvergenceError,
+    DecompositionError,
     FitError,
     LimeRidge,
     PerturbationSet,
     PriorSpec,
+    ShapeError,
     SingularityError,
+    SurrogateFit,
     decompose,
 )
 from baylime.regression import _weighted_moments, posterior_rows, ridge_rows
@@ -191,7 +194,7 @@ def counted(monkeypatch, owner, name: str) -> list:
 class TestSharedMoments:
     def test_fits_on_one_set_compute_moments_once(self, monkeypatch):
         # Every fit on a set's stack shares its one reduction and its one
-        # eigh; decompose decomposes the set it is given, each call anew.
+        # eigh, and decompose reads the fit's own spectrum.
         reductions = counted(monkeypatch, regression, "_weighted_moments")
         eighs = counted(monkeypatch, np.linalg, "eigh")
         rng = np.random.default_rng(41)
@@ -206,10 +209,10 @@ class TestSharedMoments:
                 result = posterior_rows(stack, prior)
             fit = stack.surrogate_fit(result, 0)
             assert fit.beta_mle is not None
-            assert len(reductions) == len(eighs) == 3 * weighted - 2
+            assert len(reductions) == len(eighs) == weighted
             decompose(fit, pset)
             decompose(fit, pset)
-            assert len(reductions) == len(eighs) == 3 * weighted
+            assert len(reductions) == len(eighs) == weighted
 
     def test_moments_are_frozen_and_exact(self):
         pset = random_problem(np.random.default_rng(42), m=3, n=50)
@@ -261,6 +264,25 @@ class TestDecomposition:
         a, b = decompose(fit, pset)
         assert abs(a[0, 0] - 1 / 3) < 1e-12
         assert abs(b[0, 0] - 2 / 3) < 1e-12
+
+    def test_reads_the_fits_own_eigenbasis(self):
+        # Another set of the fit's width changes nothing; another width is
+        # refused.
+        rng = np.random.default_rng(18)
+        own, other = (random_problem(rng, m=4, n=100) for _ in range(2))
+        fit = fit_surrogate(own, PriorSpec.full(np.ones(4), 3.0, 0.5))
+        for mine, theirs in zip(decompose(fit, own), decompose(fit, other)):
+            assert np.array_equal(mine, theirs)
+        with pytest.raises(ShapeError, match="set has 5 features, the fit 4"):
+            decompose(fit, random_problem(rng, m=5, n=100))
+
+    def test_refuses_a_precision_that_is_not_positive_definite(self):
+        pset = random_problem(np.random.default_rng(19), m=3, n=50)
+        fit = SurrogateFit(mu_n=np.zeros(3), alpha_used=1.0, lambda_used=-1.0,
+                           n_effective_prior=-1.0, n_effective_data=1.0,
+                           spectrum=(np.zeros(3), np.eye(3), np.zeros(3)))
+        with pytest.raises(DecompositionError, match="not positive definite"):
+            decompose(fit, pset)
 
 
 class TestEvidenceFitting:
@@ -335,6 +357,9 @@ class TestPriorSpec:
             PriorSpec("non_informative", lam=1.0)
         with pytest.raises(ConfigError):
             PriorSpec("bogus")
+        for mu0 in (np.array([1.0, np.nan]), np.zeros(0), np.ones((2, 2))):
+            with pytest.raises(ConfigError, match="non-empty finite vector"):
+                PriorSpec.partial(mu0, 2.0)
 
     def test_rejects_nonpositive_hyperparameters(self):
         with pytest.raises(ConfigError):

@@ -124,6 +124,14 @@ class TestInstance:
         with pytest.raises(InvalidInputError):
             Instance([1.0], ("mystery",), ("a",))
 
+    @pytest.mark.parametrize("values, message", [
+        ([], "at least one feature value"),
+        ([np.nan], "instance values must be finite"),
+    ])
+    def test_rejects_empty_or_non_finite_values(self, values, message):
+        with pytest.raises(InvalidInputError, match=message):
+            Instance(values, (NUMERICAL,) * len(values), ("a",) * len(values))
+
 
 class TestPerturbationSet:
     def test_shapes_and_views(self):
@@ -140,6 +148,15 @@ class TestPerturbationSet:
         with pytest.raises(ShapeError):
             PerturbationSet(rows=[[1.0], [2.0]], labels=[1.0],
                             weights=[1.0, 1.0], seed=0)
+
+    @pytest.mark.parametrize("rows, seed, message", [
+        ([1.0], 0, "non-empty n-by-m matrix"),
+        ([[]], 0, "non-empty n-by-m matrix"),
+        ([[1.0]], -1, "seed must be a non-negative integer"),
+    ])
+    def test_rejects_bad_rows_or_seed(self, rows, seed, message):
+        with pytest.raises(InvalidInputError, match=message):
+            PerturbationSet(rows=rows, labels=[1.0], weights=[1.0], seed=seed)
 
     def test_reweighted_set_shares_rows_and_labels(self):
         pset = PerturbationSet(rows=[[1.0], [2.0]], labels=[1.0, 2.0],
@@ -182,6 +199,22 @@ class TestExplanation:
             Explanation(coefficients=np.array([1.0, 1.0]),
                         importances=np.array([1.0, 1.0]),
                         ranks=np.array([1, 2]), kernel_width=1.0,
+                        n_samples=10)
+
+    @pytest.mark.parametrize("coefficients, importances, ranks, error, "
+                             "message", [
+        ([], [], [], InvalidInputError, "non-empty vector"),
+        ([1.0, 0.0], [1.0], [1, 2], ShapeError, "must share length"),
+        ([0.0, 0.0], [1.0, 0.0], [1, 1], InvalidInputError,
+         "zero coefficients require zero importances"),
+        ([1.0, 0.0], [1.0, 0.0], [1, 3], InvalidInputError,
+         r"ranks must lie in \[1, m\]"),
+    ])
+    def test_rejects_inconsistent_fields(self, coefficients, importances,
+                                         ranks, error, message):
+        with pytest.raises(error, match=message):
+            Explanation(np.array(coefficients), np.array(importances),
+                        np.array(ranks, dtype=int), kernel_width=1.0,
                         n_samples=10)
 
 
