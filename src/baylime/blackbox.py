@@ -39,6 +39,8 @@ import numpy as np
 from .errors import ConfigError, ContractViolationError, ProbeError
 
 PREDICTOR_CMD_ENV = "BAYLIME_PREDICTOR_CMD"
+BATCH_LIMIT = 1024  # rows per request, by default
+TIMEOUT = 60.0  # s per request, by default
 MAX_TIMEOUT = (2**31 - 1) / 1000  # s: a selector waits at most 2**31 - 1 ms
 STDERR_TAIL = 8192  # bytes of the child's stderr kept for error reports
 
@@ -58,23 +60,21 @@ class PredictorHandle:
     """
 
     predict_fn: Callable[[np.ndarray], np.ndarray]
-    batch_limit: int = 1024
+    batch_limit: int = BATCH_LIMIT
 
     def __post_init__(self):
         _check_batch_limit(self.batch_limit)
 
     @classmethod
     def in_process(cls, fn: Callable[[np.ndarray], np.ndarray], *,
-                   batch_limit: int = 1024) -> "PredictorHandle":
+                   batch_limit: int = BATCH_LIMIT) -> "PredictorHandle":
         return cls(fn, batch_limit=batch_limit)
 
     @classmethod
-    def spawn(cls, command: str | list[str], *, batch_limit: int = 1024,
-              timeout: float = 60.0) -> "PredictorHandle":
-        """Start a JSON-lines predictor subprocess and wrap it in a handle.
-
-        Both settings are checked before the child starts.
-        """
+    def spawn(cls, command: str | list[str], *, batch_limit: int = BATCH_LIMIT,
+              timeout: float = TIMEOUT) -> "PredictorHandle":
+        """A handle on a new JSON-lines predictor child; both settings are
+        checked before it starts."""
         _check_batch_limit(batch_limit)
         transport = SubprocessPredictor(command, timeout=timeout)
         return cls(transport, batch_limit=batch_limit)
@@ -247,14 +247,14 @@ class SubprocessPredictor:
     request is one ``selectors`` loop on POSIX pipes, under one deadline.
 
     The transport fails closed. Once a request times out, gets a malformed
-    response or one with the wrong number of outputs or a non-numeric
-    output (both raised as :class:`ContractViolationError`), finds the child
+    response or one with the wrong number of outputs or a non-numeric or
+    boolean output (raised as :class:`ContractViolationError`), finds the child
     gone, or meets output that answers no request, the child is killed and
     every later call raises :class:`ProbeError`: a late answer to an
     abandoned request would otherwise be read as the answer to the next one.
     """
 
-    def __init__(self, command: str | list[str], *, timeout: float = 60.0):
+    def __init__(self, command: str | list[str], *, timeout: float = TIMEOUT):
         if isinstance(command, str):
             try:
                 command = shlex.split(command)
@@ -368,11 +368,17 @@ class SubprocessPredictor:
                 f"predictor returned {count} outputs for {len(rows)} rows",
                 payload=line, error=ContractViolationError)
         try:
-            return np.asarray(outputs, dtype=float)
+            out = np.asarray(outputs, dtype=float)
         except (TypeError, ValueError) as exc:
             raise self._fail(f"predictor returned non-numeric outputs: {exc}",
                              payload=line,
                              error=ContractViolationError) from exc
+        # numpy reads true and false as 1.0 and 0.0; most replies hold neither.
+        if (b"true" in line or b"false" in line) and bool in map(
+                type, np.asarray(outputs, dtype=object).flat):
+            raise self._fail("predictor returned a boolean output",
+                             payload=line, error=ContractViolationError)
+        return out
 
     def close(self) -> None:
         """End the child's input, drop its output and reap it; kill it if it

@@ -38,8 +38,8 @@ from typing import Iterator, NamedTuple, TextIO
 import numpy as np
 
 from . import __version__
-from .blackbox import (MAX_TIMEOUT, PREDICTOR_CMD_ENV, PredictorHandle,
-                       with_class)
+from .blackbox import (BATCH_LIMIT, MAX_TIMEOUT, PREDICTOR_CMD_ENV, TIMEOUT,
+                       PredictorHandle, with_class)
 from .errors import (
     ConfigError,
     FitError,
@@ -49,6 +49,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .explainer import (
+    DEFAULT_R,
     BayLime,
     ExplainConfig,
     LimeRidge,
@@ -66,7 +67,6 @@ from .types import CATEGORICAL, Instance, NUMERICAL
 # Explainer spec names and the keys each accepts.
 EXPLAINER_KEYS = {"lime": ("r",), **PRIOR_KEYS}
 DEFAULT_N_GRID = (50, 100, 200, 400, 800, 1600)
-DEFAULT_R = 1.0
 
 # Elicitation runs must not share seeds with the sweep cells.
 ELICIT_SEED_OFFSET = 1_000_000
@@ -360,11 +360,11 @@ class _Run(NamedTuple):
 def _setup(args, n: int, **lists) -> Iterator[_Run]:
     """Check every flag, then start the predictor and yield the run.
 
-    The problem (at n samples), the kernel, the directory of ``--out``, each
-    explainer spec (against a stand-in of any prior a sweep will elicit),
-    the prior file and the elicitation's counts and ridge are checked
-    first. The predictor closes when the ``with`` block ends and is probed
-    through ``--target-class``.
+    The problem (at n samples), the kernel, the ``--out`` and manifest
+    paths (in a directory, neither one itself), each explainer spec
+    (against a stand-in of any prior a sweep will elicit), the prior file
+    and the elicitation's counts and ridge are checked first. The predictor
+    closes when the ``with`` block ends and is probed via ``--target-class``.
     ``resolved`` is what the manifest lays over the flags: parsed lists (a
     command's own ``lists`` too), kernel width, predictor and explainers.
     """
@@ -373,9 +373,14 @@ def _setup(args, n: int, **lists) -> Iterator[_Run]:
     kernel = KernelConfig(width=args.kernel_width, distance=args.distance)
     if args.target_class is not None and args.target_class < 0:
         raise ConfigError("target_class must be non-negative")
-    if args.out is not None and not Path(args.out).parent.is_dir():
-        raise ConfigError(f"--out {args.out}: no directory "
-                          f"{Path(args.out).parent}")
+    if args.out is not None:
+        out = Path(args.out)
+        if not out.parent.is_dir():
+            raise ConfigError(f"--out {args.out}: no directory {out.parent}")
+        # The output first: a directory such as / has no manifest path.
+        blocked = args.out if out.is_dir() else _manifest_path(args.out)
+        if Path(blocked).is_dir():
+            raise ConfigError(f"cannot write {blocked}: it is a directory")
     parsed = [(spec, *_parse_explainer_spec(spec)) for spec in
               ((args.explainer or ["lime"]) if sweep else [args.explainer])]
     elicit = sweep and any("mu0" in EXPLAINER_KEYS[name] and "mu0" not in opts
@@ -626,9 +631,9 @@ def _add_predictor_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--predictor-cmd",
                         help="subprocess predictor command (JSON lines; "
                              f"also via {PREDICTOR_CMD_ENV})")
-    parser.add_argument("--batch-limit", type=int, default=1024,
+    parser.add_argument("--batch-limit", type=int, default=BATCH_LIMIT,
                         help="max rows per predictor call")
-    parser.add_argument("--timeout", type=float, default=60.0,
+    parser.add_argument("--timeout", type=float, default=TIMEOUT,
                         help="seconds allowed per predictor request, to "
                              "write it and read its answer (at most "
                              f"{MAX_TIMEOUT:g})")
@@ -715,7 +720,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ConfigError, InvalidInputError) as exc:
+    except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ProbeError as exc:

@@ -53,12 +53,14 @@ from .types import (
 # at n = 2000 about 7% slower than this size.
 WEIGHT_BLOCK = 2**16
 
+DEFAULT_R = 1.0  # the ridge regularizer of a lime explainer that names none
+
 
 @dataclass(frozen=True)
 class LimeRidge:
     """Plain weighted-ridge surrogate with regularizer ``r``."""
 
-    r: float = 1.0
+    r: float = DEFAULT_R
 
     def __post_init__(self):
         if not (np.isfinite(self.r) and self.r >= 0):

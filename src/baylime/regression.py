@@ -371,8 +371,8 @@ def _weighted_sse(c: np.ndarray, eig: np.ndarray, c_ls: np.ndarray,
 
 def _evidence(eig: np.ndarray, b: np.ndarray, pull: np.ndarray | None,
               c_ls: np.ndarray, rss_ls: np.ndarray, alpha: np.ndarray, *,
-              n: int, lam: float, fit_lambda: bool, max_iter: int,
-              tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+              n: int, lam: float, fit_lambda: bool,
+              max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Iterate the evidence updates on every row until each settles.
 
     ``alpha`` holds each row's initial alpha. ``pull`` (lam V'mu0) stays
@@ -400,13 +400,13 @@ def _evidence(eig: np.ndarray, b: np.ndarray, pull: np.ndarray | None,
                 # HYPER_MAX, not -inf, when wsse = 0.
                 data_dof = np.maximum(data_dof, 0.0)
             new_alpha = _clamp(data_dof / _weighted_sse(c, eig, c_ls, rss_ls))
-            settled = abs(new_alpha - alpha) <= tol * alpha
+            settled = abs(new_alpha - alpha) <= TOL * alpha
             if fit_lambda:
                 new_lam = _clamp(gamma / (c * c).sum(axis=1, keepdims=True))
                 # A row settles when both settle; lambda's test only
                 # matters where alpha's passed.
                 if np.count_nonzero(settled):
-                    settled &= abs(new_lam - lam) <= tol * lam
+                    settled &= abs(new_lam - lam) <= TOL * lam
                 lam = new_lam
             alpha = new_alpha
             count = np.count_nonzero(settled)
@@ -428,7 +428,7 @@ def _evidence(eig: np.ndarray, b: np.ndarray, pull: np.ndarray | None,
 
 
 def posterior_rows(stack: WeightedStack, prior: PriorSpec, *,
-                   max_iter: int = MAX_ITER, tol: float = TOL) -> StackFit:
+                   max_iter: int = MAX_ITER) -> StackFit:
     """The posterior under the prior's knowledge mode, for every row.
 
     full takes mu0, lambda and alpha as given; partial fits alpha and
@@ -453,9 +453,7 @@ def posterior_rows(stack: WeightedStack, prior: PriorSpec, *,
         lam, alpha, iterations, failed = _evidence(
             eig, b, None if mu0_rot is None else prior.lam * mu0_rot,
             *stack.evidence, n=stack.n, lam=prior.lam or 1.0,
-            fit_lambda=prior.mode == NON_INFORMATIVE, max_iter=max_iter,
-            tol=tol,
-        )
+            fit_lambda=prior.mode == NON_INFORMATIVE, max_iter=max_iter)
         if failed < s:
             error = ConvergenceError(
                 f"evidence maximization did not settle in {max_iter} "

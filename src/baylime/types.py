@@ -1,15 +1,16 @@
 """Core value types: instances, perturbation datasets and explanations.
 
-Every container here is backed by read-only numpy arrays and immutable after
-construction (a frozen dataclass, or for the ensemble a class with read-only
-properties), so instances are safe to share across threads. Besides the
+Every container here is a frozen dataclass backed by read-only numpy arrays,
+immutable after construction (the ensemble makes its runs on first
+access), so instances are safe to share across threads. Besides the
 containers, the module holds the ranking and coefficient normalization
 every other module builds on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -210,49 +211,36 @@ class Explanation:
         return self.coefficients.size
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class ExplanationEnsemble:
     """k >= 1 explanations of one instance, identical apart from seeds.
 
     An ensemble holds the (k, m) importance and rank matrices of its runs
     and a function that makes run i, whose importances and ranks are row i
-    of the matrices. The runs are made on first access to ``runs``; the
-    consistency metrics read only the matrices, so a sweep makes no
-    per-run explanation. ``min_effective_sample_size``, when known, is the
-    smallest Kish effective sample size the kernel left over the runs'
-    sample sets. Attributes are read-only.
+    of the matrices. The runs are made on first access to ``runs``, where
+    threads that enter together may each make them, equal ones. The
+    consistency metrics read only the matrices, so a sweep makes none.
+    ``min_effective_sample_size``, when known, is the smallest Kish
+    effective sample size the kernel left over the runs' sample sets.
     """
 
-    __slots__ = ("_importances", "_ranks", "_runs", "_make_run",
-                 "_min_effective")
+    _importances: np.ndarray
+    _ranks: np.ndarray
+    _make_run: Callable[[int], Explanation]
+    min_effective_sample_size: float | None = field(default=None, kw_only=True)
 
-    def __init__(self, importances: np.ndarray, ranks: np.ndarray,
-                 make_run: Callable[[int], Explanation], *,
-                 min_effective_sample_size: float | None = None):
-        if np.ndim(importances) != 2 or len(importances) < 1:
+    def __post_init__(self):
+        if np.ndim(self._importances) != 2 or len(self._importances) < 1:
             raise InvalidInputError("an ensemble needs at least one run")
-        if np.shape(ranks) != np.shape(importances):
+        if np.shape(self._ranks) != np.shape(self._importances):
             raise ShapeError("importance and rank matrices must share shape")
-        self._importances = _frozen_array(importances)
-        self._ranks = _frozen_array(ranks, dtype=int)
-        self._runs: tuple[Explanation, ...] | None = None
-        self._make_run = make_run
-        self._min_effective = min_effective_sample_size
+        for name, dtype in (("_importances", float), ("_ranks", int)):
+            frozen = _frozen_array(getattr(self, name), dtype)
+            object.__setattr__(self, name, frozen)
 
-    @property
+    @cached_property
     def runs(self) -> tuple[Explanation, ...]:
-        # The function is read before the runs: it is cleared only after
-        # the runs are set, so a thread that finds it cleared finds them.
-        # Threads that enter together each make the runs, equal ones.
-        make_run = self._make_run
-        runs = self._runs
-        if runs is None:
-            runs = self._runs = tuple(make_run(i) for i in range(self.k))
-            self._make_run = None
-        return runs
-
-    @property
-    def min_effective_sample_size(self) -> float | None:
-        return self._min_effective
+        return tuple(map(self._make_run, range(self.k)))
 
     @property
     def k(self) -> int:

@@ -38,7 +38,7 @@ from baylime import (
 from baylime import explainer
 from baylime.blackbox import SubprocessPredictor
 from baylime.cli import build_parser
-from baylime.regression import (MAX_ITER, TOL, WeightedStack, _spectra,
+from baylime.regression import (MAX_ITER, WeightedStack, _spectra,
                                 _weighted_moments, join_sets, posterior_rows,
                                 reduce_set, ridge_rows)
 
@@ -86,11 +86,10 @@ def ridge_fit(pset, r: float = 0.0) -> np.ndarray:
     return fit.coefficients[0]
 
 
-def fit_surrogate(pset, prior, *, max_iter: int = MAX_ITER,
-                  tol: float = TOL):
+def fit_surrogate(pset, prior, *, max_iter: int = MAX_ITER):
     """The posterior of one set under the prior's knowledge mode."""
     stack = one_row_stack(pset)
-    fit = posterior_rows(stack, prior, max_iter=max_iter, tol=tol)
+    fit = posterior_rows(stack, prior, max_iter=max_iter)
     if fit.error is not None:
         raise fit.error
     return stack.surrogate_fit(fit, 0)

@@ -244,6 +244,17 @@ class TestSubprocessPredictor:
                 probe(handle, np.ones((3, 2)))
             assert handle.predict_fn._proc.poll() is not None
 
+    def test_boolean_outputs_are_contract_violation(self):
+        # numpy would read true as 1.0: the reply is refused, not converted.
+        with PredictorHandle.spawn(fixture_command("bool")) as handle:
+            with pytest.raises(ContractViolationError,
+                               match="boolean") as info:
+                probe(handle, np.ones((3, 2)))
+            assert info.value.payload == b'{"outputs": [2.0, 2.0, true]}\n'
+            with pytest.raises(ProbeError, match="unusable"):
+                probe(handle, np.ones((3, 2)))
+            assert handle.predict_fn._proc.poll() is not None
+
     def test_every_double_reaches_the_child_exactly(self):
         # The echo child answers each row with its first value, so probing
         # the columns from j onwards returns column j as the child parsed

@@ -176,6 +176,13 @@ class TestExplainCommand:
         assert code == 3
         assert "non-numeric" in capsys.readouterr().err
 
+    def test_boolean_predictor_output_maps_to_probe_error(self, capsys):
+        code = main(["explain", "--m", "2", "--predictor-cmd",
+                     f"{sys.executable} {FIXTURE} bool", "--n", "50"])
+        assert code == 3
+        assert ("probe error: predictor returned a boolean output"
+                in capsys.readouterr().err)
+
     def test_non_finite_predictor_token_maps_to_probe_error(self, capsys):
         code = main(["explain", "--m", "2", "--predictor-cmd",
                      f"{sys.executable} {FIXTURE} nan", "--n", "50"])
@@ -618,9 +625,16 @@ def test_hamming_distance_on_a_numerical_problem_warns_once(
      "--out /no/such/dir/out.csv: no directory /no/such/dir"),
     (["robustness", "--out", "/no/such/dir/out.csv"],
      "--out /no/such/dir/out.csv: no directory /no/such/dir"),
+    # TMP stands for the test's directory, where taken.manifest.json is one.
+    (["robustness", "--out", "TMP"], "cannot write TMP: it is a directory"),
+    (["consistency", "--out", "TMP/taken.csv"],
+     "cannot write TMP/taken.manifest.json: it is a directory"),
 ])
 def test_config_error_starts_no_predictor(tmp_path, capsys,
                                           predictor_children, flags, message):
+    (tmp_path / "taken.manifest.json").mkdir()
+    flags = [flag.replace("TMP", str(tmp_path)) for flag in flags]
+    message = message.replace("TMP", str(tmp_path))
     # A case's own flags come last, so they override the shared ones.
     code = main([flags[0], "--m", "2", "--predictor-cmd", SUM_PREDICTOR,
                  "--out", str(tmp_path / "out.csv"), *flags[1:]])
@@ -637,7 +651,7 @@ def test_config_error_starts_no_predictor(tmp_path, capsys,
 ])
 def test_unwritable_output_is_an_input_error(tmp_path, capsys, argv,
                                              blocked):
-    # A directory in the way fails the write only after the run.
+    # A directory where the output or its manifest goes is refused.
     (tmp_path / blocked).mkdir()
     out = tmp_path / ("out.json" if argv[0] == "explain" else "out.csv")
     assert main([*argv, "--m", "2", "--predictor", "linear",

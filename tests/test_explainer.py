@@ -530,10 +530,26 @@ class TestSeedBlock:
                                     config.perturb, config.kernel,
                                     (BayLime(PriorSpec.non_informative()),),
                                     3)
-        assert ensemble._runs is None
+        assert "runs" not in vars(ensemble)
         runs = ensemble.runs
         assert ensemble.runs is runs
         assert [run.seed for run in runs] == [0, 1, 2]
+
+    def test_ensembles_are_read_only(self):
+        instance, config = numeric_problem(2, 60, 0, LimeRidge(1.0))
+        (ensemble,) = explain_block(instance, quadratic_predictor(),
+                                    config.perturb, config.kernel,
+                                    (LimeRidge(1.0),), 2)
+        smallest = ensemble.min_effective_sample_size
+        # Before and after the runs are made.
+        for _ in range(2):
+            for name, value in (("runs", ()),
+                                ("min_effective_sample_size", 1.0)):
+                with pytest.raises(AttributeError):
+                    setattr(ensemble, name, value)
+            runs = ensemble.runs
+        assert ensemble.runs is runs and len(runs) == 2
+        assert ensemble.min_effective_sample_size == smallest
 
     def test_bad_prior_shape_is_refused_before_probing(self):
         instance, config = numeric_problem(3, 50, 0, LimeRidge(1.0))

@@ -262,8 +262,7 @@ class TestExplanationEnsemble:
 
     def test_runs_are_safe_to_read_from_threads(self):
         # A thread that enters while another is making the runs gets equal
-        # runs, not the make-run function the first thread clears when it
-        # is done.
+        # runs, not an error.
         runs = tuple(map(explanation, ([0.8, 0.6], [0.6, 0.8], [1.0, 0.0])))
 
         def read_all(readers: int, start) -> list:
